@@ -36,6 +36,7 @@ from .localg import (
     UnitIdealError,
     coordinates,
     groebner,
+    multiplication_matrices,
     normal_form,
     origin_supported,
     quotient_presentation,
@@ -47,6 +48,7 @@ from .poly import (
     ParseError,
     Polynomial,
     elementary_symmetric,
+    format_monomial,
     parse_poly,
     partial_derivative,
     poly_det,

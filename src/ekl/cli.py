@@ -38,7 +38,7 @@ from .gw import (
     units_class,
 )
 from .localg import InfiniteQuotientError, UnitIdealError
-from .poly import ParseError
+from .poly import ParseError, format_monomial
 from .quotmap import (
     QuotientSpec,
     build_D_full,
@@ -118,7 +118,7 @@ def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float) -> dict:
         },
         "dimension": str(qp.dimension),
         "standard_monomials": [
-            _mono_name(m, qp.ring) for m in qp.standard_monomials
+            format_monomial(m, qp.ring) for m in qp.standard_monomials
         ],
         "socle_coordinates": [str(c) for c in result.socle.coordinates],
         "socle": str(result.socle),
@@ -130,18 +130,6 @@ def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float) -> dict:
         "timing_seconds": f"{elapsed:.3f}",
     }
     return report
-
-
-def _mono_name(mono, ring) -> str:
-    if sum(mono) == 0:
-        return "1"
-    parts = []
-    for name, e in zip(ring, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
 
 
 def _print_degree_report(report: dict, fmt: str) -> None:
@@ -191,7 +179,7 @@ def cmd_degree(args) -> int:
         return _fail(EXIT_PARSE, f"parse error: {exc}")
     started = time.perf_counter()
     try:
-        result = ekl_degree(spec, threads=args.threads)
+        result = ekl_degree(spec)
     except NotSupportedAtOriginError as exc:
         return _fail(EXIT_NOT_SUPPORTED, f"not supported at origin: {exc}")
     except InfiniteQuotientError as exc:
@@ -246,7 +234,7 @@ def cmd_quotient(args) -> int:
         print(f"wrote {args.emit_map}", file=sys.stderr)
     started = time.perf_counter()
     try:
-        result = ekl_degree(spec.map, threads=args.threads)
+        result = ekl_degree(spec.map)
     except (ZeroSocleError, DegenerateFormError) as exc:
         return _fail(EXIT_DEGENERATE, f"degenerate form: {exc}")
     except (NotSupportedAtOriginError, InfiniteQuotientError) as exc:
@@ -337,7 +325,7 @@ def cmd_weyl_ap(args) -> int:
         if shortcut:
             value = compute_aP(rs, spec, method="auto")
         else:
-            value = compute_aP(rs, spec, method="enumerate", threads=args.threads)
+            value = compute_aP(rs, spec, method="enumerate")
     except EnumerationBudgetError as exc:
         return _fail(EXIT_INTERNAL, f"budget exceeded: {exc}")
     print(f"a_P: {value}")
@@ -405,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_degree.add_argument(
         "--format", default="named", choices=["named", "diag", "invariants", "json"]
     )
-    p_degree.add_argument("--threads", type=int, default=1)
     p_degree.set_defaults(func=cmd_degree)
 
     p_quot = sub.add_parser("quotient", help="build and run a quotient-map family member")
@@ -415,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_quot.add_argument("--rank", type=int, help="rank (types B, C, D)")
     p_quot.add_argument("--parabolic", help="partial quotient subgroup, e.g. D4")
     p_quot.add_argument("--field", default="q")
-    p_quot.add_argument("--threads", type=int, default=1)
     p_quot.add_argument("--emit-map", help="also write the MapSpec JSON here")
     p_quot.set_defaults(func=cmd_quotient)
 
@@ -430,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ap.add_argument(
         "--method", default="auto", choices=["auto", "enumerate", "shortcut"]
     )
-    p_ap.add_argument("--threads", type=int, default=1)
     p_ap.set_defaults(func=cmd_weyl_ap)
 
     p_info = weyl_sub.add_parser("info", help="root system summary")

@@ -21,6 +21,7 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
+    format_monomial,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -377,11 +378,16 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 @dataclass(frozen=True)
 class QuotientPresentation:
-    """The algebra K[x]/I presented by a Groebner basis and its standard monomials."""
+    """The algebra K[x]/I presented by a Groebner basis and its standard monomials.
+
+    ``matrices`` holds the multiplication matrices once they are attached
+    (see ``multiplication_matrices``); it takes no part in equality.
+    """
 
     basis: GroebnerBasis
     standard_monomials: tuple[Monomial, ...]
     dimension: int
+    matrices: tuple | None = dataclass_field(default=None, compare=False, repr=False)
 
     @property
     def ring(self) -> tuple[str, ...]:
@@ -396,25 +402,13 @@ class QuotientPresentation:
 
     def staircase_report(self) -> str:
         lead = ", ".join(
-            _mono_str(m, self.ring) for m in self.basis.leading_monomials()
+            format_monomial(m, self.ring) for m in self.basis.leading_monomials()
         )
-        std = ", ".join(_mono_str(m, self.ring) for m in self.standard_monomials)
+        std = ", ".join(format_monomial(m, self.ring) for m in self.standard_monomials)
         return (
             f"leading monomials: {lead}\n"
             f"standard monomials ({self.dimension}): {std}"
         )
-
-
-def _mono_str(m: Monomial, ring: Sequence[str]) -> str:
-    if sum(m) == 0:
-        return "1"
-    parts = []
-    for name, e in zip(ring, m):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts)
 
 
 @dataclass(frozen=True)
@@ -488,17 +482,66 @@ def coordinates(p: Polynomial, qp: QuotientPresentation) -> AlgebraElement:
     return AlgebraElement(tuple(coords), qp)
 
 
+# ---------------------------------------------------------------------------
+# multiplication matrices
+
+def multiplication_matrices(qp: QuotientPresentation) -> tuple[tuple[dict, ...], ...]:
+    """Sparse matrices M_1..M_n of multiplication by x_k on the standard monomials.
+
+    ``matrices[k][j]`` is column j of M_k, the coordinates ``{i: c}`` of
+    x_k * b_j.  The column is a unit vector when x_k * b_j is standard;
+    otherwise x_k * b_j is a border monomial and the column is its normal
+    form, computed once per distinct border monomial.
+    """
+    index = qp.monomial_index()
+    fld = qp.field
+    border: dict[Monomial, dict[int, object]] = {}
+    matrices = []
+    for k in range(len(qp.ring)):
+        columns = []
+        for b in qp.standard_monomials:
+            m = b[:k] + (b[k] + 1,) + b[k + 1 :]
+            if m in index:
+                columns.append({index[m]: fld.one})
+                continue
+            if m not in border:
+                element = coordinates(Polynomial(qp.ring, fld, {m: fld.one}), qp)
+                border[m] = {i: c for i, c in enumerate(element.coordinates) if c}
+            columns.append(border[m])
+        matrices.append(tuple(columns))
+    return tuple(matrices)
+
+
+def matrix_times_vector(columns: Sequence[dict], vector: dict, zero) -> dict:
+    """M * v for a column-sparse matrix and a sparse vector ``{i: c}``."""
+    out: dict = {}
+    for j, a in vector.items():
+        for i, c in columns[j].items():
+            s = out.get(i, zero) + a * c
+            if s:
+                out[i] = s
+            else:
+                out.pop(i, None)
+    return out
+
+
 def origin_supported(qp: QuotientPresentation) -> bool:
     """True iff every variable is nilpotent in the quotient.
 
     In a finite-dimensional commutative algebra a nilpotent element has
-    index at most the dimension, so x_i^dimension is the exact test.
+    index at most the dimension d, so x_i is nilpotent iff x_i^d * 1 = 0.
+    That vector takes at most d products with the sparse matrix M_i, and
+    the loop stops as soon as it is zero.
     """
-    n = len(qp.ring)
-    d = qp.dimension
-    for i in range(n):
-        mono = tuple(d if k == i else 0 for k in range(n))
-        p = Polynomial(qp.ring, qp.field, {mono: qp.field.one})
-        if not normal_form(p, qp.basis).is_zero():
+    matrices = qp.matrices or multiplication_matrices(qp)
+    fld = qp.field
+    start = qp.monomial_index()[(0,) * len(qp.ring)]
+    for columns in matrices:
+        vector = {start: fld.one}
+        for _ in range(qp.dimension):
+            vector = matrix_times_vector(columns, vector, fld.zero)
+            if not vector:
+                break
+        if vector:
             return False
     return True

@@ -271,7 +271,10 @@ def _coerce(field: Field, value):
 # ---------------------------------------------------------------------------
 # canonical printing
 
-def _format_monomial(mono: Monomial, ring: Sequence[str]) -> str:
+def format_monomial(mono: Monomial, ring: Sequence[str]) -> str:
+    """``x^2*y`` style rendering; the constant monomial prints as ``1``."""
+    if not any(mono):
+        return "1"
     parts = []
     for name, e in zip(ring, mono):
         if e == 1:
@@ -294,7 +297,7 @@ def format_poly(p: Polynomial, order: MonomialOrder = DEGREVLEX) -> str:
     chunks: list[str] = []
     for i, mono in enumerate(monos):
         coeff = p.terms[mono]
-        mstr = _format_monomial(mono, p.ring)
+        mstr = format_monomial(mono, p.ring) if any(mono) else ""
         negative = _is_negative(coeff)
         mag = -coeff if negative else coeff
         mag_str = str(mag)
@@ -461,8 +464,12 @@ class _Parser:
                 den = int(v2)
                 if den == 0:
                     raise ParseError("zero denominator", pos2)
+                value = Fraction(num, den)
+                char = self.field.characteristic
+                if char and value.denominator % char == 0:
+                    raise ParseError(f"denominator {den} is zero in {self.field!r}", pos2)
                 return Polynomial.constant(
-                    _coerce(self.field, Fraction(num, den)), self.ring, self.field
+                    _coerce(self.field, value), self.ring, self.field
                 )
             return Polynomial.constant(num, self.ring, self.field)
         if kind == "ident":

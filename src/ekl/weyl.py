@@ -23,6 +23,9 @@ from typing import Iterable, Sequence
 
 _PAD = bytes(range(256))
 
+#: Largest root count a ``bytes`` permutation can index.
+MAX_ROOTS = len(_PAD)
+
 #: Default cap on enumerated group elements; override with EKL_ENUM_BUDGET.
 DEFAULT_ENUM_BUDGET = 10_000_000
 
@@ -242,6 +245,12 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     """Roots and simple reflections from the Cartan matrix, closed under
     the reflection orbit."""
     cartan = cartan_matrix(type_label, rank)
+    expected = _POSITIVE_ROOT_COUNT[type_label](rank)
+    if 2 * expected > MAX_ROOTS:
+        raise ValueError(
+            f"{type_label}{rank} has {2 * expected} roots; Weyl group elements "
+            f"are stored as bytes permutations of at most {MAX_ROOTS} roots"
+        )
     n = rank
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
@@ -264,7 +273,6 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     positives = sorted(
         (r for r in roots if all(c >= 0 for c in r)), key=lambda r: (sum(r), r)
     )
-    expected = _POSITIVE_ROOT_COUNT[type_label](rank)
     if len(positives) != expected or len(roots) != 2 * expected:
         raise AssertionError("root enumeration does not match the classification")
     ordered = positives + [tuple(-c for c in r) for r in positives]
@@ -424,16 +432,13 @@ def compute_aP(
     p: ParabolicSpec,
     method: str = "auto",
     budget: int | None = None,
-    threads: int = 1,
 ) -> int:
     """Number of cosets w W_P with w^{-1} w0 w in W_P.
 
     With a central longest word w0 every conjugate equals w0 itself, whose
     support is the full diagram, so the count is 0 for any proper
     parabolic; "auto" uses that shortcut when available and enumerates
-    minimal coset representatives otherwise.  The loop over representatives
-    is independent per coset, so it may run on a thread pool; the count is
-    identical either way.
+    minimal coset representatives otherwise.
     """
     if method not in ("auto", "enumerate", "shortcut"):
         raise ValueError(f"unknown method {method!r}")
@@ -451,11 +456,6 @@ def compute_aP(
     def self_dual(rep: WeylElement) -> bool:
         return in_parabolic(rep.inverse() * w0 * rep, p)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(self_dual, reps))
     return sum(self_dual(rep) for rep in reps)
 
 

@@ -86,6 +86,25 @@ def test_degree_exit_code_not_origin(tmp_path, capsys):
     assert "origin" in err
 
 
+def test_degree_zero_denominator_in_prime_field(tmp_path, capsys):
+    path = write(tmp_path, "m.json", json.dumps({"variables": ["x"], "components": ["1/3*x"]}))
+    code, _, err = run(capsys, "degree", path, "--field", "fp:3")
+    assert code == 2
+    assert err.startswith("parse error: ") and "GF(3)" in err
+    code, out, _ = run(capsys, "degree", path, "--field", "fp:5")
+    assert code == 0
+
+
+def test_degree_json_standard_monomials(tmp_path, capsys):
+    spec = {"variables": ["x", "y", "z"], "components": ["x^2 + y*z", "y^3", "z^2 - x*y"]}
+    path = write(tmp_path, "m.json", json.dumps(spec))
+    code, out, _ = run(capsys, "degree", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["standard_monomials"] == [
+        "1", "z", "y", "x", "z^2", "y*z", "x*z", "y^2", "z^3", "y*z^2", "x*z^2", "y*z^3"
+    ]
+
+
 def test_degree_field_flag(tmp_path, capsys):
     path = write(tmp_path, "m.json", MAP_S2)
     code, out, _ = run(capsys, "degree", path, "--field", "fp:5", "--format", "invariants")
@@ -185,6 +204,12 @@ def test_weyl_info(capsys):
 def test_weyl_bad_type(capsys):
     code, _, err = run(capsys, "weyl", "info", "--type", "Q9")
     assert code == 2
+
+
+def test_weyl_too_many_roots(capsys):
+    code, _, err = run(capsys, "weyl", "info", "--type", "A16")
+    assert code == 2
+    assert "A16 has 272 roots" in err and "256" in err
 
 
 def test_gw_classify_hyperbolic(tmp_path, capsys):

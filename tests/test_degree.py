@@ -289,14 +289,6 @@ def test_compose_mismatch():
         compose_maps(M(("x",), "x"), M(XY, "x", "y"))
 
 
-def test_threads_deterministic():
-    f = M(XY, "x + y", "x*y")
-    a = ekl_degree(f, threads=1)
-    b = ekl_degree(f, threads=2)
-    assert a.gram == b.gram
-    assert gw_equal(a.gw_class, b.gw_class)
-
-
 def test_prime_field_pipeline_skips_relation_when_char_divides_dim():
     # x^3 over F_3: dimension 3 is divisible by the characteristic
     f = M(("x",), "x^3", field=GF(3))

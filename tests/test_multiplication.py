@@ -1,0 +1,156 @@
+"""The multiplication-matrix core of the quotient algebra.
+
+The Gram matrix of the pipeline is built from the multiplication matrices;
+``pairwise_gram`` below is the direct construction (one normal form per
+pair of standard monomials) and serves as the reference oracle.
+"""
+
+import json
+import random
+
+import pytest
+
+from conftest import random_origin_map
+
+from ekl.cli import main
+from ekl.degree import MapSpec, ekl_degree, prepare_quotient
+from ekl.localg import (
+    coordinates,
+    groebner,
+    matrix_times_vector,
+    multiplication_matrices,
+    normal_form,
+    origin_supported,
+    quotient_presentation,
+)
+from ekl.poly import LEX, Polynomial, mono_mul, parse_poly
+from ekl.quotmap import (
+    build_D_full,
+    build_D_odd_partial,
+    build_Sn_full,
+    build_typeA_partial,
+    build_typeBC_full,
+)
+from ekl.scalar import GF, QQ
+
+XY = ("x", "y")
+XYZ = ("x", "y", "z")
+F = GF(32003)
+
+
+def pairwise_gram(qp, index, pivot):
+    """phi(b_i * b_j) / pivot by one normal form per pair (i <= j)."""
+    basis = qp.standard_monomials
+    fld = qp.field
+    scale = fld.one / pivot
+    d = qp.dimension
+    gram = [[fld.zero] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            product = Polynomial(qp.ring, fld, {mono_mul(basis[i], basis[j]): fld.one})
+            nf = normal_form(product, qp.basis)
+            assert set(nf.terms) <= set(basis)
+            gram[i][j] = gram[j][i] = nf.terms.get(basis[index], fld.zero) * scale
+    return tuple(tuple(row) for row in gram)
+
+
+def assert_gram_matches_oracle(f: MapSpec) -> None:
+    res = ekl_degree(f)
+    qp = res.quotient
+    index = qp.standard_monomials.index(res.functional_monomial)
+    assert res.gram == pairwise_gram(qp, index, res.socle.coordinates[index])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_Sn_full(3),
+        lambda: build_Sn_full(4),
+        lambda: build_typeA_partial([2, 2]),
+        lambda: build_typeA_partial([3, 2]),
+        lambda: build_typeBC_full(2),
+        lambda: build_D_odd_partial(2),
+        lambda: build_D_full(3),
+    ],
+    ids=["Sn3", "Sn4", "A22", "A32", "B2", "Dodd2", "Dfull3"],
+)
+def test_gram_matches_pairwise_oracle_on_ladder(build):
+    assert_gram_matches_oracle(build().map)
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["q", "fp32003"])
+def test_gram_matches_pairwise_oracle_on_random_maps(field):
+    rng = random.Random(20261017)
+    for _ in range(4):
+        f = random_origin_map(rng, XYZ, max_exp=2)
+        if field != QQ:
+            f = MapSpec.from_strings(XYZ, [str(c) for c in f.components], field)
+        assert_gram_matches_oracle(f)
+
+
+def test_columns_are_coordinates_of_products():
+    f = MapSpec.from_strings(XYZ, ["x^2 + y*z", "y^3", "z^2 - x*y"])
+    _, qp = prepare_quotient(f)
+    assert qp.matrices == multiplication_matrices(qp)
+    for k, columns in enumerate(qp.matrices):
+        x_k = tuple(1 if i == k else 0 for i in range(3))
+        for b, column in zip(qp.standard_monomials, columns):
+            product = Polynomial(qp.ring, qp.field, {mono_mul(x_k, b): qp.field.one})
+            coords = coordinates(product, qp).coordinates
+            assert {i: c for i, c in enumerate(coords) if c} == column
+
+
+def test_matrices_commute():
+    _, qp = prepare_quotient(build_typeA_partial([2, 2]).map)
+    zero = qp.field.zero
+    for j in range(qp.dimension):
+        e_j = {j: qp.field.one}
+        for a in qp.matrices:
+            for b in qp.matrices:
+                ab = matrix_times_vector(a, matrix_times_vector(b, e_j, zero), zero)
+                ba = matrix_times_vector(b, matrix_times_vector(a, e_j, zero), zero)
+                assert ab == ba
+
+
+# ---------------------------------------------------------------------------
+# the origin test
+
+
+def presentation(*texts, ring=XY, field=QQ):
+    return quotient_presentation(groebner([parse_poly(t, ring, field) for t in texts]))
+
+
+def test_origin_rejects_other_zeros():
+    assert not origin_supported(presentation("x^2 - x", "y^2"))
+    assert not origin_supported(presentation("x^2 - x", "y^2", field=F))
+
+
+def test_origin_accepts_nilpotent_maps():
+    assert origin_supported(presentation("x^3 + y^2", "x*y"))
+    assert origin_supported(presentation("x^2 + y*z", "y^3", "z^2 - x*y", ring=XYZ))
+    rng = random.Random(7)
+    for _ in range(3):
+        f = random_origin_map(rng, XYZ)
+        _, qp = prepare_quotient(f)
+        assert origin_supported(qp)
+
+
+def test_origin_rejects_other_zeros_through_cli(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"variables": ["x", "y"], "components": ["x^2 - x", "y^2"]}))
+    assert main(["degree", str(path)]) == 3
+    assert "not supported at origin" in capsys.readouterr().err
+
+
+def test_standard_monomials_have_standard_predecessors_under_lex():
+    f = MapSpec.from_strings(XYZ, ["x^2 + y*z", "y^3", "z^2 - x*y"])
+    _, qp = prepare_quotient(f, LEX)
+    position = qp.monomial_index()
+    assert qp.standard_monomials[0] == (0, 0, 0)
+    for j, b in enumerate(qp.standard_monomials[1:], start=1):
+        k = next(k for k, e in enumerate(b) if e)
+        m = b[:k] + (b[k] - 1,) + b[k + 1 :]
+        assert position[m] < j
+    res = ekl_degree(f, order=LEX)
+    index = qp.standard_monomials.index(res.functional_monomial)
+    assert res.gram == pairwise_gram(qp, index, res.socle.coordinates[index])

@@ -11,6 +11,7 @@ from ekl.poly import (
     ParseError,
     Polynomial,
     elementary_symmetric,
+    format_monomial,
     format_poly,
     parse_poly,
     partial_derivative,
@@ -98,6 +99,13 @@ def test_print_parse_round_trip():
     p = P("-1*x^2 + y")
     assert parse_poly(format_poly(p), XY) == p
     assert format_poly(P("0")) == "0"
+
+
+def test_format_monomial():
+    assert format_monomial((0, 0, 0), XYZ) == "1"
+    assert format_monomial((2, 0, 1), XYZ) == "x^2*z"
+    assert format_monomial((0, 1, 0), XYZ) == "y"
+    assert format_poly(P("3 - 2*x*y^2 + x")) == "-2*x*y^2 + x + 3"
 
 
 def test_print_over_prime_field():

@@ -281,10 +281,18 @@ def test_aP_equals_whole_group_count_over_subgroup_order():
         assert count == compute_aP(rs, p, method="enumerate") * sub_order
 
 
-def test_aP_threaded_count_identical():
+def test_aP_enumerate_count_e6():
     e6 = build_root_system("E", 6)
     p = ParabolicSpec.remove(e6, [1])
-    assert compute_aP(e6, p, method="enumerate", threads=4) == 3
+    assert compute_aP(e6, p, method="enumerate") == 3
+
+
+def test_root_count_limit():
+    assert build_root_system("A", 15).npos == 120
+    assert build_root_system("E", 8).npos == 120
+    for label, rank in (("A", 16), ("B", 12), ("C", 12), ("D", 12)):
+        with pytest.raises(ValueError, match=f"{label}{rank} has .* at most 256 roots"):
+            build_root_system(label, rank)
 
 
 def test_remove_rejects_unknown_nodes():
