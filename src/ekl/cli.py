@@ -8,7 +8,9 @@ Commands:
   ekl gw classify <file>            classify a Gram matrix from JSON
 
 Exit codes: 0 success, 1 internal error, 2 parse error, 3 map not
-supported at the origin, 4 degenerate form or vanishing socle element.
+supported at the origin, 4 degenerate form or vanishing socle element,
+5 an integer too large to factor by trial division, 6 enumeration budget
+exceeded, 141 stdout closed by its reader (as a death by SIGPIPE would).
 Reports go to stdout, diagnostics to stderr.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -35,6 +38,7 @@ from .gw import (
     recognize_units,
     render_class,
     render_diagonal,
+    render_units,
     units_class,
 )
 from .localg import InfiniteQuotientError, UnitIdealError
@@ -48,7 +52,7 @@ from .quotmap import (
     build_typeBC_full,
     expected_gw,
 )
-from .scalar import QQ, GF, PrimeField
+from .scalar import QQ, GF, FactorBoundError, PrimeField
 from .weyl import (
     EnumerationBudgetError,
     ParabolicSpec,
@@ -65,6 +69,9 @@ EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_NOT_SUPPORTED = 3
 EXIT_DEGENERATE = 4
+EXIT_FACTOR_BOUND = 5
+EXIT_BUDGET = 6
+EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE
 
 
 def _fail(code: int, message: str) -> int:
@@ -106,10 +113,11 @@ def _named_form(c: GWClass) -> str | None:
     shape = recognize_units(c)
     if shape is None:
         return None
-    return render_class(c)
+    return render_units(c, shape)
 
 
-def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float) -> dict:
+def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float, fmt: str) -> dict:
+    """The report as strings; the named form only for the formats that print it."""
     qp = result.quotient
     report = {
         "input": {
@@ -126,7 +134,7 @@ def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float) -> dict:
         "jacobian": str(result.jacobian),
         "diagonal": [str(d) for d in result.gw_class.diagonal],
         "invariants": _class_invariants(result.gw_class),
-        "named_form": _named_form(result.gw_class),
+        "named_form": _named_form(result.gw_class) if fmt in ("named", "json") else None,
         "timing_seconds": f"{elapsed:.3f}",
     }
     return report
@@ -189,7 +197,7 @@ def cmd_degree(args) -> int:
     except (ZeroSocleError, DegenerateFormError) as exc:
         return _fail(EXIT_DEGENERATE, f"degenerate form: {exc}")
     elapsed = time.perf_counter() - started
-    _print_degree_report(_degree_report(spec, result, elapsed), args.format)
+    _print_degree_report(_degree_report(spec, result, elapsed, args.format), args.format)
     return EXIT_OK
 
 
@@ -246,6 +254,7 @@ def cmd_quotient(args) -> int:
     print(f"family: {spec.describe()}")
     print(f"expected degree: {spec.expected_degree}")
     print(f"quotient dimension: {result.dimension}")
+    units = None if isinstance(computed.field, PrimeField) else recognize_units(computed)
     verdict = "MISMATCH"
     alpha_note = ""
     if isinstance(computed.field, PrimeField):
@@ -262,7 +271,6 @@ def cmd_quotient(args) -> int:
             f"{shape.ones}<1> + {shape.minus_ones}<-1> + "
             f"{shape.residual_count}<alpha> for a single square class alpha"
         )
-        units = recognize_units(computed)
         if units is not None:
             residual = units.residual
             if len(residual) == shape.residual_count and units.ones == shape.ones:
@@ -276,7 +284,7 @@ def cmd_quotient(args) -> int:
                 ):
                     alpha_note = "alpha = 1"
                     verdict = "MATCH"
-    print(f"computed: {render_class(computed)}")
+    print(f"computed: {render_units(computed, units)}")
     print(f"predicted: {predicted_text}")
     if alpha_note:
         print(alpha_note)
@@ -312,7 +320,6 @@ def cmd_weyl_ap(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
 
-    shortcut = is_central_longest(rs) and args.method in ("auto", "shortcut")
     order = rs.order
     sub_order = parabolic_order_formula(rs, spec)
     print(f"group: {label}{rank}, order {order}")
@@ -321,14 +328,8 @@ def cmd_weyl_ap(args) -> int:
         f"order {sub_order}"
     )
     print(f"cosets: {order // sub_order}")
-    try:
-        if shortcut:
-            value = compute_aP(rs, spec, method="auto")
-        else:
-            value = compute_aP(rs, spec, method="enumerate")
-    except EnumerationBudgetError as exc:
-        return _fail(EXIT_INTERNAL, f"budget exceeded: {exc}")
-    print(f"a_P: {value}")
+    print(f"a_P: {compute_aP(rs, spec, method=args.method)}")
+    shortcut = args.method == "auto" and is_central_longest(rs)
     print(f"shortcut: {'central longest word, no enumeration' if shortcut else 'not used'}")
     return EXIT_OK
 
@@ -414,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--keep", help="comma-separated kept nodes")
     group.add_argument("--remove", help="comma-separated removed nodes")
     p_ap.add_argument(
-        "--method", default="auto", choices=["auto", "enumerate", "shortcut"]
+        "--method", default="auto", choices=["auto", "enumerate"]
     )
     p_ap.set_defaults(func=cmd_weyl_ap)
 
@@ -436,7 +437,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (as ``| head`` does).  Point stdout at
+        # devnull so that the interpreter's final flush prints nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except FactorBoundError as exc:
+        return _fail(EXIT_FACTOR_BOUND, f"factor bound exceeded: {exc}")
+    except EnumerationBudgetError as exc:
+        return _fail(EXIT_BUDGET, f"budget exceeded: {exc}")
     except Exception as exc:  # pragma: no cover - unexpected faults
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -411,18 +411,23 @@ def _alpha_candidates(c: GWClass, p: int, q: int, r: int, alpha_sign: int) -> li
 def render_class(c: GWClass) -> str:
     """Named form "p<1> + q<-1> [+ r<alpha>]" when the shape is recognized
     with some unit content, otherwise the diagonal rendering."""
-    if not isinstance(c.field, PrimeField):
-        shape = recognize_units(c)
-        if shape is not None and (shape.ones or shape.minus_ones):
-            parts = []
-            if shape.ones:
-                parts.append(f"{shape.ones}<1>")
-            if shape.minus_ones:
-                parts.append(f"{shape.minus_ones}<-1>")
-            if shape.residual:
-                parts.append(f"{len(shape.residual)}<{shape.residual[0].rep}>")
-            return " + ".join(parts)
-    return render_diagonal(c)
+    shape = None if isinstance(c.field, PrimeField) else recognize_units(c)
+    return render_units(c, shape)
+
+
+def render_units(c: GWClass, shape: UnitsShape | None) -> str:
+    """``render_class`` for a class whose shape ``recognize_units`` already
+    returned (None over F_p or when no shape fits)."""
+    if shape is None or not (shape.ones or shape.minus_ones):
+        return render_diagonal(c)
+    parts = []
+    if shape.ones:
+        parts.append(f"{shape.ones}<1>")
+    if shape.minus_ones:
+        parts.append(f"{shape.minus_ones}<-1>")
+    if shape.residual:
+        parts.append(f"{len(shape.residual)}<{shape.residual[0].rep}>")
+    return " + ".join(parts)
 
 
 def render_diagonal(c: GWClass) -> str:

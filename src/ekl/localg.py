@@ -1,12 +1,14 @@
 """Groebner bases and finite-dimensional quotient presentations.
 
-Buchberger's algorithm with the coprimality and chain criteria, run over
-integer coefficient dictionaries: over Q the reducer works fraction-free
-(pseudo-reduction with periodic content stripping), over F_p it works
-modulo p.  The published basis is reduced and monic.  A quotient
-presentation enumerates the standard monomials (those outside the leading
-monomial staircase) and supports normal-form reduction, which is all the
-degree pipeline needs.
+One reducer on integer coefficient dictionaries serves both coefficient
+rings: over Q it works fraction-free over Z (pseudo-reduction with
+periodic content stripping), over F_p it works modulo p.  Buchberger's
+algorithm, with the coprimality and chain criteria, runs on it, and so
+does every normal form: the basis keeps its integer entries, and the
+reducer reports the scale it applied, so normal forms over Q stay exact.
+The published basis is reduced and monic.  A quotient presentation
+enumerates the standard monomials (those outside the leading monomial
+staircase) and gives coordinates of residue classes over them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .poly import (
     mono_lcm,
     mono_mul,
 )
-from .scalar import PrimeField
 
 
 class UnitIdealError(ValueError):
@@ -46,46 +47,70 @@ class InfiniteQuotientError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer-dictionary arithmetic backends
+# the integer reducer
 
 _CONTENT_STRIP_PERIOD = 32
 
 
-class _ZZArith:
-    """Fraction-free reduction over Z for ideals defined over Q."""
+class _IntArith:
+    """Integer-dictionary arithmetic over Z (``p == 0``) or modulo a prime p.
 
-    def __init__(self, order: MonomialOrder):
-        self.order = order
+    Over Z each reduction step is fraction-free: the remainder picks up a
+    scale, reported by ``reduce``, and its content is stripped every
+    ``_CONTENT_STRIP_PERIOD`` steps.  Over F_p the coefficients lie in
+    [0, p) and every basis entry is monic, so the same step has
+    gcd(c, 1) = 1, never rescales, and only adds ``% p``.
+    """
 
-    def from_poly(self, p: Polynomial) -> dict:
-        denom = 1
-        for c in p.terms.values():
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        d = {m: int(c * denom) for m, c in p.terms.items()}
-        return self.normalize(d)
+    def __init__(self, order: MonomialOrder, p: int):
+        self.key = order.key
+        self.p = p
 
-    def to_poly(self, d: dict, ring, fld) -> Polynomial:
-        lm = max(d, key=self.order.key)
-        lc = Fraction(d[lm])
-        return Polynomial(ring, fld, {m: Fraction(c) / lc for m, c in d.items()})
+    def from_poly(self, f: Polynomial) -> tuple[dict, int]:
+        """Integer coefficients of ``denom * f`` and the common denominator
+        ``denom`` of f's coefficients (1 over F_p)."""
+        if self.p:
+            return {m: c.residue for m, c in f.terms.items()}, 1
+        denom = math.lcm(*(c.denominator for c in f.terms.values()))
+        return {m: c.numerator * (denom // c.denominator) for m, c in f.terms.items()}, denom
+
+    def to_poly(self, d: dict, scale, ring, fld) -> Polynomial:
+        """The polynomial d / scale over ``fld``; over F_p the scale is always 1."""
+        if self.p:
+            return Polynomial(ring, fld, {m: fld.from_int(c) for m, c in d.items()})
+        inv = 1 / Fraction(scale)
+        return Polynomial(ring, fld, {m: c * inv for m, c in d.items()})
+
+    def entry(self, d: dict) -> tuple[Monomial, int, dict]:
+        lm = max(d, key=self.key)
+        return lm, d[lm], d
 
     def normalize(self, d: dict) -> dict:
+        """The canonical multiple of d: monic over F_p; over Z primitive with
+        a positive leading coefficient."""
         if not d:
             return d
+        lc = d[max(d, key=self.key)]
+        p = self.p
+        if p:
+            if lc == 1:
+                return d
+            inv = pow(lc, p - 2, p)
+            return {m: c * inv % p for m, c in d.items()}
         g = 0
         for c in d.values():
             g = math.gcd(g, c)
-        lm = max(d, key=self.order.key)
-        if d[lm] < 0:
+        if lc < 0:
             g = -g
         if g != 1:
             d = {m: c // g for m, c in d.items()}
         return d
 
     def spoly(self, f: dict, g: dict, f_lm: Monomial, g_lm: Monomial) -> dict:
+        p = self.p
         lcm_m = mono_lcm(f_lm, g_lm)
         f_lc, g_lc = f[f_lm], g[g_lm]
-        l = abs(f_lc * g_lc) // math.gcd(f_lc, g_lc)
+        l = math.lcm(f_lc, g_lc)
         mf, mg = l // f_lc, l // g_lc
         sf, sg = mono_div(lcm_m, f_lm), mono_div(lcm_m, g_lm)
         s: dict = {}
@@ -94,32 +119,39 @@ class _ZZArith:
         for m, c in g.items():
             t = mono_mul(sg, m)
             nv = s.get(t, 0) - mg * c
+            if p:
+                nv %= p
             if nv:
                 s[t] = nv
             elif t in s:
                 del s[t]
         return s
 
-    def reduce_full(self, work: dict, entries: list[tuple[Monomial, int, dict]]) -> dict:
-        key = self.order.key
+    def reduce(self, work: dict, entries: Sequence[tuple]) -> tuple[dict, Fraction]:
+        """Remainder r of ``work`` by normalized ``entries`` and the scale s
+        with r = s * work modulo the entries.
+
+        Each term is reduced by the first entry whose leading monomial
+        divides it; terms that no entry divides move to the remainder.
+        """
+        key, p = self.key, self.p
         work = dict(work)
         out: dict = {}
+        scale = Fraction(1)
         steps = 0
         while work:
             m = max(work, key=key)
             c = work.pop(m)
-            hit = None
             for lm, lc, terms in entries:
                 if mono_divides(lm, m):
-                    hit = (lm, lc, terms)
                     break
-            if hit is None:
+            else:
                 out[m] = c
                 continue
-            lm, lc, terms = hit
-            g = math.gcd(c, lc)
-            mult_self, mult_red = abs(lc) // g, c * (1 if lc > 0 else -1) // g
+            g = math.gcd(c, lc)  # lc > 0: the entries are normalized
+            mult_self, mult_red = lc // g, c // g
             if mult_self != 1:
+                scale *= mult_self
                 for k in work:
                     work[k] *= mult_self
                 for k in out:
@@ -130,95 +162,24 @@ class _ZZArith:
                     continue
                 t = mono_mul(shift, gm)
                 nv = work.get(t, 0) - mult_red * gc
+                if p:
+                    nv %= p
                 if nv:
                     work[t] = nv
                 elif t in work:
                     del work[t]
             steps += 1
-            if steps % _CONTENT_STRIP_PERIOD == 0 and (work or out):
+            if not p and steps % _CONTENT_STRIP_PERIOD == 0 and (work or out):
                 g_all = 0
                 for c2 in work.values():
                     g_all = math.gcd(g_all, c2)
                 for c2 in out.values():
                     g_all = math.gcd(g_all, c2)
                 if g_all > 1:
+                    scale /= g_all
                     work = {k: v // g_all for k, v in work.items()}
                     out = {k: v // g_all for k, v in out.items()}
-        return self.normalize(out)
-
-
-class _FpArith:
-    """Monic modular reduction over F_p."""
-
-    def __init__(self, order: MonomialOrder, p: int):
-        self.order = order
-        self.p = p
-
-    def from_poly(self, p: Polynomial) -> dict:
-        d = {m: c.residue % self.p for m, c in p.terms.items()}
-        return self.normalize({m: c for m, c in d.items() if c})
-
-    def to_poly(self, d: dict, ring, fld) -> Polynomial:
-        return Polynomial(ring, fld, {m: fld.from_int(c) for m, c in d.items()})
-
-    def normalize(self, d: dict) -> dict:
-        if not d:
-            return d
-        lm = max(d, key=self.order.key)
-        lc = d[lm]
-        if lc == 1:
-            return d
-        inv = pow(lc, self.p - 2, self.p)
-        return {m: c * inv % self.p for m, c in d.items()}
-
-    def spoly(self, f: dict, g: dict, f_lm: Monomial, g_lm: Monomial) -> dict:
-        lcm_m = mono_lcm(f_lm, g_lm)
-        sf, sg = mono_div(lcm_m, f_lm), mono_div(lcm_m, g_lm)
-        s: dict = {}
-        for m, c in f.items():
-            s[mono_mul(sf, m)] = c
-        for m, c in g.items():
-            t = mono_mul(sg, m)
-            nv = (s.get(t, 0) - c) % self.p
-            if nv:
-                s[t] = nv
-            elif t in s:
-                del s[t]
-        return s
-
-    def reduce_full(self, work: dict, entries: list[tuple[Monomial, int, dict]]) -> dict:
-        key = self.order.key
-        work = dict(work)
-        out: dict = {}
-        while work:
-            m = max(work, key=key)
-            c = work.pop(m)
-            hit = None
-            for lm, lc, terms in entries:
-                if mono_divides(lm, m):
-                    hit = (lm, terms)
-                    break
-            if hit is None:
-                out[m] = c
-                continue
-            lm, terms = hit  # entries are monic
-            shift = mono_div(m, lm)
-            for gm, gc in terms.items():
-                if gm == lm:
-                    continue
-                t = mono_mul(shift, gm)
-                nv = (work.get(t, 0) - c * gc) % self.p
-                if nv:
-                    work[t] = nv
-                elif t in work:
-                    del work[t]
-        return self.normalize(out)
-
-
-def _arith_for(field, order: MonomialOrder):
-    if isinstance(field, PrimeField):
-        return _FpArith(order, field.p)
-    return _ZZArith(order)
+        return out, scale
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +187,18 @@ def _arith_for(field, order: MonomialOrder):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced, monic Groebner basis with its monomial order."""
+    """A reduced, monic Groebner basis with its monomial order.
+
+    ``entries`` holds the same generators as normalized integer
+    dictionaries ``(leading monomial, leading coefficient, terms)`` for the
+    integer reducer; it takes no part in equality.
+    """
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
     ring: tuple[str, ...]
     field: object
+    entries: tuple = dataclass_field(compare=False, repr=False)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.generators)
@@ -256,12 +223,15 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
             raise ValueError("generators from different rings")
     if order is None:
         order = DEGREVLEX
-    arith = _arith_for(fld, order)
+    arith = _IntArith(order, fld.characteristic)
     key = order.key
+
+    def remainder(d: dict, basis) -> dict:
+        return arith.normalize(arith.reduce(d, basis)[0])
 
     seeds = []
     for g in gens:
-        d = arith.from_poly(g)
+        d = arith.normalize(arith.from_poly(g)[0])
         if d:
             seeds.append(d)
     if not seeds:
@@ -271,13 +241,13 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
     entries: list[tuple[Monomial, int, dict]] = []
 
     def push(d: dict) -> None:
-        lm = max(d, key=key)
-        if sum(lm) == 0:
+        e = arith.entry(d)
+        if sum(e[0]) == 0:
             raise UnitIdealError("the generators span the unit ideal")
-        entries.append((lm, d[lm], d))
+        entries.append(e)
 
     for d in seeds:
-        r = arith.reduce_full(d, entries)
+        r = remainder(d, entries)
         if r:
             push(r)
 
@@ -305,8 +275,7 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
                 break
         if skip:
             continue
-        s = arith.spoly(entries[i][2], entries[j][2], lmi, lmj)
-        r = arith.reduce_full(s, entries)
+        r = remainder(arith.spoly(entries[i][2], entries[j][2], lmi, lmj), entries)
         if r:
             push(r)
             t = len(entries) - 1
@@ -327,50 +296,24 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
             keep.append(i)
 
     # tail-reduce each survivor against the others
-    reduced: list[dict] = []
+    final = []
     for i in keep:
-        others = [entries[j] for j in keep if j != i]
-        r = arith.reduce_full(entries[i][2], others)
-        reduced.append(r)
-
-    polys = [arith.to_poly(d, ring, fld) for d in reduced if d]
-    polys.sort(key=lambda p: key(p.leading_monomial(order)), reverse=True)
-    return GroebnerBasis(tuple(polys), order, ring, fld)
+        r = remainder(entries[i][2], [entries[j] for j in keep if j != i])
+        if r:
+            final.append(arith.entry(r))
+    final.sort(key=lambda e: key(e[0]), reverse=True)
+    polys = tuple(arith.to_poly(d, lc, ring, fld) for _, lc, d in final)
+    return GroebnerBasis(polys, order, ring, fld, tuple(final))
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of p supported on standard monomials (a linear projection)."""
     if p.ring != gb.ring or p.field != gb.field:
         raise ValueError("polynomial does not match the basis ring")
-    order = gb.order
-    key = order.key
-    entries = [(g.leading_monomial(order), g.terms) for g in gb.generators]
-    zero = p.field.zero
-    work = dict(p.terms)
-    out: dict = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        hit = None
-        for lm, terms in entries:
-            if mono_divides(lm, m):
-                hit = (lm, terms)
-                break
-        if hit is None:
-            out[m] = c
-            continue
-        lm, terms = hit  # generators are monic
-        shift = mono_div(m, lm)
-        for gm, gc in terms.items():
-            if gm == lm:
-                continue
-            t = mono_mul(shift, gm)
-            nv = work.get(t, zero) - c * gc
-            if nv:
-                work[t] = nv
-            elif t in work:
-                del work[t]
-    return Polynomial(gb.ring, gb.field, out)
+    arith = _IntArith(gb.order, gb.field.characteristic)
+    work, denom = arith.from_poly(p)
+    out, scale = arith.reduce(work, gb.entries)
+    return arith.to_poly(out, scale * denom, gb.ring, gb.field)
 
 
 # ---------------------------------------------------------------------------

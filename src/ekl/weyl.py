@@ -438,18 +438,15 @@ def compute_aP(
     With a central longest word w0 every conjugate equals w0 itself, whose
     support is the full diagram, so the count is 0 for any proper
     parabolic; "auto" uses that shortcut when available and enumerates
-    minimal coset representatives otherwise.
+    minimal coset representatives otherwise; "enumerate" always enumerates.
     """
-    if method not in ("auto", "enumerate", "shortcut"):
+    if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
     p.validate(rs)
     if not p.is_proper(rs):
         raise ValueError("the parabolic must be proper")
-    if method in ("auto", "shortcut"):
-        if is_central_longest(rs):
-            return 0
-        if method == "shortcut":
-            raise ValueError("the longest word is not central; no shortcut applies")
+    if method == "auto" and is_central_longest(rs):
+        return 0
     w0 = longest_element(rs)
     reps = min_coset_reps(rs, p, budget)
 

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import ekl
+import ekl.cli
 from ekl.cli import main
 
 
@@ -189,8 +196,15 @@ def test_weyl_ap_improper(capsys):
 def test_weyl_ap_budget_exceeded(capsys, monkeypatch):
     monkeypatch.setenv("EKL_ENUM_BUDGET", "4")
     code, _, err = run(capsys, "weyl", "ap", "--type", "E6", "--remove", "1", "--method", "enumerate")
-    assert code == 1
-    assert "budget" in err
+    assert code == 6
+    assert err.startswith("budget exceeded: ")
+
+
+def test_weyl_ap_method_shortcut_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "ap", "--type", "F4", "--remove", "1", "--method", "shortcut"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'shortcut'" in capsys.readouterr().err
 
 
 def test_weyl_info(capsys):
@@ -243,8 +257,50 @@ def test_gw_classify_degenerate(tmp_path, capsys):
     assert code2 == 2  # asymmetric input is a parse-level rejection
 
 
+def test_gw_classify_factor_bound(tmp_path, capsys):
+    # 1000003 * 1000033: both prime factors lie above the trial-division bound
+    path = write(tmp_path, "g.json", '[["1000036000099"]]')
+    code, out, err = run(capsys, "gw", "classify", path)
+    assert code == 5
+    assert out == ""
+    assert err.startswith("factor bound exceeded: cofactor 1000036000099")
+
+
 def test_gw_classify_fractions(tmp_path, capsys):
     path = write(tmp_path, "g.json", '[["1/3"]]')
     code, out, _ = run(capsys, "gw", "classify", path)
     assert code == 0
     assert "diagonal: ⟨3⟩" in out
+
+
+def test_named_form_classified_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "m.json", MAP_S2)
+    calls = []
+    recognize = ekl.cli.recognize_units
+    monkeypatch.setattr(ekl.cli, "recognize_units", lambda c: calls.append(c) or recognize(c))
+    for fmt, expected in (("invariants", 0), ("diag", 0), ("named", 1), ("json", 1)):
+        calls.clear()
+        code, out, _ = run(capsys, "degree", path, "--format", fmt)
+        assert code == 0
+        assert len(calls) == expected, fmt
+    assert json.loads(out)["named_form"] == "1<1> + 1<-1>"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_broken_pipe_exits_quietly(unbuffered):
+    src = os.path.dirname(os.path.dirname(ekl.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ekl.cli", "weyl", "info", "--type", "A3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
