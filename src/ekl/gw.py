@@ -3,16 +3,24 @@
 Over Q a form is pinned down by rank, signature, discriminant, and the
 Hasse symbol at every place (Hasse-Minkowski), so Grothendieck-Witt
 equality reduces to comparing that invariant quadruple.  Over an odd
-prime field, rank and discriminant square class suffice.  Forms are
-diagonalized by exact symmetric congruence; Hilbert symbols use the
-standard tame and wild formulas.
+prime field, rank and discriminant square class suffice.
+
+Forms are diagonalized by exact symmetric congruence: one Schur-complement
+update of the upper triangle, mirrored below it, per pivot.  Over Q each
+distinct square class is factored once, for the places.  The Hasse symbol
+at v is the running product prod_{i<j} (a_i, a_j)_v = prod_j (d_j, a_j)_v
+over the prefixes d_j = a_1...a_{j-1}, kept squarefree by a*b/gcd(a,b)^2
+without factoring; the last prefix is the discriminant.  A run of m equal
+classes a adds (d, a)^m (a, -1)^(m(m-1)/2).  All Hilbert symbols come from
+one core on squarefree integers with the standard tame and wild formulas.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .scalar import (
@@ -23,6 +31,7 @@ from .scalar import (
     is_odd_prime,
     legendre,
     squarefree_part,
+    squarefree_product,
 )
 
 #: Key for the real place in Hasse symbol maps; finite places are primes.
@@ -72,9 +81,11 @@ class GramForm:
 
 
 def diagonalize(g: GramForm) -> list:
-    """Diagonal of a congruent diagonal matrix, by symmetric row/column
-    elimination; a zero diagonal pivot with a nonzero off-diagonal partner
-    is repaired by the basis change b_i <- b_i + b_j."""
+    """Diagonal of a congruent diagonal matrix, by symmetric elimination:
+    m[i][t] -= (m[k][i] / m[k][k]) * m[k][t] for k < i <= t, over the
+    nonzero entries of row k, mirrored into m[t][i].  A zero diagonal pivot
+    with a nonzero off-diagonal partner is repaired by the basis change
+    b_k <- b_k +- b_partner."""
     n = g.dimension
     m = [list(row) for row in g.entries]
     zero = m[0][0] - m[0][0] if n else 0
@@ -101,14 +112,14 @@ def diagonalize(g: GramForm) -> list:
         if pivot == zero:
             raise DegenerateFormError("could not produce a nonzero pivot")
         diag.append(pivot)
-        for i in range(k + 1, n):
-            factor = m[k][i] / pivot
-            if factor == zero:
-                continue
-            for t in range(k, n):
-                m[i][t] = m[i][t] - factor * m[k][t]
-            for t in range(k, n):
-                m[t][i] = m[t][i] - factor * m[t][k]
+        row = m[k]
+        support = [t for t in range(k + 1, n) if row[t]]
+        for a, i in enumerate(support):
+            factor = row[i] / pivot
+            row_i = m[i]
+            for t in support[a:]:
+                row_i[t] = value = row_i[t] - factor * row[t]
+                m[t][i] = value
     return diag
 
 
@@ -126,14 +137,6 @@ def _one_like(value):
 # ---------------------------------------------------------------------------
 # Hilbert symbols over Q
 
-def _two_adic_split(n: int) -> tuple[int, int]:
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v, n
-
-
 def _eps(u: int) -> int:
     return ((u - 1) // 2) % 2
 
@@ -148,34 +151,29 @@ def hilbert_symbol(a, b, place) -> int:
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol arguments must be nonzero")
-    A = squarefree_part(a)
-    B = squarefree_part(b)
+    if place != REAL_PLACE and not (
+        isinstance(place, int) and (place == 2 or is_odd_prime(place))
+    ):
+        raise ValueError(f"invalid place {place!r}")
+    return _hilbert(squarefree_part(a), squarefree_part(b), place)
+
+
+def _hilbert(A: int, B: int, place) -> int:
+    """(A, B)_v for squarefree integers A, B at a place already known to be
+    REAL_PLACE, 2 or an odd prime."""
     if place == REAL_PLACE:
         return -1 if A < 0 and B < 0 else 1
-    if not isinstance(place, int) or place < 2:
-        raise ValueError(f"invalid place {place!r}")
-    if place == 2:
-        alpha, u = _two_adic_split(abs(A))
-        beta, w = _two_adic_split(abs(B))
-        u = u if A > 0 else -u
-        w = w if B > 0 else -w
-        exponent = _eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u)
-        return -1 if exponent % 2 else 1
-    if not is_odd_prime(place):
-        raise ValueError(f"invalid place {place!r}")
     p = place
-    alpha = 1 if A % p == 0 else 0
-    beta = 1 if B % p == 0 else 0
+    # A = p^alpha u and B = p^beta w with p-units u, w (A, B squarefree)
+    alpha, beta = A % p == 0, B % p == 0
     u = A // p if alpha else A
     w = B // p if beta else B
-    result = 1
-    if alpha and beta:
-        result *= legendre(-1, p)
-    if beta:
-        result *= legendre(u, p)
-    if alpha:
-        result *= legendre(w, p)
-    return result
+    if p == 2:
+        exponent = _eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u)
+        return -1 if exponent % 2 else 1
+    # (-1|p)^(alpha beta) (u|p)^beta (w|p)^alpha as one Legendre symbol
+    t = (-1 if alpha and beta else 1) * (u if beta else 1) * (w if alpha else 1)
+    return 1 if pow(t % p, (p - 1) // 2, p) == 1 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -233,31 +231,52 @@ def classify_diagonal(entries: Iterable, field) -> GWClass:
         if e == 0:
             raise DegenerateFormError("zero diagonal entry")
         classes.append(SquareClass.of(e))
-    reps = [c.rep for c in classes]
-    signature = sum(1 if r > 0 else -1 for r in reps)
-    disc = 1
-    for r in reps:
-        disc *= r
-    places: set = {2, REAL_PLACE}
-    for r in reps:
-        for p in factorize(abs(r)):
-            if p != 2:
-                places.add(p)
-    hasse = []
-    for v in sorted(places, key=lambda x: (isinstance(x, str), x)):
-        s = 1
-        for x, y in combinations(reps, 2):
-            s *= hilbert_symbol(x, y, v)
-        if s != 1:
-            hasse.append((v, s))
+    return _rational_class(classes, field)
+
+
+def _rational_class(classes: list, field) -> GWClass:
+    counts = Counter(c.rep for c in classes)
+    hasse, disc = _hasse_and_discriminant(counts, _places(counts))
     return GWClass(
         field=field,
         diagonal=tuple(sorted(classes)),
         rank=len(classes),
-        discriminant=SquareClass.of(disc),
-        signature=signature,
-        hasse=tuple(hasse),
+        discriminant=SquareClass(disc),
+        signature=sum(m if a > 0 else -m for a, m in counts.items()),
+        hasse=hasse,
     )
+
+
+def _places(reps: Iterable[int]) -> set:
+    """REAL_PLACE, 2 and the primes dividing the given squarefree integers,
+    each distinct integer factored once."""
+    places: set = {2, REAL_PLACE}
+    for a in set(reps):
+        places.update(factorize(abs(a)))
+    return places
+
+
+def _hasse_and_discriminant(counts: dict, places) -> tuple[tuple, int]:
+    """Nontrivial Hasse symbols and the discriminant's squarefree
+    representative of the diagonal form with counts[a] entries of each
+    squarefree class a; ``places`` must hold every prime dividing a class."""
+    runs = []
+    disc = 1
+    for a, m in counts.items():
+        runs.append((disc, a, m))
+        if m % 2:
+            disc = squarefree_product(disc, a)
+    hasse = []
+    for v in sorted(places, key=lambda x: (isinstance(x, str), x)):
+        s = 1
+        for d, a, m in runs:
+            if m % 2:
+                s *= _hilbert(d, a, v)
+            if m * (m - 1) // 2 % 2:
+                s *= _hilbert(a, -1, v)
+        if s != 1:
+            hasse.append((v, s))
+    return tuple(hasse), disc
 
 
 def classify(g: GramForm, field=None) -> GWClass:
@@ -315,10 +334,10 @@ def scaled_class(c: GWClass, copies: int) -> GWClass:
 
 
 def units_class(ones: int, minus_ones: int, residual: Sequence[SquareClass], field) -> GWClass:
-    values = [Fraction(1)] * ones + [Fraction(-1)] * minus_ones + [
-        Fraction(sq.rep) for sq in residual
-    ]
-    return classify_diagonal(values, field)
+    classes = [SquareClass(1)] * ones + [SquareClass(-1)] * minus_ones + list(residual)
+    if isinstance(field, PrimeField):
+        return classify_diagonal([sq.rep for sq in classes], field)
+    return _rational_class(classes, field)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +360,17 @@ def recognize_units(c: GWClass) -> UnitsShape | None:
     if isinstance(c.field, PrimeField):
         raise ValueError("recognize_units expects a class over Q")
     n, s = c.rank, c.signature
+    # every alpha tried is built from primes of c, so c's places suffice
+    places = _places(sq.rep for sq in c.diagonal) | {v for v, _ in c.hasse or ()}
+    nontrivial = {v for v, t in c.hasse or () if t != 1}
+
+    def fits(p: int, q: int, r: int, alpha: int) -> bool:
+        # rank and signature agree by construction of p and q
+        counts = Counter({1: p, -1: q})
+        counts[alpha] += r
+        hasse, disc = _hasse_and_discriminant(counts, places)
+        return disc == c.discriminant.rep and {v for v, _ in hasse} == nontrivial
+
     for r in range(n + 1):
         for alpha_sign in (1, -1) if r else (1,):
             p2 = n - r + (s - r * alpha_sign)
@@ -350,20 +380,13 @@ def recognize_units(c: GWClass) -> UnitsShape | None:
             q = n - r - p
             if q < 0:
                 continue
-            if r == 0:
-                candidate = units_class(p, q, (), c.field)
-                if gw_equal(candidate, c):
-                    return UnitsShape(p, q, ())
-                continue
-            for alpha in _alpha_candidates(c, p, q, r, alpha_sign):
-                residual = (SquareClass(alpha),) * r
-                candidate = units_class(p, q, residual, c.field)
-                if gw_equal(candidate, c):
-                    return UnitsShape(p, q, residual)
+            for alpha in _alpha_candidates(c, q, r, alpha_sign) if r else (1,):
+                if fits(p, q, r, alpha):
+                    return UnitsShape(p, q, (SquareClass(alpha),) * r)
     return None
 
 
-def _alpha_candidates(c: GWClass, p: int, q: int, r: int, alpha_sign: int) -> list[int]:
+def _alpha_candidates(c: GWClass, q: int, r: int, alpha_sign: int) -> list[int]:
     seen: list[int] = []
 
     def add(value: int) -> None:
@@ -372,34 +395,21 @@ def _alpha_candidates(c: GWClass, p: int, q: int, r: int, alpha_sign: int) -> li
 
     if r % 2 == 1:
         # the discriminant pins alpha: disc = (-1)^q * alpha^r
-        forced = squarefree_part(Fraction(c.discriminant.rep * (-1) ** q))
-        add(forced)
+        add(c.discriminant.rep * (-1) ** q)
     else:
         # alpha is invisible to the discriminant; when the Hasse symbols
         # depend on it (odd exponent), rebuild it from the required
-        # character chi_v = (alpha, -1)_v, else only +-1 can occur.
+        # character (alpha, -1)_v = c's Hasse symbol at each odd place v
+        # (p<1> + q<-1> is trivial there), else only +-1 can occur.
         exponent = (q * r + r * (r - 1) // 2) % 2
         if exponent == 0:
             add(alpha_sign)
         else:
-            base = units_class(p, q, (), c.field) if p + q else None
-            chi: dict = {}
-            places = {v for v, _ in c.hasse or ()} | {2, REAL_PLACE}
-            if base is not None:
-                places |= {v for v, _ in base.hasse or ()}
-            possible = True
-            odd_part = 1
-            for v in places:
-                target = c.hasse_at(v) * (base.hasse_at(v) if base else 1)
-                chi[v] = target
-                if v not in (2, REAL_PLACE) and target == -1:
-                    if legendre(-1, v) == 1:
-                        possible = False  # (alpha,-1)_v = -1 needs -1 a nonsquare
-                    else:
-                        odd_part *= v
-            if possible:
+            odd = {v for v, t in c.hasse or () if v not in (2, REAL_PLACE) and t == -1}
+            # (alpha, -1)_v = -1 needs -1 a nonsquare mod v
+            if all(v % 4 == 3 for v in odd):
                 for extra in (1, 2):
-                    add(alpha_sign * extra * odd_part)
+                    add(alpha_sign * extra * math.prod(odd))
     for sq in c.diagonal:
         add(sq.rep)
     return seen

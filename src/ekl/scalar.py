@@ -103,6 +103,13 @@ def squarefree_part(r: Rational | int, bound: int = DEFAULT_FACTOR_BOUND) -> int
     return sign * d
 
 
+def squarefree_product(a: int, b: int) -> int:
+    """Squarefree part of a*b for squarefree integers a and b, without
+    factoring: the primes they share are exactly those of gcd(a, b)."""
+    g = math.gcd(a, b)
+    return a * b // (g * g)
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p: 0, 1 or -1."""
     if not is_odd_prime(p):
@@ -128,7 +135,7 @@ class SquareClass:
         return cls(squarefree_part(value, bound))
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
-        return SquareClass(squarefree_part(Fraction(self.rep) * other.rep))
+        return SquareClass(squarefree_product(self.rep, other.rep))
 
     def __str__(self) -> str:
         return str(self.rep)

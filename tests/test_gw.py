@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+import ekl.gw
+from ekl.degree import ekl_degree
 from ekl.gw import (
     REAL_PLACE,
     DegenerateFormError,
@@ -21,11 +24,106 @@ from ekl.gw import (
     unit_class,
     units_class,
 )
+from ekl.quotmap import (
+    build_D_full,
+    build_D_odd_partial,
+    build_Sn_full,
+    build_typeA_partial,
+    build_typeBC_full,
+)
 from ekl.scalar import GF, QQ, SquareClass, factorize, squarefree_part
+
+F = GF(32003)
 
 
 def gram(rows):
     return GramForm.from_rows(rows, QQ)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the direct constructions the fast paths replace
+
+def reference_diagonalize(g: GramForm) -> list:
+    """Symmetric elimination with a full row pass and a full column pass
+    per pivot."""
+    n = g.dimension
+    m = [list(row) for row in g.entries]
+    zero = m[0][0] - m[0][0] if n else 0
+    one = g.field.one
+    diag = []
+    for k in range(n):
+        if m[k][k] == zero:
+            partner = next((j for j in range(k + 1, n) if m[k][j] != zero), None)
+            if partner is None:
+                raise DegenerateFormError("zero row in the remaining block")
+            for unit in (one, -one):
+                candidate = m[k][k] + m[partner][partner] + (m[k][partner] + m[k][partner]) * unit
+                if candidate != zero:
+                    break
+            for t in range(n):
+                m[k][t] = m[k][t] + m[partner][t] * unit
+            for t in range(n):
+                m[t][k] = m[t][k] + m[t][partner] * unit
+        pivot = m[k][k]
+        if pivot == zero:
+            raise DegenerateFormError("could not produce a nonzero pivot")
+        diag.append(pivot)
+        for i in range(k + 1, n):
+            factor = m[k][i] / pivot
+            if factor == zero:
+                continue
+            for t in range(k, n):
+                m[i][t] = m[i][t] - factor * m[k][t]
+            for t in range(k, n):
+                m[t][i] = m[t][i] - factor * m[t][k]
+    return diag
+
+
+def reference_classify_diagonal(entries, field):
+    """GW class over Q with the Hasse symbol at v as the product of
+    hilbert_symbol over all pairs, and the discriminant factored from the
+    product of the entries' classes."""
+    classes = [SquareClass.of(Fraction(e)) for e in entries]
+    reps = [c.rep for c in classes]
+    disc = 1
+    for r in reps:
+        disc *= r
+    places = {2, REAL_PLACE}
+    for r in reps:
+        places.update(p for p in factorize(abs(r)) if p != 2)
+    hasse = []
+    for v in sorted(places, key=lambda x: (isinstance(x, str), x)):
+        s = 1
+        for x, y in combinations(reps, 2):
+            s *= hilbert_symbol(x, y, v)
+        if s != 1:
+            hasse.append((v, s))
+    return ekl.gw.GWClass(
+        field=field,
+        diagonal=tuple(sorted(classes)),
+        rank=len(classes),
+        discriminant=SquareClass.of(disc),
+        signature=sum(1 if r > 0 else -1 for r in reps),
+        hasse=tuple(hasse),
+    )
+
+
+def random_diagonal(rng: random.Random) -> list:
+    """Rank 0-16, both signs, a few square classes repeated, square
+    factors and denominators, and at most one entry carrying a prime near
+    10^6 (below and above the trial-division bound)."""
+    pool = [
+        rng.choice([-1, 1]) * rng.choice([1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 30, 105])
+        for _ in range(rng.randint(1, 5))
+    ]
+    entries = [
+        Fraction(rng.choice(pool) * rng.choice([1, 1, 4, 9]), rng.choice([1, 1, 4, 3]))
+        # ranks 0-16, smaller ones more often: the oracle is quadratic
+        for _ in range(min(rng.randint(0, 16), rng.randint(0, 16)))
+    ]
+    if entries and rng.random() < 0.15:
+        entries[rng.randrange(len(entries))] *= rng.choice([999983, 1000003])
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -309,3 +407,115 @@ def test_gw_add():
 def test_asymmetric_rejected():
     with pytest.raises(ValueError):
         GramForm.from_rows([[0, 1], [2, 0]], QQ)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the reference oracles
+
+def test_classify_diagonal_matches_pairwise_oracle():
+    rng = random.Random(404)
+    big_primes = set()
+    for _ in range(1000):
+        entries = random_diagonal(rng)
+        expect = reference_classify_diagonal(entries, QQ)
+        assert repr(classify_diagonal(entries, QQ)) == repr(expect)
+        big_primes |= {v for v in (999983, 1000003) if any(sq.rep % v == 0 for sq in expect.diagonal)}
+    assert big_primes == {999983, 1000003}
+
+
+def test_classify_diagonal_factors_each_class_once(monkeypatch):
+    calls = {"factorize": [], "hilbert": 0}
+    real_factorize, real_hilbert = ekl.gw.factorize, ekl.gw._hilbert
+
+    def counting_factorize(n, *args):
+        calls["factorize"].append(n)
+        return real_factorize(n, *args)
+
+    def counting_hilbert(a, b, v):
+        calls["hilbert"] += 1
+        return real_hilbert(a, b, v)
+
+    monkeypatch.setattr(ekl.gw, "factorize", counting_factorize)
+    monkeypatch.setattr(ekl.gw, "_hilbert", counting_hilbert)
+    entries = [Fraction(v) for v in (3, -3, 5, 15, 7) for _ in range(8)]
+    c = classify_diagonal(entries, QQ)
+    assert sorted(calls["factorize"]) == [3, 3, 5, 7, 15]
+    places = {2, REAL_PLACE, 3, 5, 7}
+    assert calls["hilbert"] <= 2 * 5 * len(places)
+    assert repr(c) == repr(reference_classify_diagonal(entries, QQ))
+
+
+def test_units_class_matches_explicit_diagonal():
+    rng = random.Random(405)
+    for _ in range(200):
+        p, q, r = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        alpha = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 5, 6, 7, 15, 999983, 2 * 1000003])
+        c = units_class(p, q, (SquareClass(alpha),) * r, QQ)
+        entries = [1] * p + [-1] * q + [alpha] * r
+        assert repr(c) == repr(classify_diagonal(entries, QQ))
+        if r <= 1 or abs(alpha) < 1000:  # the oracle factors the product alpha^r
+            assert repr(c) == repr(reference_classify_diagonal(entries, QQ))
+
+
+def random_symmetric(rng: random.Random, field) -> GramForm:
+    """Sparse symmetric matrices with many zero diagonal entries; some start
+    with a hyperbolic-type block [[0, a], [a, -2a]], where the basis change
+    b_0 + b_1 is isotropic and the repair must take b_0 - b_1."""
+    n = rng.randint(1, 8)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or rng.random() < 0.5:
+                m[i][j] = m[j][i] = rng.choice([0, 0, 0, 1, -1, 2, -3, 5])
+    if n >= 2 and rng.random() < 0.3:
+        a = rng.choice([1, -1, 3])
+        m[0][0], m[0][1], m[1][0], m[1][1] = 0, a, a, -2 * a
+    return GramForm.from_rows(m, field)
+
+
+def special_symmetric(n: int, field) -> list:
+    """Hyperbolic blocks and anti-diagonal matrices of size n."""
+    hyperbolic = [[1 if i ^ 1 == j else 0 for j in range(n)] for i in range(n)]
+    anti = [[min(i, j) + 1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
+    twisted = [[-2 if i == j and i % 2 else (1 if i ^ 1 == j else 0) for j in range(n)] for i in range(n)]
+    return [GramForm.from_rows(rows, field) for rows in (hyperbolic, anti, twisted)]
+
+
+def outcome(fn, g):
+    try:
+        return fn(g)
+    except DegenerateFormError as exc:
+        return f"degenerate: {exc}"
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "F32003"])
+def test_diagonalize_matches_two_pass_oracle(field):
+    rng = random.Random(406)
+    forms = [random_symmetric(rng, field) for _ in range(300)]
+    forms += [g for n in (2, 4, 5, 6) for g in special_symmetric(n, field)]
+    for g in forms:
+        assert outcome(diagonalize, g) == outcome(reference_diagonalize, g)
+    # both signs of the zero-pivot repair: b_0 + b_1, then b_0 - b_1
+    assert diagonalize(gram([[0, 1], [1, 0]]))[0] == 2
+    assert diagonalize(gram([[0, 1], [1, -2]]))[0] == -4
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_Sn_full(3),
+        lambda: build_Sn_full(4),
+        lambda: build_typeA_partial([2, 2]),
+        lambda: build_typeA_partial([3, 2]),
+        lambda: build_typeBC_full(2),
+        lambda: build_D_odd_partial(2),
+        lambda: build_D_full(3),
+    ],
+    ids=["Sn3", "Sn4", "A22", "A32", "B2", "Dodd2", "Dfull3"],
+)
+def test_ladder_gram_diagonal_matches_oracles(build):
+    res = ekl_degree(build().map)
+    g = GramForm.from_field_entries(res.gram, res.quotient.field)
+    diag = diagonalize(g)
+    assert diag == reference_diagonalize(g)
+    assert repr(res.gw_class) == repr(reference_classify_diagonal(diag, QQ))

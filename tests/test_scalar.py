@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ekl.scalar import (
     is_odd_prime,
     legendre,
     squarefree_part,
+    squarefree_product,
 )
 
 
@@ -34,6 +36,17 @@ def test_squarefree_sign_and_reduction():
     assert squarefree_part(Fraction(-50)) == -2
     assert squarefree_part(Fraction(49, 9)) == 1
     assert squarefree_part(Fraction(2, 3)) == 6  # 2/3 = 6 * (1/3)^2
+
+
+def test_squarefree_product_matches_factoring():
+    rng = random.Random(11)
+    primes = [2, 3, 5, 7, 11, 13, 101, 9973]
+    for _ in range(300):
+        shared = rng.sample(primes, rng.randint(0, 3))
+        a = rng.choice([-1, 1]) * math.prod(set(shared + rng.sample(primes, rng.randint(0, 3))))
+        b = rng.choice([-1, 1]) * math.prod(set(shared + rng.sample(primes, rng.randint(0, 3))))
+        assert squarefree_product(a, b) == squarefree_part(a * b)
+        assert SquareClass(a) * SquareClass(b) == SquareClass(squarefree_part(a * b))
 
 
 def test_squarefree_rejects_zero():
