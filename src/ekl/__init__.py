@@ -39,6 +39,7 @@ from .localg import (
     multiplication_matrices,
     normal_form,
     origin_supported,
+    poly_det,
     quotient_presentation,
 )
 from .poly import (
@@ -51,7 +52,6 @@ from .poly import (
     format_monomial,
     parse_poly,
     partial_derivative,
-    poly_det,
     substitute,
 )
 from .quotmap import (

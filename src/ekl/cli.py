@@ -309,11 +309,11 @@ def cmd_weyl_ap(args) -> int:
         rs = build_root_system(label, rank)
     except (ValueError, IndexError) as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
-    if args.keep:
-        spec = ParabolicSpec.keep(_parse_nodes(args.keep))
-    else:
-        spec = ParabolicSpec.remove(rs, _parse_nodes(args.remove))
     try:
+        if args.keep:
+            spec = ParabolicSpec.keep(_parse_nodes(args.keep))
+        else:
+            spec = ParabolicSpec.remove(rs, _parse_nodes(args.remove))
         spec.validate(rs)
         if not spec.is_proper(rs):
             raise ValueError("the parabolic must be proper")

@@ -9,18 +9,21 @@ classifies the resulting Gram matrix in GW(K).  The Jacobian element
 J = det(d f_i / d x_j) satisfies J = dim(Q) * E away from characteristics
 dividing the dimension, and the pipeline asserts this on every run.
 
-The Gram matrix comes from the sparse multiplication matrices M_k of Q
-(multiplication by x_k on the standard monomials), built once per map.
-Its row for a standard monomial b is the functional r_b = phi(b * -):
-r_1 = phi, and r_{x_k m} = r_m M_k, so every row is one vector-matrix
-product away from the row of a divisor of b.  The same matrices give the
-origin test (every x_k is nilpotent).
+Everything after the Groebner basis runs through the sparse
+multiplication matrices M_k of Q (multiplication by x_k on the standard
+monomials), built once per map with its presentation.  Both determinants
+are taken inside Q (``localg.poly_det``): minors are coordinate vectors
+and polynomial entries act on them through the M_k.  The Gram row for a
+standard monomial b is the functional r_b = phi(b * -): r_1 = phi, and
+r_{x_k m} = r_m M_k, so every row is one vector-matrix product away from
+the row of a divisor of b.  The same matrices give the origin test (every
+x_k is nilpotent).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .gw import GramForm, GWClass, classify
@@ -28,11 +31,10 @@ from .localg import (
     AlgebraElement,
     GroebnerBasis,
     QuotientPresentation,
-    coordinates,
     groebner,
-    multiplication_matrices,
     normal_form,  # noqa: F401  perfbench/tracer.py counts calls through this name
     origin_supported,
+    poly_det,
     quotient_presentation,
 )
 from .poly import (
@@ -41,7 +43,6 @@ from .poly import (
     Polynomial,
     parse_poly,
     partial_derivative,
-    poly_det,
     substitute,
 )
 from .scalar import QQ
@@ -151,22 +152,21 @@ def linear_decompose(f: MapSpec) -> list[list[Polynomial]]:
 
 
 def socle_element(f: MapSpec, qp: QuotientPresentation) -> AlgebraElement:
-    """Normal form of det(a_ij); nonzero whenever the zero is isolated."""
-    det = poly_det(linear_decompose(f))
-    element = coordinates(det, qp)
+    """det(a_ij) in the quotient; nonzero whenever the zero is isolated."""
+    element = poly_det(linear_decompose(f), qp)
     if element.is_zero():
         raise ZeroSocleError("the distinguished socle element vanished")
     return element
 
 
 def jacobian_element(f: MapSpec, qp: QuotientPresentation) -> AlgebraElement:
-    """Normal form of the Jacobian determinant det(d f_i / d x_j)."""
+    """The Jacobian determinant det(d f_i / d x_j) in the quotient."""
     n = len(f.ring)
     jac = [
         [partial_derivative(f.components[i], f.ring[j]) for j in range(n)]
         for i in range(n)
     ]
-    return coordinates(poly_det(jac), qp)
+    return poly_det(jac, qp)
 
 
 def compose_maps(f: MapSpec, g: MapSpec) -> MapSpec:
@@ -183,11 +183,9 @@ def prepare_quotient(
 ) -> tuple[GroebnerBasis, QuotientPresentation]:
     """Groebner basis and presentation of K[x]/(f_1, ..., f_n), with the
     supported-at-origin check that justifies using the global quotient for
-    the local algebra.  The presentation carries its multiplication
-    matrices."""
+    the local algebra."""
     gb = groebner(f.components, order or DEGREVLEX)
     qp = quotient_presentation(gb)
-    qp = replace(qp, matrices=multiplication_matrices(qp))
     if not origin_supported(qp):
         raise NotSupportedAtOriginError(
             "the fiber over the origin is not concentrated at the origin"

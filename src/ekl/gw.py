@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .scalar import (
+    PRIMALITY_LIMIT,
     PrimeField,
     PrimeFieldElement,
     SquareClass,
@@ -154,7 +155,10 @@ def hilbert_symbol(a, b, place) -> int:
     if place != REAL_PLACE and not (
         isinstance(place, int) and (place == 2 or is_odd_prime(place))
     ):
-        raise ValueError(f"invalid place {place!r}")
+        raise ValueError(
+            f"invalid place {place!r}: not 2, {REAL_PLACE!r} "
+            f"or an odd prime below {PRIMALITY_LIMIT}"
+        )
     return _hilbert(squarefree_part(a), squarefree_part(b), place)
 
 

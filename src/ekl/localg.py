@@ -8,13 +8,16 @@ does every normal form: the basis keeps its integer entries, and the
 reducer reports the scale it applied, so normal forms over Q stay exact.
 The published basis is reduced and monic.  A quotient presentation
 enumerates the standard monomials (those outside the leading monomial
-staircase) and gives coordinates of residue classes over them.
+staircase), gives coordinates of residue classes over them, and carries
+the sparse matrices M_k of multiplication by x_k.  The origin test and
+determinants of polynomial matrices in the quotient run through these
+matrices and need no further normal forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -323,14 +326,15 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 class QuotientPresentation:
     """The algebra K[x]/I presented by a Groebner basis and its standard monomials.
 
-    ``matrices`` holds the multiplication matrices once they are attached
-    (see ``multiplication_matrices``); it takes no part in equality.
+    ``matrices`` holds the multiplication matrices M_1..M_n on the
+    standard monomials (see ``multiplication_matrices``); it takes no part
+    in equality.
     """
 
     basis: GroebnerBasis
     standard_monomials: tuple[Monomial, ...]
     dimension: int
-    matrices: tuple | None = dataclass_field(default=None, compare=False, repr=False)
+    matrices: tuple = dataclass_field(compare=False, repr=False)
 
     @property
     def ring(self) -> tuple[str, ...]:
@@ -381,7 +385,8 @@ class AlgebraElement:
 
 
 def quotient_presentation(gb: GroebnerBasis) -> QuotientPresentation:
-    """Enumerate standard monomials; raises InfiniteQuotientError when unbounded."""
+    """Enumerate standard monomials and build the multiplication matrices;
+    raises InfiniteQuotientError when the quotient is unbounded."""
     lms = gb.leading_monomials()
     n = len(gb.ring)
     bounds = []
@@ -410,7 +415,9 @@ def quotient_presentation(gb: GroebnerBasis) -> QuotientPresentation:
 
     walk(0)
     std.sort(key=gb.order.key)
-    return QuotientPresentation(gb, tuple(std), len(std))
+    # the border normal forms behind the matrices are coordinates over std
+    qp = QuotientPresentation(gb, tuple(std), len(std), ())
+    return replace(qp, matrices=multiplication_matrices(qp))
 
 
 def coordinates(p: Polynomial, qp: QuotientPresentation) -> AlgebraElement:
@@ -455,36 +462,87 @@ def multiplication_matrices(qp: QuotientPresentation) -> tuple[tuple[dict, ...],
     return tuple(matrices)
 
 
+def _add_multiple(out: dict, a, vector: dict, zero) -> None:
+    """out += a * vector for sparse vectors, dropping entries that cancel."""
+    for i, c in vector.items():
+        s = out.get(i, zero) + a * c
+        if s:
+            out[i] = s
+        else:
+            out.pop(i, None)
+
+
 def matrix_times_vector(columns: Sequence[dict], vector: dict, zero) -> dict:
     """M * v for a column-sparse matrix and a sparse vector ``{i: c}``."""
     out: dict = {}
     for j, a in vector.items():
-        for i, c in columns[j].items():
-            s = out.get(i, zero) + a * c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+        _add_multiple(out, a, columns[j], zero)
     return out
+
+
+def _monomial_times(qp: QuotientPresentation, mono: Monomial, vector: dict) -> dict:
+    """x^mono * v for a sparse coordinate vector v: mono[k] products with
+    each M_k, stopping as soon as the vector is zero."""
+    zero = qp.field.zero
+    for columns, e in zip(qp.matrices, mono):
+        for _ in range(e):
+            if not vector:
+                return vector
+            vector = matrix_times_vector(columns, vector, zero)
+    return vector
 
 
 def origin_supported(qp: QuotientPresentation) -> bool:
     """True iff every variable is nilpotent in the quotient.
 
     In a finite-dimensional commutative algebra a nilpotent element has
-    index at most the dimension d, so x_i is nilpotent iff x_i^d * 1 = 0.
-    That vector takes at most d products with the sparse matrix M_i, and
-    the loop stops as soon as it is zero.
+    index at most the dimension d, so x_i is nilpotent iff x_i^d * 1 = 0:
+    at most d products with the sparse matrix M_i.
     """
-    matrices = qp.matrices or multiplication_matrices(qp)
+    n = len(qp.ring)
+    one = {qp.monomial_index()[(0,) * n]: qp.field.one}
+    return not any(
+        _monomial_times(qp, (0,) * k + (qp.dimension,) + (0,) * (n - k - 1), one)
+        for k in range(n)
+    )
+
+
+def poly_det(matrix: Sequence[Sequence[Polynomial]], qp: QuotientPresentation) -> AlgebraElement:
+    """The determinant of a square polynomial matrix, as an element of the quotient.
+
+    Expansion in minors over column subsets, from the last row up: the
+    minor on rows k..n-1 and column set S is the sum over j in S of
+    (-1)^t * a_kj * minor(k+1, S - {j}), where t counts the columns of S
+    before j.  Each minor is a sparse coordinate vector and an entry acts
+    on it term by term through the multiplication matrices, so no
+    polynomial leaves the standard-monomial span and no normal form is
+    needed.  Zero entries and zero minors are skipped: at most 2^n * n
+    entry actions.
+    """
+    n = len(matrix)
+    if n == 0:
+        raise ValueError("empty matrix")
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        for entry in row:
+            if entry.ring != qp.ring or entry.field != qp.field:
+                raise ValueError("matrix entries do not match the quotient ring")
     fld = qp.field
-    start = qp.monomial_index()[(0,) * len(qp.ring)]
-    for columns in matrices:
-        vector = {start: fld.one}
-        for _ in range(qp.dimension):
-            vector = matrix_times_vector(columns, vector, fld.zero)
-            if not vector:
-                break
-        if vector:
-            return False
-    return True
+    zero = fld.zero
+    minors = {0: {qp.monomial_index()[(0,) * len(qp.ring)]: fld.one}}
+    for k in range(n - 1, -1, -1):
+        wider: dict[int, dict] = {}
+        for used, minor in minors.items():
+            sign = 1
+            for j, entry in enumerate(matrix[k]):
+                if used >> j & 1:
+                    sign = -sign
+                    continue
+                target = wider.setdefault(used | 1 << j, {})
+                for m, c in entry.terms.items():
+                    shifted = _monomial_times(qp, m, minor)
+                    _add_multiple(target, c if sign == 1 else -c, shifted, zero)
+        minors = {cols: vector for cols, vector in wider.items() if vector}
+    det = minors.get((1 << n) - 1, {})
+    return AlgebraElement(tuple(det.get(i, zero) for i in range(qp.dimension)), qp)

@@ -6,8 +6,9 @@ field, and a term map from exponent tuple to nonzero coefficient.  All
 operations are pure; polynomials are treated as immutable values.
 
 The module also provides the expression parser used by the CLI, builders
-for elementary symmetric polynomials, exact (Bareiss) determinants of
-polynomial matrices, formal derivatives, and substitution.
+for elementary symmetric polynomials, formal derivatives, and
+substitution.  Determinants of polynomial matrices are taken in the
+quotient algebra (``localg.poly_det``).
 """
 
 from __future__ import annotations
@@ -561,70 +562,3 @@ def substitute(
             piece = piece * cache[e]
         result = result + piece
     return result
-
-
-def poly_det(matrix: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant of a square polynomial matrix (fraction-free Bareiss)."""
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    first = matrix[0][0]
-    ring, field = first.ring, first.field
-    for row in matrix:
-        for entry in row:
-            if entry.ring != ring or entry.field != field:
-                raise ValueError("matrix entries from different rings")
-    m = [[entry for entry in row] for row in matrix]
-    sign = 1
-    prev = Polynomial.constant(1, ring, field)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero(ring, field)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = _exact_div(num, prev)
-            m[i][k] = Polynomial.zero(ring, field)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
-    """Divide num by den, which must divide exactly (Bareiss guarantees it)."""
-    if den.is_constant():
-        c = den.constant_term()
-        if not c:
-            raise ZeroDivisionError("division by zero polynomial")
-        one = num.field.one
-        return _raw(num.ring, num.field, {m: coeff * (one / c) for m, coeff in num.terms.items()})
-    order = DEGREVLEX
-    lm = den.leading_monomial(order)
-    lc = den.terms[lm]
-    rem = dict(num.terms)
-    out: dict[Monomial, object] = {}
-    while rem:
-        m = order.max(rem)
-        c = rem[m]
-        if not mono_divides(lm, m):
-            raise ArithmeticError("inexact polynomial division")
-        q_mono = mono_div(m, lm)
-        q_coeff = c / lc
-        out[q_mono] = q_coeff
-        for dm, dc in den.terms.items():
-            t = mono_mul(q_mono, dm)
-            new = rem.get(t, num.field.zero) - q_coeff * dc
-            if new:
-                rem[t] = new
-            elif t in rem:
-                del rem[t]
-    return _raw(num.ring, num.field, out)

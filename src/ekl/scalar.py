@@ -24,15 +24,19 @@ class FactorBoundError(ArithmeticError):
     """Trial division up to the configured bound could not finish a factorization."""
 
 
+#: Miller-Rabin with the prime bases 2, 3, ..., 41 decides primality below
+#: this bound, which is itself a strong pseudoprime to all of them.
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_odd_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond desk scale."""
-    if n < 3 or n % 2 == 0:
+    """Deterministic Miller-Rabin; False at and above PRIMALITY_LIMIT."""
+    if n < 3 or n % 2 == 0 or n >= PRIMALITY_LIMIT:
         return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    # This base set is deterministic for n < 3.3 * 10^24.
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if a % n == 0:
             continue
@@ -218,7 +222,7 @@ class PrimeField:
 
     def __init__(self, p: int) -> None:
         if not is_odd_prime(p):
-            raise ValueError(f"{p} is not an odd prime")
+            raise ValueError(f"{p} is not an odd prime below {PRIMALITY_LIMIT}")
         self.p = p
 
     @property

@@ -1,8 +1,12 @@
-"""Shared builders for randomized map tests.
+"""Shared builders for randomized map tests, and the determinant oracle.
 
 The degree pipeline only accepts maps whose whole zero set is the origin,
 so random instances are built from families where that is guaranteed:
 diagonal monomial maps composed with invertible (unipotent) linear maps.
+
+``reference_poly_det`` is the fraction-free Bareiss determinant over
+K[x]; the library takes determinants inside the quotient algebra
+(``ekl.localg.poly_det``), and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import random
 
 from ekl.degree import MapSpec, compose_maps
-from ekl.poly import Polynomial
+from ekl.poly import DEGREVLEX, Polynomial, mono_div, mono_divides, mono_mul
 from ekl.scalar import QQ
 
 
@@ -59,3 +63,70 @@ def random_origin_map(rng: random.Random, ring=("x", "y"), max_exp: int = 2) -> 
     pre = linear_map(random_unipotent(rng, len(ring)), ring)
     post = linear_map(random_unipotent(rng, len(ring)), ring)
     return compose_maps(post, compose_maps(core, pre))
+
+
+def reference_poly_det(matrix) -> Polynomial:
+    """Exact determinant of a square polynomial matrix (fraction-free Bareiss)."""
+    n = len(matrix)
+    if n == 0:
+        raise ValueError("empty matrix")
+    for row in matrix:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+    first = matrix[0][0]
+    ring, field = first.ring, first.field
+    for row in matrix:
+        for entry in row:
+            if entry.ring != ring or entry.field != field:
+                raise ValueError("matrix entries from different rings")
+    m = [[entry for entry in row] for row in matrix]
+    sign = 1
+    prev = Polynomial.constant(1, ring, field)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not m[r][k].is_zero():
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Polynomial.zero(ring, field)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = _exact_div(num, prev)
+            m[i][k] = Polynomial.zero(ring, field)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def _exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
+    """Divide num by den, which must divide exactly (Bareiss guarantees it)."""
+    if den.is_constant():
+        c = den.constant_term()
+        if not c:
+            raise ZeroDivisionError("division by zero polynomial")
+        inv = num.field.one / c
+        return Polynomial(num.ring, num.field, {m: coeff * inv for m, coeff in num.terms.items()})
+    order = DEGREVLEX
+    lm = den.leading_monomial(order)
+    lc = den.terms[lm]
+    rem = dict(num.terms)
+    out = {}
+    while rem:
+        m = order.max(rem)
+        c = rem[m]
+        if not mono_divides(lm, m):
+            raise ArithmeticError("inexact polynomial division")
+        q_mono = mono_div(m, lm)
+        q_coeff = c / lc
+        out[q_mono] = q_coeff
+        for dm, dc in den.terms.items():
+            t = mono_mul(q_mono, dm)
+            new = rem.get(t, num.field.zero) - q_coeff * dc
+            if new:
+                rem[t] = new
+            elif t in rem:
+                del rem[t]
+    return Polynomial(num.ring, num.field, out)

@@ -193,6 +193,21 @@ def test_weyl_ap_improper(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, nodes, message",
+    [
+        ("--remove", "9", "error: nodes [9] are not in the diagram"),
+        ("--keep", "x", "error: invalid literal"),
+        ("--remove", "x", "error: invalid literal"),
+    ],
+)
+def test_weyl_ap_bad_nodes(capsys, flag, nodes, message):
+    code, out, err = run(capsys, "weyl", "ap", "--type", "A3", flag, nodes)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_weyl_ap_budget_exceeded(capsys, monkeypatch):
     monkeypatch.setenv("EKL_ENUM_BUDGET", "4")
     code, _, err = run(capsys, "weyl", "ap", "--type", "E6", "--remove", "1", "--method", "enumerate")
@@ -264,6 +279,18 @@ def test_gw_classify_factor_bound(tmp_path, capsys):
     assert code == 5
     assert out == ""
     assert err.startswith("factor bound exceeded: cofactor 1000036000099")
+
+
+@pytest.mark.parametrize(
+    "n",
+    [3317044064679887385961981, 2**89 - 1],  # a strong pseudoprime to the bases 2..41; a prime
+)
+def test_gw_classify_uncertified_prime_factor(tmp_path, capsys, n):
+    path = write(tmp_path, "g.json", json.dumps([[str(n), "0"], ["0", "61"]]))
+    code, out, err = run(capsys, "gw", "classify", path)
+    assert code == 5
+    assert out == ""
+    assert err.startswith(f"factor bound exceeded: cofactor {n}")
 
 
 def test_gw_classify_fractions(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import reference_poly_det
+
 from ekl.degree import ekl_degree
 from ekl.localg import groebner, quotient_presentation
 from ekl.poly import (
@@ -7,7 +9,6 @@ from ekl.poly import (
     elementary_symmetric,
     parse_poly,
     partial_derivative,
-    poly_det,
     substitute,
 )
 from ekl.quotmap import (
@@ -217,7 +218,7 @@ def jacobian_det(components, ring_names, ring):
         [partial_derivative(c, v) for v in ring_names]
         for c in components
     ]
-    return poly_det(mat)
+    return reference_poly_det(mat)
 
 
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1), (1, 2, 1)])

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from ekl.gw import hilbert_symbol
 from ekl.scalar import (
     GF,
+    PRIMALITY_LIMIT,
     QQ,
     FactorBoundError,
     SquareClass,
@@ -153,3 +155,29 @@ def test_is_odd_prime():
         assert is_odd_prime(p)
     for n in (1, 2, 4, 9, 15, 1009 * 1013):
         assert not is_odd_prime(n)
+
+
+# 1287836182261 * 2575672364521, a strong pseudoprime to the bases 2..41
+PSEUDOPRIME = 3317044064679887385961981
+MERSENNE_89 = 2**89 - 1  # prime, but above the certified range
+
+
+@pytest.mark.parametrize("n", [PSEUDOPRIME, MERSENNE_89])
+def test_primality_above_limit_is_not_certified(n):
+    assert n >= PRIMALITY_LIMIT
+    assert not is_odd_prime(n)
+    with pytest.raises(FactorBoundError):
+        factorize(n)
+    with pytest.raises(ValueError, match=f"odd prime below {PRIMALITY_LIMIT}"):
+        GF(n)
+    with pytest.raises(ValueError, match=f"odd prime below {PRIMALITY_LIMIT}"):
+        hilbert_symbol(3, 5, n)
+
+
+def test_largest_certified_prime():
+    # the largest prime below the limit is still certified
+    p = PRIMALITY_LIMIT - 168
+    assert is_odd_prime(p)
+    assert not any(is_odd_prime(n) for n in range(p + 1, PRIMALITY_LIMIT + 1))
+    assert factorize(p) == {p: 1}
+    assert GF(p).p == p
