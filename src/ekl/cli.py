@@ -17,6 +17,7 @@ Reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -381,6 +382,7 @@ def cmd_gw_classify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument wiring
 
+@functools.cache  # parse_args leaves the parser unchanged, so main reuses one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ekl",

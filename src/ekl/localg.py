@@ -6,16 +6,18 @@ periodic content stripping), over F_p it works modulo p.  Buchberger's
 algorithm, with the coprimality and chain criteria, runs on it, and so
 does every normal form: the basis keeps its integer entries, and the
 reducer reports the scale it applied, so normal forms over Q stay exact.
-The published basis is reduced and monic.  A quotient presentation
-enumerates the standard monomials (those outside the leading monomial
-staircase), gives coordinates of residue classes over them, and carries
-the sparse matrices M_k of multiplication by x_k.  The origin test and
-determinants of polynomial matrices in the quotient run through these
-matrices and need no further normal forms.
+S-pairs wait in a heap ordered by lcm.  The published basis is reduced and
+monic.  A quotient presentation enumerates the standard monomials (those
+outside the leading monomial staircase), gives coordinates of residue
+classes over them, and carries the sparse matrices M_k of multiplication
+by x_k, read off the basis tails without normal forms.  The origin test
+and determinants of polynomial matrices in the quotient run through these
+matrices and need no normal forms either.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
@@ -254,13 +256,20 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
         if r:
             push(r)
 
+    # ``pairs`` answers the chain criterion; ``queue`` pops smallest lcm, then index
     pairs: dict[tuple[int, int], Monomial] = {}
+    queue: list[tuple] = []
+
+    def add_pair(i: int, j: int) -> None:
+        pairs[(i, j)] = lcm_ij = mono_lcm(entries[i][0], entries[j][0])
+        heapq.heappush(queue, (key(lcm_ij), i, j))
+
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            pairs[(i, j)] = mono_lcm(entries[i][0], entries[j][0])
+            add_pair(i, j)
 
-    while pairs:
-        (i, j) = min(pairs, key=lambda ij: (key(pairs[ij]), ij))
+    while queue:
+        _, i, j = heapq.heappop(queue)
         lcm_ij = pairs.pop((i, j))
         lmi, lmj = entries[i][0], entries[j][0]
         if mono_mul(lmi, lmj) == lcm_ij:
@@ -283,7 +292,7 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
             push(r)
             t = len(entries) - 1
             for k in range(t):
-                pairs[(k, t)] = mono_lcm(entries[k][0], entries[t][0])
+                add_pair(k, t)
 
     # minimalize: drop generators whose leading monomial is divisible by another's
     keep: list[int] = []
@@ -415,7 +424,7 @@ def quotient_presentation(gb: GroebnerBasis) -> QuotientPresentation:
 
     walk(0)
     std.sort(key=gb.order.key)
-    # the border normal forms behind the matrices are coordinates over std
+    # the border recursion behind the matrices indexes columns by std
     qp = QuotientPresentation(gb, tuple(std), len(std), ())
     return replace(qp, matrices=multiplication_matrices(qp))
 
@@ -439,27 +448,36 @@ def multiplication_matrices(qp: QuotientPresentation) -> tuple[tuple[dict, ...],
     """Sparse matrices M_1..M_n of multiplication by x_k on the standard monomials.
 
     ``matrices[k][j]`` is column j of M_k, the coordinates ``{i: c}`` of
-    x_k * b_j.  The column is a unit vector when x_k * b_j is standard;
-    otherwise x_k * b_j is a border monomial and the column is its normal
-    form, computed once per distinct border monomial.
+    x_k * b_j.  The column is a unit vector when x_k * b_j is standard.
+    Otherwise x_k * b_j is a border monomial m; these are taken in
+    increasing order.  If m leads a basis generator g, its column is that
+    of m - g, the negated tail of g.  Otherwise some m / x_j is a smaller
+    border monomial, with column {i: c_i}, and m has the column of
+    sum c_i * x_j * b_i, where every x_j * b_i is smaller than m.
     """
     index = qp.monomial_index()
     fld = qp.field
-    border: dict[Monomial, dict[int, object]] = {}
-    matrices = []
-    for k in range(len(qp.ring)):
-        columns = []
-        for b in qp.standard_monomials:
-            m = b[:k] + (b[k] + 1,) + b[k + 1 :]
-            if m in index:
-                columns.append({index[m]: fld.one})
-                continue
-            if m not in border:
-                element = coordinates(Polynomial(qp.ring, fld, {m: fld.one}), qp)
-                border[m] = {i: c for i, c in enumerate(element.coordinates) if c}
-            columns.append(border[m])
-        matrices.append(tuple(columns))
-    return tuple(matrices)
+    lead = dict(zip(qp.basis.leading_monomials(), qp.basis.generators))
+    std = qp.standard_monomials
+    products = [[b[:k] + (b[k] + 1,) + b[k + 1 :] for b in std] for k in range(len(qp.ring))]
+    columns: dict[Monomial, dict] = {m: {i: fld.one} for m, i in index.items()}
+    border = {m for row in products for m in row if m not in index}
+    for m in sorted(border, key=qp.basis.order.key):
+        if m in lead:
+            try:
+                column = {index[t]: -c for t, c in lead[m].terms.items() if t != m}
+            except KeyError:
+                raise ArithmeticError("normal form left the standard-monomial span") from None
+        else:
+            for j in range(len(m)):
+                below = m[:j] + (m[j] - 1,) + m[j + 1 :]
+                if m[j] and below not in index:
+                    break
+            column = {}
+            for i, c in columns[below].items():
+                _add_multiple(column, c, columns[products[j][i]], fld.zero)
+        columns[m] = column
+    return tuple(tuple(columns[m] for m in row) for row in products)
 
 
 def _add_multiple(out: dict, a, vector: dict, zero) -> None:

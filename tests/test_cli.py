@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -331,3 +332,42 @@ def test_broken_pipe_exits_quietly(unbuffered):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def untimed(text: str) -> str:
+    return re.sub(r'"timing_seconds": "[0-9.]+"', "", text)
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path, capsys):
+    """``main`` reuses one parser per process; no call may see another's state."""
+    path = write(tmp_path, "m.json", MAP_S2)
+    calls = [
+        ["degree", path, "--format", "json"],
+        ["weyl", "ap", "--type", "A3", "--keep", "1"],
+        ["degree", path, "--format", "bogus"],
+        ["weyl", "ap", "--type", "E6", "--remove", "1"],
+        ["weyl", "ap", "--type", "A3"],
+        ["degree", path, "--format", "json"],
+        ["degree", path],
+    ]
+    src = os.path.dirname(os.path.dirname(ekl.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ekl.cli", *argv],
+            capture_output=True,
+            encoding="utf-8",
+            env=env,
+            timeout=60,
+        )
+        assert code == fresh.returncode, argv
+        assert untimed(captured.out) == untimed(fresh.stdout), argv
+        assert captured.err == fresh.stderr, argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0, 2, 0, 0]

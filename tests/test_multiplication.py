@@ -1,8 +1,11 @@
 """The multiplication-matrix core of the quotient algebra.
 
-The Gram matrix of the pipeline is built from the multiplication matrices;
-``pairwise_gram`` below is the direct construction (one normal form per
-pair of standard monomials) and serves as the reference oracle.
+The library builds the matrices by a recursion over the border monomials;
+``normal_form_matrices`` below is the direct construction (one normal form
+per border monomial) and serves as its reference oracle.  The Gram matrix
+of the pipeline is built from the multiplication matrices;
+``pairwise_gram`` is the direct construction (one normal form per pair of
+standard monomials) and serves as its reference oracle.
 """
 
 import json
@@ -15,6 +18,7 @@ from conftest import random_origin_map
 from ekl.cli import main
 from ekl.degree import MapSpec, ekl_degree, prepare_quotient
 from ekl.localg import (
+    GroebnerBasis,
     coordinates,
     groebner,
     matrix_times_vector,
@@ -23,7 +27,7 @@ from ekl.localg import (
     origin_supported,
     quotient_presentation,
 )
-from ekl.poly import LEX, Polynomial, mono_mul, parse_poly
+from ekl.poly import DEGREVLEX, LEX, Polynomial, mono_mul, parse_poly
 from ekl.quotmap import (
     build_D_full,
     build_D_odd_partial,
@@ -36,6 +40,31 @@ from ekl.scalar import GF, QQ
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
 F = GF(32003)
+
+
+def normal_form_matrices(qp):
+    """M_1..M_n with one normal form per distinct border monomial."""
+    index = qp.monomial_index()
+    fld = qp.field
+    border = {}
+    matrices = []
+    for k in range(len(qp.ring)):
+        columns = []
+        for b in qp.standard_monomials:
+            m = b[:k] + (b[k] + 1,) + b[k + 1 :]
+            if m in index:
+                columns.append({index[m]: fld.one})
+                continue
+            if m not in border:
+                element = coordinates(Polynomial(qp.ring, fld, {m: fld.one}), qp)
+                border[m] = {i: c for i, c in enumerate(element.coordinates) if c}
+            columns.append(border[m])
+        matrices.append(tuple(columns))
+    return tuple(matrices)
+
+
+def assert_matrices_match_oracle(qp) -> None:
+    assert qp.matrices == multiplication_matrices(qp) == normal_form_matrices(qp)
 
 
 def pairwise_gram(qp, index, pivot):
@@ -57,6 +86,7 @@ def pairwise_gram(qp, index, pivot):
 def assert_gram_matches_oracle(f: MapSpec) -> None:
     res = ekl_degree(f)
     qp = res.quotient
+    assert_matrices_match_oracle(qp)
     index = qp.standard_monomials.index(res.functional_monomial)
     assert res.gram == pairwise_gram(qp, index, res.socle.coordinates[index])
 
@@ -91,13 +121,17 @@ def test_gram_matches_pairwise_oracle_on_random_maps(field):
 def test_columns_are_coordinates_of_products():
     f = MapSpec.from_strings(XYZ, ["x^2 + y*z", "y^3", "z^2 - x*y"])
     _, qp = prepare_quotient(f)
-    assert qp.matrices == multiplication_matrices(qp)
-    for k, columns in enumerate(qp.matrices):
-        x_k = tuple(1 if i == k else 0 for i in range(3))
-        for b, column in zip(qp.standard_monomials, columns):
-            product = Polynomial(qp.ring, qp.field, {mono_mul(x_k, b): qp.field.one})
-            coords = coordinates(product, qp).coordinates
-            assert {i: c for i, c in enumerate(coords) if c} == column
+    assert_matrices_match_oracle(qp)
+
+
+def test_border_tail_outside_the_standard_span_is_refused():
+    # x^2 + y^2 is not reduced: its tail y^2 is the leading monomial of the
+    # other generator, so the column of the border monomial x^2 would
+    # leave the span of the standard monomials 1, x, y, x*y
+    gens = tuple(parse_poly(t, XY, QQ) for t in ("x^2 + y^2", "y^2"))
+    gb = GroebnerBasis(gens, DEGREVLEX, XY, QQ, ())
+    with pytest.raises(ArithmeticError, match="left the standard-monomial span"):
+        quotient_presentation(gb)
 
 
 def test_matrices_commute():
@@ -145,6 +179,7 @@ def test_origin_rejects_other_zeros_through_cli(tmp_path, capsys):
 def test_standard_monomials_have_standard_predecessors_under_lex():
     f = MapSpec.from_strings(XYZ, ["x^2 + y*z", "y^3", "z^2 - x*y"])
     _, qp = prepare_quotient(f, LEX)
+    assert_matrices_match_oracle(qp)
     position = qp.monomial_index()
     assert qp.standard_monomials[0] == (0, 0, 0)
     for j, b in enumerate(qp.standard_monomials[1:], start=1):
