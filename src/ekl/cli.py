@@ -7,11 +7,10 @@ Commands:
   ekl weyl info --type T            root system summary
   ekl gw classify <file>            classify a Gram matrix from JSON
 
-Exit codes: 0 success, 1 internal error, 2 parse error, 3 map not
-supported at the origin, 4 degenerate form or vanishing socle element,
-5 an integer too large to factor by trial division, 6 enumeration budget
-exceeded, 141 stdout closed by its reader (as a death by SIGPIPE would).
-Reports go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 internal error, 2 a bad flag, an input file that
+cannot be read, parsed or validated, or an unwritable --emit-map path, 3 to
+6 the library failures in ``FAILURES``, 141 stdout closed by its reader (as
+a death by SIGPIPE would).  Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .gw import (
     units_class,
 )
 from .localg import InfiniteQuotientError, UnitIdealError
-from .poly import ParseError, format_monomial
+from .poly import format_monomial
 from .quotmap import (
     QuotientSpec,
     build_D_full,
@@ -68,11 +67,24 @@ from .weyl import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_PARSE = 2
-EXIT_NOT_SUPPORTED = 3
-EXIT_DEGENERATE = 4
-EXIT_FACTOR_BOUND = 5
-EXIT_BUDGET = 6
 EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE
+
+#: Library failures: (exception class, exit code, message prefix), checked
+#: in order.  Any other exception is an internal error (exit 1), so that
+#: bugs and failed theorem checks stay visible.
+FAILURES = (
+    (NotSupportedAtOriginError, 3, "not supported at origin"),
+    (InfiniteQuotientError, 3, "not supported at origin"),
+    (UnitIdealError, 3, "empty fiber"),
+    (ZeroSocleError, 4, "degenerate form"),
+    (DegenerateFormError, 4, "degenerate form"),
+    (FactorBoundError, 5, "factor bound exceeded"),
+    (EnumerationBudgetError, 6, "budget exceeded"),
+)
+
+
+class _InputError(Exception):
+    """A bad flag, input file or output path; ``main`` exits 2 with the message."""
 
 
 def _fail(code: int, message: str) -> int:
@@ -80,12 +92,32 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _parse_field(text: str):
-    if text == "q":
-        return QQ
-    if text.startswith("fp:"):
-        return GF(int(text[3:]))
-    raise ValueError(f"unknown field {text!r}; use 'q' or 'fp:<prime>'")
+def _parse_field(text: str, prefix: str):
+    """The field named by ``--field``; ``prefix`` starts the message of a bad one."""
+    try:
+        if text == "q":
+            return QQ
+        if text.startswith("fp:"):
+            return GF(int(text[3:]))
+        raise ValueError(f"unknown field {text!r}; use 'q' or 'fp:<prime>'")
+    except ValueError as exc:
+        raise _InputError(f"{prefix}: {exc}") from exc
+
+
+def _read_input(path: str, parse):
+    """``parse`` applied to the text of the file at ``path``; any failure to
+    read, parse or validate it is a parse error (JSONDecodeError and
+    poly.ParseError are ValueErrors)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle.read())
+    except (OSError, KeyError, TypeError, ZeroDivisionError, ValueError) as exc:
+        raise _InputError(f"parse error: {exc}") from exc
+
+
+def _units_shape(c: GWClass):
+    """``recognize_units`` of a class over Q; None over F_p."""
+    return None if isinstance(c.field, PrimeField) else recognize_units(c)
 
 
 # ---------------------------------------------------------------------------
@@ -98,29 +130,28 @@ def _class_invariants(c: GWClass) -> dict:
             "rank": str(c.rank),
             "discriminant_is_square": "true" if c.disc_legendre == 1 else "false",
         }
-    data = {
+    return {
         "field": "q",
         "rank": str(c.rank),
         "signature": str(c.signature),
         "discriminant": str(c.discriminant),
         "hasse": {str(v): str(s) for v, s in (c.hasse or ())},
     }
-    return data
 
 
-def _named_form(c: GWClass) -> str | None:
-    if isinstance(c.field, PrimeField):
-        return None
-    shape = recognize_units(c)
-    if shape is None:
-        return None
-    return render_units(c, shape)
+def _hasse_line(hasse: dict) -> str:
+    """The ``hasse`` entry of ``_class_invariants``, sorted by the place's string."""
+    if not hasse:
+        return "trivial at every place"
+    return ", ".join(f"({v}) -> {s}" for v, s in sorted(hasse.items()))
 
 
-def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float, fmt: str) -> dict:
-    """The report as strings; the named form only for the formats that print it."""
+def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float) -> dict:
+    """The ``--format json`` report: strings, and null for a missing named form."""
     qp = result.quotient
-    report = {
+    cls = result.gw_class
+    shape = _units_shape(cls)
+    return {
         "input": {
             "variables": list(spec.ring),
             "components": [str(f) for f in spec.components],
@@ -133,77 +164,43 @@ def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float, fmt: str) -
         "socle": str(result.socle),
         "jacobian_coordinates": [str(c) for c in result.jacobian.coordinates],
         "jacobian": str(result.jacobian),
-        "diagonal": [str(d) for d in result.gw_class.diagonal],
-        "invariants": _class_invariants(result.gw_class),
-        "named_form": _named_form(result.gw_class) if fmt in ("named", "json") else None,
+        "diagonal": [str(d) for d in cls.diagonal],
+        "invariants": _class_invariants(cls),
+        "named_form": None if shape is None else render_units(cls, shape),
         "timing_seconds": f"{elapsed:.3f}",
     }
-    return report
-
-
-def _print_degree_report(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-        return
-    if fmt == "named":
-        named = report["named_form"]
-        if named is not None:
-            print(named)
-        else:
-            print("⟨" + ",".join(report["diagonal"]) + "⟩")
-        return
-    if fmt == "diag":
-        print("⟨" + ",".join(report["diagonal"]) + "⟩")
-        return
-    if fmt == "invariants":
-        inv = report["invariants"]
-        print(f"rank {inv['rank']}")
-        if "signature" in inv:
-            print(f"signature {inv['signature']}")
-            print(f"discriminant {inv['discriminant']}")
-            hasse = inv.get("hasse", {})
-            if hasse:
-                line = ", ".join(f"({v}) -> {s}" for v, s in sorted(hasse.items()))
-            else:
-                line = "trivial at every place"
-            print(f"hasse {line}")
-        else:
-            print(f"discriminant square: {inv['discriminant_is_square']}")
-        return
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_degree(args) -> int:
-    try:
-        field = _parse_field(args.field)
-    except ValueError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
-    try:
-        with open(args.mapfile, "r", encoding="utf-8") as handle:
-            spec = MapSpec.from_json(handle.read(), field)
-    except (OSError, json.JSONDecodeError, KeyError, ParseError, ValueError) as exc:
-        return _fail(EXIT_PARSE, f"parse error: {exc}")
+    field = _parse_field(args.field, "error")
+    spec = _read_input(args.mapfile, lambda text: MapSpec.from_json(text, field))
     started = time.perf_counter()
-    try:
-        result = ekl_degree(spec)
-    except NotSupportedAtOriginError as exc:
-        return _fail(EXIT_NOT_SUPPORTED, f"not supported at origin: {exc}")
-    except InfiniteQuotientError as exc:
-        return _fail(EXIT_NOT_SUPPORTED, f"not supported at origin: {exc}")
-    except UnitIdealError as exc:
-        return _fail(EXIT_NOT_SUPPORTED, f"empty fiber: {exc}")
-    except (ZeroSocleError, DegenerateFormError) as exc:
-        return _fail(EXIT_DEGENERATE, f"degenerate form: {exc}")
+    result = ekl_degree(spec)
     elapsed = time.perf_counter() - started
-    _print_degree_report(_degree_report(spec, result, elapsed, args.format), args.format)
+    cls = result.gw_class
+    if args.format == "json":
+        print(json.dumps(_degree_report(spec, result, elapsed), indent=2))
+    elif args.format == "named":
+        print(render_units(cls, _units_shape(cls)))
+    elif args.format == "diag":
+        print(render_diagonal(cls))
+    else:
+        inv = _class_invariants(cls)
+        print(f"rank {inv['rank']}")
+        if "signature" in inv:
+            print(f"signature {inv['signature']}")
+            print(f"discriminant {inv['discriminant']}")
+            print(f"hasse {_hasse_line(inv['hasse'])}")
+        else:
+            print(f"discriminant square: {inv['discriminant_is_square']}")
     return EXIT_OK
 
 
 def _build_quotient_spec(args) -> QuotientSpec:
-    field = _parse_field(args.field)
+    field = _parse_field(args.field, "error")
     if args.type == "A":
         if not args.blocks:
             raise ValueError("--type A requires --blocks")
@@ -235,19 +232,17 @@ def cmd_quotient(args) -> int:
     try:
         spec = _build_quotient_spec(args)
     except ValueError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+        raise _InputError(f"error: {exc}") from exc
     if args.emit_map:
         comment = f"family={spec.family} parameters={','.join(map(str, spec.parameters))}"
-        with open(args.emit_map, "w", encoding="utf-8") as handle:
-            handle.write(spec.map.to_json(comment=comment))
+        try:
+            with open(args.emit_map, "w", encoding="utf-8") as handle:
+                handle.write(spec.map.to_json(comment=comment))
+        except OSError as exc:
+            raise _InputError(f"error: {exc}") from exc
         print(f"wrote {args.emit_map}", file=sys.stderr)
     started = time.perf_counter()
-    try:
-        result = ekl_degree(spec.map)
-    except (ZeroSocleError, DegenerateFormError) as exc:
-        return _fail(EXIT_DEGENERATE, f"degenerate form: {exc}")
-    except (NotSupportedAtOriginError, InfiniteQuotientError) as exc:
-        return _fail(EXIT_NOT_SUPPORTED, f"not supported at origin: {exc}")
+    result = ekl_degree(spec.map)
     elapsed = time.perf_counter() - started
 
     shape = expected_gw(spec)
@@ -255,7 +250,7 @@ def cmd_quotient(args) -> int:
     print(f"family: {spec.describe()}")
     print(f"expected degree: {spec.expected_degree}")
     print(f"quotient dimension: {result.dimension}")
-    units = None if isinstance(computed.field, PrimeField) else recognize_units(computed)
+    units = _units_shape(computed)
     verdict = "MISMATCH"
     alpha_note = ""
     if isinstance(computed.field, PrimeField):
@@ -298,18 +293,16 @@ def _parse_nodes(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_type(text: str) -> tuple[str, int]:
-    label = text[0].upper()
-    rank = int(text[1:])
-    return label, rank
+def _root_system(text: str):
+    """The root system named by ``--type``, such as ``E6``."""
+    try:
+        return build_root_system(text[0].upper(), int(text[1:]))
+    except (ValueError, IndexError) as exc:
+        raise _InputError(f"error: {exc}") from exc
 
 
 def cmd_weyl_ap(args) -> int:
-    try:
-        label, rank = _parse_type(args.type)
-        rs = build_root_system(label, rank)
-    except (ValueError, IndexError) as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    rs = _root_system(args.type)
     try:
         if args.keep:
             spec = ParabolicSpec.keep(_parse_nodes(args.keep))
@@ -319,11 +312,11 @@ def cmd_weyl_ap(args) -> int:
         if not spec.is_proper(rs):
             raise ValueError("the parabolic must be proper")
     except ValueError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+        raise _InputError(f"error: {exc}") from exc
 
     order = rs.order
     sub_order = parabolic_order_formula(rs, spec)
-    print(f"group: {label}{rank}, order {order}")
+    print(f"group: {rs.type_label}{rs.rank}, order {order}")
     print(
         f"parabolic: keep {sorted(spec.kept_nodes)} ({parabolic_type_name(rs, spec)}), "
         f"order {sub_order}"
@@ -336,46 +329,25 @@ def cmd_weyl_ap(args) -> int:
 
 
 def cmd_weyl_info(args) -> int:
-    try:
-        label, rank = _parse_type(args.type)
-        rs = build_root_system(label, rank)
-    except (ValueError, IndexError) as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
-    w0 = longest_element(rs)
-    print(f"type: {label}{rank}")
+    rs = _root_system(args.type)
+    print(f"type: {rs.type_label}{rs.rank}")
     print(f"order: {rs.order}")
     print(f"positive roots: {rs.npos}")
-    print(f"longest word length: {w0.length}")
+    print(f"longest word length: {longest_element(rs).length}")
     print(f"longest word central: {'yes' if is_central_longest(rs) else 'no'}")
     return EXIT_OK
 
 
 def cmd_gw_classify(args) -> int:
-    try:
-        field = _parse_field(args.field)
-        with open(args.gramfile, "r", encoding="utf-8") as handle:
-            rows = json.loads(handle.read())
-        gram = GramForm.from_rows(rows, field)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail(EXIT_PARSE, f"parse error: {exc}")
-    try:
-        cls = classify(gram, field)
-    except DegenerateFormError as exc:
-        return _fail(EXIT_DEGENERATE, f"degenerate form: {exc}")
+    field = _parse_field(args.field, "parse error")
+    gram = _read_input(args.gramfile, lambda text: GramForm.from_rows(json.loads(text), field))
+    cls = classify(gram, field)
     print(f"diagonal: {render_diagonal(cls)}")
-    inv = _class_invariants(cls)
-    for key, value in inv.items():
-        if key == "hasse":
-            if value:
-                line = ", ".join(f"({v}) -> {s}" for v, s in sorted(value.items()))
-            else:
-                line = "trivial at every place"
-            print(f"hasse: {line}")
-        else:
-            print(f"{key}: {value}")
-    named = _named_form(cls)
-    if named is not None:
-        print(f"named form: {named}")
+    for key, value in _class_invariants(cls).items():
+        print(f"{key}: {_hasse_line(value) if key == 'hasse' else value}")
+    shape = _units_shape(cls)
+    if shape is not None:
+        print(f"named form: {render_units(cls, shape)}")
     return EXIT_OK
 
 
@@ -416,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_ap.add_mutually_exclusive_group(required=True)
     group.add_argument("--keep", help="comma-separated kept nodes")
     group.add_argument("--remove", help="comma-separated removed nodes")
-    p_ap.add_argument(
-        "--method", default="auto", choices=["auto", "enumerate"]
-    )
+    p_ap.add_argument("--method", default="auto", choices=["auto", "enumerate"])
     p_ap.set_defaults(func=cmd_weyl_ap)
 
     p_info = weyl_sub.add_parser("info", help="root system summary")
@@ -436,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe then fails here, not at interpreter exit
@@ -448,13 +417,13 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except FactorBoundError as exc:
-        return _fail(EXIT_FACTOR_BOUND, f"factor bound exceeded: {exc}")
-    except EnumerationBudgetError as exc:
-        return _fail(EXIT_BUDGET, f"budget exceeded: {exc}")
-    except Exception as exc:  # pragma: no cover - unexpected faults
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except _InputError as exc:
+        return _fail(EXIT_PARSE, str(exc))
+    except Exception as exc:
+        for cls, code, prefix in FAILURES:
+            if isinstance(exc, cls):
+                return _fail(code, f"{prefix}: {exc}")
+        return _fail(EXIT_INTERNAL, f"internal error: {exc}")
 
 
 if __name__ == "__main__":

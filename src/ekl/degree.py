@@ -105,15 +105,6 @@ class MapSpec:
 
 
 @dataclass(frozen=True)
-class SocleData:
-    """The splitting matrix a_ij with the socle and Jacobian residue classes."""
-
-    coefficient_matrix: tuple[tuple[Polynomial, ...], ...]
-    socle: AlgebraElement
-    jacobian: AlgebraElement
-
-
-@dataclass(frozen=True)
 class EKLResult:
     """Everything the pipeline produced for one map."""
 
@@ -196,7 +187,6 @@ def prepare_quotient(
 def ekl_degree(
     f: MapSpec,
     order: MonomialOrder | None = None,
-    check_jacobian: bool = True,
     functional_monomial: tuple[int, ...] | None = None,
 ) -> EKLResult:
     """The class of the bilinear form beta_phi in GW(K).
@@ -209,8 +199,7 @@ def ekl_degree(
     _, qp = prepare_quotient(f, order)
     socle = socle_element(f, qp)
     jac = jacobian_element(f, qp)
-    if check_jacobian:
-        _assert_jacobian_relation(f, qp, socle, jac)
+    _assert_jacobian_relation(f, qp, socle, jac)
 
     ord_ = qp.basis.order
     if functional_monomial is None:

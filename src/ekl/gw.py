@@ -89,7 +89,7 @@ def diagonalize(g: GramForm) -> list:
     b_k <- b_k +- b_partner."""
     n = g.dimension
     m = [list(row) for row in g.entries]
-    zero = m[0][0] - m[0][0] if n else 0
+    zero, one = g.field.zero, g.field.one
     diag = []
     for k in range(n):
         if m[k][k] == zero:
@@ -100,15 +100,15 @@ def diagonalize(g: GramForm) -> list:
                     break
             if partner is None:
                 raise DegenerateFormError("zero row in the remaining block")
-            for sign in (1, -1):
-                candidate = m[k][k] + m[partner][partner] + (m[k][partner] + m[k][partner]) * _unit(m, sign)
+            for unit in (one, -one):
+                candidate = m[k][k] + m[partner][partner] + (m[k][partner] + m[k][partner]) * unit
                 if candidate != zero:
                     break
-            # b_k <- b_k + sign * b_partner  (char != 2 guarantees one sign works)
+            # b_k <- b_k + unit * b_partner  (char != 2 guarantees one sign works)
             for t in range(n):
-                m[k][t] = m[k][t] + m[partner][t] * _unit(m, sign)
+                m[k][t] = m[k][t] + m[partner][t] * unit
             for t in range(n):
-                m[t][k] = m[t][k] + m[t][partner] * _unit(m, sign)
+                m[t][k] = m[t][k] + m[t][partner] * unit
         pivot = m[k][k]
         if pivot == zero:
             raise DegenerateFormError("could not produce a nonzero pivot")
@@ -122,17 +122,6 @@ def diagonalize(g: GramForm) -> list:
                 row_i[t] = value = row_i[t] - factor * row[t]
                 m[t][i] = value
     return diag
-
-
-def _unit(m, sign: int):
-    one = _one_like(m[0][0])
-    return one if sign == 1 else -one
-
-
-def _one_like(value):
-    if isinstance(value, PrimeFieldElement):
-        return PrimeFieldElement(1, value.modulus)
-    return Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +319,6 @@ def hyperbolic_class(field) -> GWClass:
     if isinstance(field, PrimeField):
         return classify_diagonal([field.one, -field.one], field)
     return classify_diagonal([Fraction(1), Fraction(-1)], field)
-
-
-def scaled_class(c: GWClass, copies: int) -> GWClass:
-    values = _diag_values(c) * copies
-    return classify_diagonal(values, c.field)
 
 
 def units_class(ones: int, minus_ones: int, residual: Sequence[SquareClass], field) -> GWClass:

@@ -52,26 +52,19 @@ def mono_degree(a: Monomial) -> int:
 class MonomialOrder:
     """A total monomial order compatible with multiplication.
 
-    ``kind`` is "degrevlex" or "lex"; ``precedence`` lists variable indices
-    from most significant to least (default: the ring's declared order).
+    ``kind`` is "degrevlex" or "lex", both on the ring's declared variable
+    order.
     """
 
-    def __init__(self, kind: str = "degrevlex", precedence: Sequence[int] | None = None):
+    def __init__(self, kind: str = "degrevlex"):
         if kind not in ("degrevlex", "lex"):
             raise ValueError(f"unknown monomial order kind {kind!r}")
         self.kind = kind
-        self.precedence = tuple(precedence) if precedence is not None else None
-
-    def _permuted(self, m: Monomial) -> Monomial:
-        if self.precedence is None:
-            return m
-        return tuple(m[i] for i in self.precedence)
 
     def key(self, m: Monomial):
-        e = self._permuted(m)
         if self.kind == "lex":
-            return e
-        return (sum(e), tuple(-e[i] for i in range(len(e) - 1, -1, -1)))
+            return m
+        return (sum(m), tuple(-e for e in reversed(m)))
 
     def max(self, monomials: Iterable[Monomial]) -> Monomial:
         return max(monomials, key=self.key)
@@ -80,19 +73,13 @@ class MonomialOrder:
         return sorted(monomials, key=self.key, reverse=reverse)
 
     def __repr__(self) -> str:
-        if self.precedence is None:
-            return f"MonomialOrder({self.kind!r})"
-        return f"MonomialOrder({self.kind!r}, precedence={self.precedence})"
+        return f"MonomialOrder({self.kind!r})"
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.precedence == other.precedence
-        )
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.precedence))
+        return hash(self.kind)
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -220,9 +207,6 @@ class Polynomial:
     def leading_coefficient(self, order: MonomialOrder = DEGREVLEX):
         return self.terms[self.leading_monomial(order)]
 
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(mono, self.field.zero)
-
     def variables(self) -> tuple[str, ...]:
         used = [False] * len(self.ring)
         for mono in self.terms:
@@ -285,7 +269,7 @@ def format_monomial(mono: Monomial, ring: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def format_poly(p: Polynomial, order: MonomialOrder = DEGREVLEX) -> str:
+def format_poly(p: Polynomial) -> str:
     """Canonical rendering: decreasing monomial order, '^' powers, no implicit products.
 
     The output re-parses to the same polynomial.  A leading coefficient of
@@ -294,7 +278,7 @@ def format_poly(p: Polynomial, order: MonomialOrder = DEGREVLEX) -> str:
     """
     if not p.terms:
         return "0"
-    monos = order.sorted(p.terms, reverse=True)
+    monos = DEGREVLEX.sorted(p.terms, reverse=True)
     chunks: list[str] = []
     for i, mono in enumerate(monos):
         coeff = p.terms[mono]

@@ -3,12 +3,20 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import ekl
 import ekl.cli
 from ekl.cli import main
+from ekl.degree import NotSupportedAtOriginError, ZeroSocleError
+from ekl.gw import DegenerateFormError
+from ekl.localg import InfiniteQuotientError, UnitIdealError
+from ekl.scalar import FactorBoundError
+from ekl.weyl import EnumerationBudgetError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(tmp_path, name, content):
@@ -75,6 +83,63 @@ def test_degree_exit_code_parse_error(tmp_path, capsys):
     path2 = write(tmp_path, "bad2.json", "not even json")
     code, _, err = run(capsys, "degree", path2)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (("degree",), '["x", "y"]'),
+        (("gw", "classify"), "[1, 2]"),
+        (("gw", "classify"), '[["1/0"]]'),
+    ],
+    ids=["map-top-level-list", "gram-rows-not-lists", "gram-zero-denominator"],
+)
+def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, content):
+    path = write(tmp_path, "in.json", content)
+    code, out, err = run(capsys, *command, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
+
+
+def readme_exit_codes() -> dict:
+    """Exception class name -> (exit code, stderr prefix), from the README's
+    exit-code table; the rows that name no class are keyed by their prefix."""
+    table = {}
+    rows = re.findall(r"^\| (\d+) \| (.*) \| `([a-z ]+):` \|$", README.read_text(), re.M)
+    for code, failure, prefix in rows:
+        for key in re.findall(r"`(\w+Error)`", failure) or [prefix]:
+            table[key] = (int(code), prefix)
+    return table
+
+
+@pytest.mark.parametrize(
+    "error, key",
+    [
+        (NotSupportedAtOriginError("fiber"), "NotSupportedAtOriginError"),
+        (InfiniteQuotientError("x"), "InfiniteQuotientError"),
+        (UnitIdealError("1 is in the ideal"), "UnitIdealError"),
+        (ZeroSocleError("vanished"), "ZeroSocleError"),
+        (DegenerateFormError("radical"), "DegenerateFormError"),
+        (FactorBoundError("cofactor 91"), "FactorBoundError"),
+        (EnumerationBudgetError("budget 4"), "EnumerationBudgetError"),
+        (ArithmeticError("J differs from dim * E"), "internal error"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_library_failure_exit_codes_match_readme(tmp_path, capsys, monkeypatch, error, key):
+    def fail(spec):
+        raise error
+
+    monkeypatch.setattr(ekl.cli, "ekl_degree", fail)
+    code, prefix = readme_exit_codes()[key]
+    path = write(tmp_path, "m.json", MAP_S2)
+    assert run(capsys, "degree", path) == (code, "", f"{prefix}: {error}\n")
+
+
+def test_readme_exit_code_table_names_every_failure_class():
+    documented = {key for key in readme_exit_codes() if key.endswith("Error")}
+    assert documented == {cls.__name__ for cls, _, _ in ekl.cli.FAILURES}
 
 
 def test_degree_exit_code_unknown_variable(tmp_path, capsys):
@@ -152,6 +217,16 @@ def test_quotient_emit_map_roundtrip(tmp_path, capsys):
     code2, out2, _ = run(capsys, "degree", out_path)
     assert code2 == 0
     assert out2.strip() == "2<1> + 1<-1>"
+
+
+def test_quotient_emit_map_unwritable(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "m.json")
+    code, out, err = run(
+        capsys, "quotient", "--type", "A", "--blocks", "2,1", "--emit-map", target
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "No such file or directory" in err
 
 
 def test_quotient_bad_parameters(capsys):

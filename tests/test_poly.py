@@ -9,7 +9,6 @@ from conftest import reference_poly_det
 from ekl.poly import (
     DEGREVLEX,
     LEX,
-    MonomialOrder,
     ParseError,
     Polynomial,
     elementary_symmetric,
@@ -152,11 +151,6 @@ def test_degrevlex_vs_lex():
     assert DEGREVLEX.sorted([y2, x2, xy]) == [y2, xy, x2]
     assert LEX.max([(1, 0), (0, 5)]) == (1, 0)
     assert DEGREVLEX.max([(1, 0), (0, 5)]) == (0, 5)
-
-
-def test_order_precedence_permutation():
-    rev = MonomialOrder("lex", precedence=(1, 0))
-    assert rev.max([(1, 0), (0, 1)]) == (0, 1)
 
 
 def test_order_compatible_with_multiplication():
