@@ -62,7 +62,6 @@ from .quotmap import (
     build_typeA_partial,
     build_typeBC_full,
     expected_gw,
-    verify_generators,
 )
 from .scalar import (
     GF,

@@ -92,8 +92,8 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _parse_field(text: str, prefix: str):
-    """The field named by ``--field``; ``prefix`` starts the message of a bad one."""
+def _parse_field(text: str):
+    """The field named by ``--field``."""
     try:
         if text == "q":
             return QQ
@@ -101,7 +101,7 @@ def _parse_field(text: str, prefix: str):
             return GF(int(text[3:]))
         raise ValueError(f"unknown field {text!r}; use 'q' or 'fp:<prime>'")
     except ValueError as exc:
-        raise _InputError(f"{prefix}: {exc}") from exc
+        raise _InputError(f"error: {exc}") from exc
 
 
 def _read_input(path: str, parse):
@@ -175,7 +175,7 @@ def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float) -> dict:
 # subcommands
 
 def cmd_degree(args) -> int:
-    field = _parse_field(args.field, "error")
+    field = _parse_field(args.field)
     spec = _read_input(args.mapfile, lambda text: MapSpec.from_json(text, field))
     started = time.perf_counter()
     result = ekl_degree(spec)
@@ -200,7 +200,7 @@ def cmd_degree(args) -> int:
 
 
 def _build_quotient_spec(args) -> QuotientSpec:
-    field = _parse_field(args.field, "error")
+    field = _parse_field(args.field)
     if args.type == "A":
         if not args.blocks:
             raise ValueError("--type A requires --blocks")
@@ -339,7 +339,7 @@ def cmd_weyl_info(args) -> int:
 
 
 def cmd_gw_classify(args) -> int:
-    field = _parse_field(args.field, "parse error")
+    field = _parse_field(args.field)
     gram = _read_input(args.gramfile, lambda text: GramForm.from_rows(json.loads(text), field))
     cls = classify(gram, field)
     print(f"diagonal: {render_diagonal(cls)}")

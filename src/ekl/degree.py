@@ -93,6 +93,11 @@ class MapSpec:
     @classmethod
     def from_json(cls, text: str, field=QQ) -> "MapSpec":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError('a map file is a JSON object with "variables" and "components"')
+        for key in ("variables", "components"):
+            if key not in data:
+                raise ValueError(f'map file has no "{key}" key')
         return cls.from_strings(data["variables"], data["components"], field)
 
     def to_json(self, comment: str | None = None) -> str:

@@ -55,10 +55,11 @@ class GramForm:
         from .scalar import QQ
 
         field = field if field is not None else QQ
+        # entries are read with Fraction() as over Q ("1/3", 0.5), then reduced mod p
         conv = (
             (lambda v: Fraction(v))
             if not isinstance(field, PrimeField)
-            else (lambda v: v if isinstance(v, PrimeFieldElement) else field.from_int(int(v)))
+            else (lambda v: v if isinstance(v, PrimeFieldElement) else field.from_str(v))
         )
         entries = tuple(tuple(conv(v) for v in row) for row in rows)
         return cls.from_field_entries(entries, field)

@@ -1,10 +1,12 @@
 """Constructors for reflection-group quotient maps in invariant coordinates.
 
-Each builder returns a QuotientSpec holding the ambient invariant
-generators of source and target, the square map expressing the target
-generators in the source coordinates, and the expected covering degree
-(the ratio of the generator-degree products, which equals the index of
-the source group in the target group).
+Each builder returns a QuotientSpec holding the square map expressing the
+target invariant generators in the source ones, and the degrees of both
+generator sets: component i of the map is weighted-homogeneous of degree
+``target_degrees[i]`` when the map's variables weigh ``source_degrees``.
+The expected covering degree is the ratio of the two degree products, the
+index of the source group in the target group.  Each builder's docstring
+names the generators in ambient coordinates; they are not built.
 
 Families:
   * symmetric-group partial quotients A^n / prod S_{n_i} -> A^n / S_n in
@@ -32,15 +34,18 @@ from .weyl import aP_formula_typeA
 
 @dataclass(frozen=True)
 class QuotientSpec:
-    """A quotient map with its invariant-generator bookkeeping."""
+    """A quotient map with the degrees of its source and target generators."""
 
     family: str  # A-partial | Sn-full | BC-full | D-full | D-odd-partial
     parameters: tuple[int, ...]
-    ambient_ring: tuple[str, ...]
-    source_generators: tuple[Polynomial, ...]
-    target_generators: tuple[Polynomial, ...]
     map: MapSpec
-    expected_degree: int
+    source_degrees: tuple[int, ...]
+    target_degrees: tuple[int, ...]
+
+    @property
+    def expected_degree(self) -> int:
+        """The covering degree: the index of the source group in the target."""
+        return math.prod(self.target_degrees) // math.prod(self.source_degrees)
 
     def describe(self) -> str:
         params = ",".join(str(v) for v in self.parameters)
@@ -51,18 +56,6 @@ def _ambient(n: int, field) -> tuple[tuple[str, ...], list[Polynomial]]:
     ring = tuple(f"x{i}" for i in range(1, n + 1))
     xs = [Polynomial.variable(v, ring, field) for v in ring]
     return ring, xs
-
-
-def _degree_ratio(target: Sequence[Polynomial], source: Sequence[Polynomial]) -> int:
-    num = 1
-    for g in target:
-        num *= g.total_degree()
-    den = 1
-    for g in source:
-        den *= g.total_degree()
-    if num % den:
-        raise ArithmeticError("generator degrees do not divide")
-    return num // den
 
 
 _BLOCK_LETTERS = "yzwuvt"
@@ -83,8 +76,10 @@ def build_typeA_partial(blocks: Sequence[int], field=QQ) -> QuotientSpec:
     """The map A^n / prod S_{n_i} -> A^n / S_n in elementary symmetric
     coordinates.
 
-    Source coordinate (i, j) is e_j of block i; the k-th target component
-    is the coefficient of t^k in the product over blocks of
+    The ambient coordinates x_1 .. x_n split into consecutive blocks of
+    sizes n_1, n_2, ...  Source coordinate (i, j) is e_j of block i, of
+    degree j; the k-th target component is e_k(x_1, ..., x_n), of degree k,
+    written as the coefficient of t^k in the product over blocks of
     (1 + y_{i,1} t + ... + y_{i,n_i} t^{n_i}).
     """
     blocks = tuple(int(b) for b in blocks)
@@ -111,37 +106,16 @@ def build_typeA_partial(blocks: Sequence[int], field=QQ) -> QuotientSpec:
             coeffs[k] = new[k]
         degree_so_far += b
 
-    components = tuple(coeffs[k] for k in range(1, n + 1))
-    spec_map = MapSpec(ring, components)
-
-    ambient_ring, _ = _ambient(n, field)
-    source_gens = []
-    offset = 0
-    for b in blocks:
-        block_ambient = [f"x{offset + j}" for j in range(1, b + 1)]
-        for j in range(1, b + 1):
-            source_gens.append(
-                elementary_symmetric(j, block_ambient, ambient_ring, field)
-            )
-        offset += b
-    target_gens = [
-        elementary_symmetric(k, ambient_ring, ambient_ring, field)
-        for k in range(1, n + 1)
-    ]
-
-    expected = math.factorial(n)
-    for b in blocks:
-        expected //= math.factorial(b)
     spec = QuotientSpec(
         "A-partial",
         blocks,
-        ambient_ring,
-        tuple(source_gens),
-        tuple(target_gens),
-        spec_map,
-        expected,
+        MapSpec(ring, tuple(coeffs[k] for k in range(1, n + 1))),
+        tuple(j for b in blocks for j in range(1, b + 1)),
+        tuple(range(1, n + 1)),
     )
-    assert _degree_ratio(spec.target_generators, spec.source_generators) == expected
+    assert spec.expected_degree == math.factorial(n) // math.prod(
+        math.factorial(b) for b in blocks
+    )
     return spec
 
 
@@ -149,18 +123,12 @@ def build_Sn_full(n: int, field=QQ) -> QuotientSpec:
     """The full quotient A^n -> A^n / S_n: components e_1, ..., e_n."""
     if n < 1:
         raise ValueError("n must be positive")
-    ring, xs = _ambient(n, field)
+    ring = tuple(f"x{i}" for i in range(1, n + 1))
     gens = tuple(
         elementary_symmetric(k, ring, ring, field) for k in range(1, n + 1)
     )
     return QuotientSpec(
-        "Sn-full",
-        (n,),
-        ring,
-        tuple(xs),
-        gens,
-        MapSpec(ring, gens),
-        math.factorial(n),
+        "Sn-full", (n,), MapSpec(ring, gens), (1,) * n, tuple(range(1, n + 1))
     )
 
 
@@ -175,13 +143,7 @@ def build_typeBC_full(n: int, field=QQ) -> QuotientSpec:
         for k in range(1, n + 1)
     )
     return QuotientSpec(
-        "BC-full",
-        (n,),
-        ring,
-        tuple(xs),
-        gens,
-        MapSpec(ring, gens),
-        _degree_ratio(gens, xs),
+        "BC-full", (n,), MapSpec(ring, gens), (1,) * n, tuple(range(2, 2 * n + 1, 2))
     )
 
 
@@ -199,15 +161,12 @@ def build_D_full(n: int, field=QQ) -> QuotientSpec:
     for x in xs[1:]:
         product = product * x
     gens.append(product)
-    gens = tuple(gens)
     return QuotientSpec(
         "D-full",
         (n,),
-        ring,
-        tuple(xs),
-        gens,
-        MapSpec(ring, gens),
-        _degree_ratio(gens, xs),
+        MapSpec(ring, tuple(gens)),
+        (1,) * n,
+        tuple(range(2, 2 * n - 1, 2)) + (n,),
     )
 
 
@@ -217,13 +176,15 @@ def build_D_odd_partial(m: int, field=QQ) -> QuotientSpec:
 
     Ambient variables x_1 .. x_{2m+1}.  Source coordinates:
     u0 = x_1, u_k = e_k(x_2^2, ..., x_{2m+1}^2) for k = 1 .. 2m-1, and
-    u_{2m} = x_2 ... x_{2m+1}.  Target components in those coordinates:
+    u_{2m} = x_2 ... x_{2m+1}, of degrees 1, 2, 4, ..., 4m-2 and 2m.  The
+    target generators are those of the full even-sign quotient of rank
+    2m+1, of degrees 2, 4, ..., 4m and 2m+1.  Target components in the
+    source coordinates:
     p_1 = u_1 + u0^2, p_k = u_k + u0^2 u_{k-1} for k = 2 .. 2m-1,
     p_{2m} = u_{2m}^2 + u0^2 u_{2m-1}, p_{2m+1} = u0 u_{2m}.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    big = 2 * m + 1
     ring = tuple(f"u{k}" for k in range(2 * m + 1))
     u = [Polynomial.variable(v, ring, field) for v in ring]
     u0sq = u[0] * u[0]
@@ -232,32 +193,13 @@ def build_D_odd_partial(m: int, field=QQ) -> QuotientSpec:
         comps.append(u[k] + u0sq * u[k - 1])
     comps.append(u[2 * m] * u[2 * m] + u0sq * u[2 * m - 1])
     comps.append(u[0] * u[2 * m])
-    spec_map = MapSpec(ring, tuple(comps))
-
-    ambient_ring, xs = _ambient(big, field)
-    tail = [f"x{i}" for i in range(2, big + 1)]
-    tail_squares = {name: xs[i] * xs[i] for i, name in enumerate(ambient_ring)}
-    source_gens = [xs[0]]
-    for k in range(1, 2 * m):
-        source_gens.append(
-            substitute(elementary_symmetric(k, tail, ambient_ring, field), tail_squares)
-        )
-    tail_product = xs[1]
-    for x in xs[2:]:
-        tail_product = tail_product * x
-    source_gens.append(tail_product)
-
-    target = build_D_full(big, field)
-    spec = QuotientSpec(
+    return QuotientSpec(
         "D-odd-partial",
         (m,),
-        ambient_ring,
-        tuple(source_gens),
-        target.target_generators,
-        spec_map,
-        _degree_ratio(target.target_generators, source_gens),
+        MapSpec(ring, tuple(comps)),
+        (1,) + tuple(range(2, 4 * m - 1, 2)) + (2 * m,),
+        tuple(range(2, 4 * m + 1, 2)) + (2 * m + 1,),
     )
-    return spec
 
 
 @dataclass(frozen=True)
@@ -291,14 +233,3 @@ def expected_gw(spec: QuotientSpec) -> ExpectedShape:
     if spec.family == "D-odd-partial":
         return ExpectedShape((deg - 2) // 2, (deg - 2) // 2, 2, deg)
     raise ValueError(f"unknown family {spec.family!r}")
-
-
-def verify_generators(spec: QuotientSpec) -> bool:
-    """Substituting the source-generator definitions into the map components
-    must reproduce the target generators in ambient coordinates."""
-    assignment = dict(zip(spec.map.ring, spec.source_generators))
-    for component, target in zip(spec.map.components, spec.target_generators):
-        image = substitute(component, assignment, ring=spec.ambient_ring)
-        if image != target:
-            return False
-    return True

@@ -102,6 +102,38 @@ def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, content)
     assert err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"components": ["x"]}', 'map file has no "variables" key'),
+        ('{"variables": ["x"]}', 'map file has no "components" key'),
+        ("3", 'a map file is a JSON object with "variables" and "components"'),
+    ],
+    ids=["no-variables", "no-components", "top-level-number"],
+)
+def test_map_file_shape_error_is_named(tmp_path, capsys, content, message):
+    path = write(tmp_path, "m.json", content)
+    code, out, err = run(capsys, "degree", path)
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("degree", "m.json"), ("quotient", "--type", "Sn", "--n", "2"), ("gw", "classify", "g.json")],
+    ids=["degree", "quotient", "gw-classify"],
+)
+def test_bad_field_has_one_prefix(tmp_path, capsys, command):
+    write(tmp_path, "m.json", MAP_S2)
+    write(tmp_path, "g.json", '[["1"]]')
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in command]
+    code, out, err = run(capsys, *argv, "--field", "zz")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown field 'zz'")
+
+
 def readme_exit_codes() -> dict:
     """Exception class name -> (exit code, stderr prefix), from the README's
     exit-code table; the rows that name no class are keyed by their prefix."""
@@ -374,6 +406,23 @@ def test_gw_classify_fractions(tmp_path, capsys):
     code, out, _ = run(capsys, "gw", "classify", path)
     assert code == 0
     assert "diagonal: ⟨3⟩" in out
+
+
+@pytest.mark.parametrize("entry, diagonal", [('"1/3"', "⟨5⟩"), ("0.5", "⟨4⟩")])
+def test_gw_classify_rational_entries_over_fp(tmp_path, capsys, entry, diagonal):
+    # entries are read as over Q, then reduced mod 7: 1/3 = 5 and 1/2 = 4
+    path = write(tmp_path, "g.json", f"[[{entry}]]")
+    code, out, _ = run(capsys, "gw", "classify", path, "--field", "fp:7")
+    assert code == 0
+    assert f"diagonal: {diagonal}" in out
+
+
+def test_gw_classify_denominator_divisible_by_p(tmp_path, capsys):
+    path = write(tmp_path, "g.json", '[["1/7"]]')
+    code, out, err = run(capsys, "gw", "classify", path, "--field", "fp:7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
 
 
 def test_named_form_classified_once(tmp_path, capsys, monkeypatch):

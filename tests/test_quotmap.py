@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import mul
+
 import pytest
 
 from conftest import reference_poly_det
@@ -19,9 +22,63 @@ from ekl.quotmap import (
     build_typeA_partial,
     build_typeBC_full,
     expected_gw,
-    verify_generators,
 )
 from ekl.scalar import QQ
+
+
+# ---------------------------------------------------------------------------
+# test oracle: the source and target invariant generators in ambient
+# coordinates, which the builders name in their docstrings but do not build
+
+def ambient_generators(spec):
+    """(ambient ring, source generators, target generators) of a quotient map
+    over Q, in x1, x2, ...; their total degrees must be the spec's degrees."""
+    n = len(spec.target_degrees)
+    ring = tuple(f"x{i}" for i in range(1, n + 1))
+    xs = [Polynomial.variable(v, ring, QQ) for v in ring]
+    squares = {name: x * x for name, x in zip(ring, xs)}
+    e = [elementary_symmetric(k, ring, ring, QQ) for k in range(1, n + 1)]
+    e_squares = [substitute(g, squares) for g in e]
+    even_sign = e_squares[:-1] + [reduce(mul, xs)]
+    target = {
+        "A-partial": e,
+        "Sn-full": e,
+        "BC-full": e_squares,
+        "D-full": even_sign,
+        "D-odd-partial": even_sign,
+    }[spec.family]
+    if spec.family == "A-partial":
+        source, offset = [], 0
+        for b in spec.parameters:
+            block = ring[offset : offset + b]
+            source += [elementary_symmetric(j, block, ring, QQ) for j in range(1, b + 1)]
+            offset += b
+    elif spec.family == "D-odd-partial":
+        tail = ring[1:]
+        source = (
+            [xs[0]]
+            + [
+                substitute(elementary_symmetric(k, tail, ring, QQ), squares)
+                for k in range(1, n - 1)
+            ]
+            + [reduce(mul, xs[1:])]
+        )
+    else:
+        source = xs
+    assert tuple(g.total_degree() for g in source) == spec.source_degrees
+    assert tuple(g.total_degree() for g in target) == spec.target_degrees
+    return ring, source, target
+
+
+def verify_generators(spec) -> bool:
+    """Substituting the source generators into the map components must
+    reproduce the target generators in ambient coordinates."""
+    ring, source, target = ambient_generators(spec)
+    assignment = dict(zip(spec.map.ring, source))
+    return len(spec.map.components) == len(target) and all(
+        substitute(component, assignment, ring=ring) == t
+        for component, t in zip(spec.map.components, target)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -74,11 +131,11 @@ def test_bc_full_examples():
 def test_bc_invariance_oracle():
     # components must be invariant under sign flips and coordinate swaps
     spec = build_typeBC_full(2)
-    ring = spec.ambient_ring
+    ring, source, _ = ambient_generators(spec)
     x1 = Polynomial.variable("x1", ring, QQ)
     x2 = Polynomial.variable("x2", ring, QQ)
     for comp in spec.map.components:
-        amb = substitute(comp, dict(zip(spec.map.ring, spec.source_generators)), ring=ring)
+        amb = substitute(comp, dict(zip(spec.map.ring, source)), ring=ring)
         flipped = substitute(amb, {"x1": -x1, "x2": x2})
         swapped = substitute(amb, {"x1": x2, "x2": x1})
         assert flipped == amb
@@ -142,18 +199,54 @@ def test_generator_substitution_identity(spec_builder):
 def test_d_odd_substitution_targets():
     # the composed generators are e_k of all squares plus the full product
     spec = build_D_odd_partial(2)
-    ring = spec.ambient_ring
+    ring, _, target = ambient_generators(spec)
     squares = {
         v: Polynomial.variable(v, ring, QQ) * Polynomial.variable(v, ring, QQ)
         for v in ring
     }
     for k in range(1, 5):
         expect = substitute(elementary_symmetric(k, ring, ring, QQ), squares)
-        assert spec.target_generators[k - 1] == expect
+        assert target[k - 1] == expect
     prod = Polynomial.constant(1, ring, QQ)
     for v in ring:
         prod = prod * Polynomial.variable(v, ring, QQ)
-    assert spec.target_generators[4] == prod
+    assert target[4] == prod
+
+
+# ---------------------------------------------------------------------------
+# generator degrees
+
+ALL_FAMILIES = [
+    lambda: build_typeA_partial([1, 1]),
+    lambda: build_typeA_partial([2, 2]),
+    lambda: build_typeA_partial([3, 2, 1]),
+    lambda: build_Sn_full(1),
+    lambda: build_Sn_full(4),
+    lambda: build_typeBC_full(1),
+    lambda: build_typeBC_full(3),
+    lambda: build_D_full(2),
+    lambda: build_D_full(4),
+    lambda: build_D_odd_partial(2),
+    lambda: build_D_odd_partial(3),
+    lambda: build_D_odd_partial(4),
+]
+
+
+@pytest.mark.parametrize("spec_builder", ALL_FAMILIES)
+def test_oracle_degrees_match_spec(spec_builder):
+    ambient_generators(spec_builder())  # asserts the degrees itself
+
+
+@pytest.mark.parametrize("spec_builder", ALL_FAMILIES)
+def test_components_weighted_homogeneous(spec_builder):
+    # component i has weighted degree target_degrees[i] in every term, with
+    # the source degrees as the weights of the map's variables
+    spec = spec_builder()
+    weights = spec.source_degrees
+    assert len(weights) == len(spec.map.ring)
+    assert len(spec.target_degrees) == len(spec.map.components)
+    for component, degree in zip(spec.map.components, spec.target_degrees):
+        assert {sum(w * e for w, e in zip(weights, mono)) for mono in component.terms} == {degree}
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +319,10 @@ def test_jacobian_factorization(blocks):
     # the map's Jacobian, pushed through the source generators, equals the
     # product of cross-block differences
     spec = build_typeA_partial(list(blocks))
+    ring, source, _ = ambient_generators(spec)
     jac_y = jacobian_det(spec.map.components, spec.map.ring, spec.map.ring)
-    pushed = substitute(
-        jac_y, dict(zip(spec.map.ring, spec.source_generators)), ring=spec.ambient_ring
-    )
-    assert pushed == cross_block_product(spec.ambient_ring, blocks)
+    pushed = substitute(jac_y, dict(zip(spec.map.ring, source)), ring=ring)
+    assert pushed == cross_block_product(ring, blocks)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -238,7 +330,7 @@ def test_full_jacobian_is_vandermonde(n):
     spec = build_Sn_full(n)
     jac = jacobian_det(spec.map.components, spec.map.ring, spec.map.ring)
     names = [f"x{i}" for i in range(1, n + 1)]
-    assert jac == vandermonde(spec.ambient_ring, names)
+    assert jac == vandermonde(ambient_generators(spec)[0], names)
 
 
 @pytest.mark.parametrize("blocks", [(1, 1), (2, 1), (2, 2), (3, 1), (2, 1, 1)])
@@ -248,11 +340,12 @@ def test_chain_rule_consistency(blocks):
     n = sum(blocks)
     full = build_Sn_full(n)
     partial = build_typeA_partial(list(blocks))
-    ring = full.ambient_ring
+    ring = ambient_generators(full)[0]
+    _, partial_source, _ = ambient_generators(partial)
     jac_full = jacobian_det(full.map.components, full.map.ring, ring)
     jac_partial = substitute(
         jacobian_det(partial.map.components, partial.map.ring, partial.map.ring),
-        dict(zip(partial.map.ring, partial.source_generators)),
+        dict(zip(partial.map.ring, partial_source)),
         ring=ring,
     )
     product = jac_partial
