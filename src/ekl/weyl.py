@@ -3,9 +3,10 @@
 A root system is built from its Cartan matrix; roots live in the
 simple-root basis as integer vectors, and group elements are stored as
 permutations of the full signed root list (packed into ``bytes``, so
-composition is a C-speed translate and elements hash cheaply).  Length is
-the number of positive roots sent negative.  Minimal coset representatives
-and parabolic membership follow the standard descent characterizations.
+composition is a C-speed translate).  Length is the number of positive
+roots sent negative.  Minimal coset representatives of W_P come from a tree
+walk of the orbit of a weight lambda with stabilizer W_P, and a_P from
+reading w0 = -iota off each weight in that orbit.
 
 Node numbering follows the usual diagram conventions: D_n has its fork at
 nodes 1 and 2, both attached to node 3, with the chain running 3 .. n; the
@@ -328,51 +329,46 @@ def longest_element(rs: RootSystem) -> WeylElement:
 
 def is_central_longest(rs: RootSystem) -> bool:
     """True iff the longest word acts as -1 on the root space, i.e. is central."""
-    w0 = longest_element(rs)
     npos = rs.npos
-    size = 2 * npos
-    return all(w0.perm[i] == (i + npos) % size for i in range(size))
+    return longest_element(rs).perm == bytes(range(npos, 2 * npos)) + bytes(range(npos))
 
 
 def min_coset_reps(
     rs: RootSystem, p: ParabolicSpec, budget: int | None = None
 ) -> list[WeylElement]:
-    """All minimal-length representatives of the left cosets w W_P.
+    """Minimal representatives of the left cosets w W_P, by (length, perm).
 
-    w is minimal in its coset iff w(alpha_j) > 0 for every kept node j; the
-    set of minimal representatives is closed downward under the left weak
-    order, so a breadth-first search from the identity finds them all.
+    W_P fixes lambda = sum of omega_i over the removed nodes, so the cosets
+    match the orbit W.lambda, walked as a tree in omega-coordinates: s_i.mu
+    is a child of mu iff mu_i > 0 and i is the first negative coordinate of
+    s_i.mu.  Each weight but lambda has one parent, so no hash set is needed;
+    the representative of s_i.mu is s_i times that of mu, its length the
+    depth.  The budget caps the coset count |W| / |W_P|, checked up front.
     """
     p.validate(rs)
     cap = enum_budget(budget)
-    npos = rs.npos
-    kept_positions = [rs.simple_positions[j - 1] for j in sorted(p.kept_nodes)]
-
-    def is_min_rep(perm: bytes) -> bool:
-        return all(perm[pos] < npos for pos in kept_positions)
-
-    identity = rs.identity_perm()
-    reps: dict[bytes, int] = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        new: list[bytes] = []
-        for perm in frontier:
-            length = reps[perm]
-            for i in range(rs.rank):
-                cand = _compose(rs.gens[i], perm)
-                if rs.length_of(cand) != length + 1:
-                    continue
-                if cand in reps or not is_min_rep(cand):
-                    continue
-                if len(reps) >= cap:
-                    raise EnumerationBudgetError(
-                        f"coset enumeration exceeded the budget of {cap} elements"
-                    )
-                reps[cand] = length + 1
-                new.append(cand)
-        frontier = new
-    ordered = sorted(reps, key=lambda b: (reps[b], b))
-    return [WeylElement(rs, b) for b in ordered]
+    if rs.order // parabolic_order_formula(rs, p) > cap:
+        raise EnumerationBudgetError(f"coset enumeration exceeded the budget of {cap} elements")
+    n, c = rs.rank, rs.cartan
+    # (s_i mu)_j = mu_j - mu_i C[j][i], which moves only i and its neighbours
+    moves = [[(j, -c[j][i]) for j in range(n) if j != i and c[j][i]] for i in range(n)]
+    tables = [g + _PAD[len(g):] for g in rs.gens]  # _compose's padding, done once
+    level = [([0 if i in p.kept_nodes else 1 for i in rs.nodes], rs.identity_perm())]
+    reps: list[WeylElement] = []
+    while level:
+        reps.extend(WeylElement(rs, perm) for perm in sorted(q for _, q in level))
+        children = []
+        for mu, perm in level:
+            for i, m in enumerate(mu):
+                if m > 0:
+                    nu = mu.copy()
+                    nu[i] = -m
+                    for j, a in moves[i]:
+                        nu[j] += a * m
+                    if min(nu[:i], default=0) >= 0:
+                        children.append((nu, perm.translate(tables[i])))
+        level = children
+    return reps
 
 
 def in_parabolic(w: WeylElement, p: ParabolicSpec) -> bool:
@@ -422,8 +418,6 @@ def parabolic_subgroup_order(rs: RootSystem, p: ParabolicSpec, budget: int | Non
     """|W_P| by explicit closure of the kept simple reflections."""
     p.validate(rs)
     gens = [rs.simple_reflection(j) for j in sorted(p.kept_nodes)]
-    if not gens:
-        return 1
     return len(mulclose(rs, gens, budget))
 
 
@@ -439,6 +433,8 @@ def compute_aP(
     support is the full diagram, so the count is 0 for any proper
     parabolic; "auto" uses that shortcut when available and enumerates
     minimal coset representatives otherwise; "enumerate" always enumerates.
+    A representative w counts iff w0 = -iota fixes mu = w.lambda (lambda as in
+    ``min_coset_reps``): mu_k = -mu_iota(k), mu_k = <lambda, (w^-1 alpha_k)^vee>.
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -448,12 +444,34 @@ def compute_aP(
     if method == "auto" and is_central_longest(rs):
         return 0
     w0 = longest_element(rs)
-    reps = min_coset_reps(rs, p, budget)
+    pairing = _coroot_pairings(rs.type_label, rs.rank, p.kept_nodes)
+    # w0(alpha_k) = -alpha_iota(k): pair the positions of alpha_k and alpha_iota(k)
+    pairs = [(pos, w0.perm[pos] - rs.npos) for pos in rs.simple_positions]
 
-    def self_dual(rep: WeylElement) -> bool:
-        return in_parabolic(rep.inverse() * w0 * rep, p)
+    def self_dual(perm: bytes) -> bool:
+        return all(pairing[perm.index(a)] == -pairing[perm.index(b)] for a, b in pairs)
 
-    return sum(self_dual(rep) for rep in reps)
+    return sum(self_dual(rep.perm) for rep in min_coset_reps(rs, p, budget))
+
+
+@lru_cache(maxsize=None)
+def _coroot_pairings(type_label: str, rank: int, kept: frozenset[int]) -> tuple[int, ...]:
+    """<lambda, beta^vee> = 2 (lambda, beta) / |beta|^2 for every root beta,
+    in ``roots`` order; lambda = sum of omega_i over the nodes i not kept,
+    and (omega_i, alpha_j) = delta_ij |alpha_j|^2 / 2."""
+    rs = build_root_system(type_label, rank)
+    scale = math.lcm(*(x.denominator for x in rs.norms))
+    d = [int(x * scale) for x in rs.norms]  # |alpha_i|^2, scaled to integers
+    # 2 (alpha_i, alpha_j) = d_i C[i][j]; 2 (lambda, alpha_i) = d_i off the kept nodes
+    form = [[x * c for c in row] for x, row in zip(d, rs.cartan)]
+    lam = [0 if i in kept else x for i, x in zip(rs.nodes, d)]
+    pairings = []
+    for root in rs.roots:
+        norm2 = sum(c * sum(a * b for a, b in zip(row, root)) for c, row in zip(root, form))
+        pairings.append(Fraction(2 * sum(c * x for c, x in zip(root, lam)), norm2))
+    if any(v.denominator != 1 for v in pairings):
+        raise AssertionError("coroot pairing is not an integer")
+    return tuple(int(v) for v in pairings)
 
 
 def aP_formula_typeA(blocks: Sequence[int]) -> int:

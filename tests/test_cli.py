@@ -323,6 +323,22 @@ def test_weyl_ap_budget_exceeded(capsys, monkeypatch):
     assert err.startswith("budget exceeded: ")
 
 
+def test_weyl_ap_budget_end_to_end():
+    # A5 keep {1} has 360 cosets, one more than the budget
+    src = os.path.dirname(os.path.dirname(ekl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ekl.cli", "weyl", "ap", "--type", "A5", "--keep", "1",
+         "--method", "enumerate"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src, EKL_ENUM_BUDGET="359"),
+        timeout=60,
+    )
+    assert proc.returncode == 6
+    assert proc.stdout.endswith("cosets: 360\n")
+    assert proc.stderr == "budget exceeded: coset enumeration exceeded the budget of 359 elements\n"
+
+
 def test_weyl_ap_method_shortcut_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["weyl", "ap", "--type", "F4", "--remove", "1", "--method", "shortcut"])
@@ -413,6 +429,15 @@ def test_gw_classify_rational_entries_over_fp(tmp_path, capsys, entry, diagonal)
     # entries are read as over Q, then reduced mod 7: 1/3 = 5 and 1/2 = 4
     path = write(tmp_path, "g.json", f"[[{entry}]]")
     code, out, _ = run(capsys, "gw", "classify", path, "--field", "fp:7")
+    assert code == 0
+    assert f"diagonal: {diagonal}" in out
+
+
+@pytest.mark.parametrize("field, diagonal", [("q", "⟨10⟩"), ("fp:7", "⟨5⟩")])
+def test_gw_classify_float_entry_is_its_decimal(tmp_path, capsys, field, diagonal):
+    # 0.1 is read as 1/10, not as its binary value 3602879701896397/2^55
+    path = write(tmp_path, "g.json", "[[0.1]]")
+    code, out, _ = run(capsys, "gw", "classify", path, "--field", field)
     assert code == 0
     assert f"diagonal: {diagonal}" in out
 

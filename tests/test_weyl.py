@@ -3,6 +3,9 @@ import pytest
 from ekl.weyl import (
     EnumerationBudgetError,
     ParabolicSpec,
+    WeylElement,
+    _compose,
+    _coroot_pairings,
     aP_formula_typeA,
     build_root_system,
     cartan_matrix,
@@ -19,6 +22,36 @@ from ekl.weyl import (
     typeA_parabolic_for_blocks,
     weyl_order,
 )
+
+
+def reference_min_coset_reps(rs, p):
+    """Breadth-first search from the identity over the left weak order: w is
+    minimal in w W_P iff w(alpha_j) > 0 for every kept node j, and the
+    minimal representatives are closed downward, so each is s_i times a
+    shorter one."""
+    npos = rs.npos
+    kept_positions = [rs.simple_positions[j - 1] for j in p.kept_nodes]
+    identity = rs.identity_perm()
+    reps = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for perm in frontier:
+            for gen in rs.gens:
+                cand = _compose(gen, perm)
+                if rs.length_of(cand) != reps[perm] + 1 or cand in reps:
+                    continue
+                if all(cand[pos] < npos for pos in kept_positions):
+                    reps[cand] = reps[perm] + 1
+                    new.append(cand)
+        frontier = new
+    return [WeylElement(rs, b) for b in sorted(reps, key=lambda b: (reps[b], b))]
+
+
+def reference_aP(rs, p):
+    """#{w W_P : w^-1 w0 w in W_P} by the descent test of ``in_parabolic``."""
+    w0 = longest_element(rs)
+    return sum(in_parabolic(rep.inverse() * w0 * rep, p) for rep in reference_min_coset_reps(rs, p))
 
 
 def compositions(n):
@@ -135,7 +168,6 @@ def test_min_reps_are_minimal_and_cover():
     p = ParabolicSpec.keep([1, 3])
     reps = min_coset_reps(a3, p)
     sub = mulclose(a3, [a3.simple_reflection(1), a3.simple_reflection(3)])
-    from ekl.weyl import WeylElement, _compose
 
     cosets = set()
     for rep in reps:
@@ -145,6 +177,70 @@ def test_min_reps_are_minimal_and_cover():
         cosets.add(coset)
     assert len(cosets) == 6
     assert sum(len(c) for c in cosets) == 24
+
+
+# (type, rank, kept nodes, a_P): non-simply-laced B, C, F4 and G2, where
+# coroot pairings differ from root coefficients; A, D odd and E6, where iota
+# is not the identity; E7; empty parabolics; a_P of 2, 3, 6 and 24
+ORACLE_CASES = [
+    ("A", 3, (), 0),
+    ("A", 4, (1, 3), 2),
+    ("A", 5, (1, 3, 5), 6),
+    ("A", 5, (1, 2, 4, 5), 0),
+    ("A", 7, (1, 3, 5, 7), 24),
+    ("B", 3, (), 0),
+    ("B", 3, (1,), 0),
+    ("B", 4, (2, 3, 4), 0),
+    ("C", 3, (2,), 0),
+    ("C", 4, (1, 4), 0),
+    ("F", 4, (), 0),
+    ("F", 4, (1, 2, 3), 0),
+    ("F", 4, (2, 3), 0),
+    ("G", 2, (), 0),
+    ("G", 2, (1,), 0),
+    ("G", 2, (2,), 0),
+    ("D", 4, (1,), 0),
+    ("D", 5, (1, 2, 3, 4), 2),
+    ("D", 5, (3, 4, 5), 0),
+    ("D", 7, (1, 2, 3, 4, 5, 6), 2),
+    ("E", 6, (2, 3, 4, 5, 6), 3),
+    ("E", 6, (2, 3, 4, 5), 6),
+    ("E", 6, (1, 3, 5, 6), 0),
+    ("E", 7, (1, 2, 3, 4, 5, 6), 0),
+    ("E", 7, (2, 3, 4, 5, 6, 7), 0),
+]
+
+
+@pytest.mark.parametrize("label, rank, kept, aP", ORACLE_CASES)
+def test_orbit_walk_matches_reference(label, rank, kept, aP):
+    rs = build_root_system(label, rank)
+    p = ParabolicSpec.keep(kept)
+    reps = min_coset_reps(rs, p)
+    assert [r.perm for r in reps] == [r.perm for r in reference_min_coset_reps(rs, p)]
+    assert compute_aP(rs, p, method="enumerate") == reference_aP(rs, p) == aP
+
+
+def walked_weight(rs, perm, kept):
+    """w.lambda in omega-coordinates, applying the simple reflections of a
+    reduced word of w to lambda one at a time: (s_k mu)_j = mu_j - mu_k C[j][k]."""
+    mu = [0 if node in kept else 1 for node in rs.nodes]
+    while perm != rs.identity_perm():
+        # a right descent k (w(alpha_k) < 0) gives w = (w s_k) s_k
+        k = next(k for k, pos in enumerate(rs.simple_positions) if perm[pos] >= rs.npos)
+        mu = [m - mu[k] * rs.cartan[j][k] for j, m in enumerate(mu)]
+        perm = _compose(perm, rs.gens[k])
+    return mu
+
+
+@pytest.mark.parametrize("label, rank, kept, aP", ORACLE_CASES)
+def test_coroot_pairings_give_the_orbit_weight(label, rank, kept, aP):
+    # mu_k = <w.lambda, alpha_k^vee> = <lambda, (w^-1 alpha_k)^vee>, which in
+    # B, C, F4 and G2 differs from the root coefficients of w^-1 alpha_k
+    rs = build_root_system(label, rank)
+    pairing = _coroot_pairings(label, rank, frozenset(kept))
+    for rep in min_coset_reps(rs, ParabolicSpec.keep(kept)):
+        mu = [pairing[rep.perm.index(pos)] for pos in rs.simple_positions]
+        assert mu == walked_weight(rs, rep.perm, kept)
 
 
 def test_order_product_invariant():
@@ -172,8 +268,6 @@ def test_in_parabolic_exhaustive_a3():
     a3 = build_root_system("A", 3)
     p = ParabolicSpec.keep([1, 2])
     members = {w for w in mulclose(a3, [a3.simple_reflection(1), a3.simple_reflection(2)])}
-    from ekl.weyl import WeylElement
-
     whole = mulclose(a3, [a3.simple_reflection(i) for i in a3.nodes])
     for perm in whole:
         w = WeylElement(a3, perm)
@@ -259,8 +353,6 @@ def test_formula_vs_enumeration_small_n():
 def test_aP_equals_whole_group_count_over_subgroup_order():
     # counting over minimal representatives must match the whole-group
     # count #{w : w^-1 w0 w in W_P} divided by |W_P|
-    from ekl.weyl import WeylElement
-
     cases = [("A", 3, [1, 3], 4), ("D", 5, [1, 2, 3, 4], 192)]
     for label, rank, kept, sub_order in cases:
         rs = build_root_system(label, rank)
@@ -301,6 +393,16 @@ def test_budget_enforced():
         min_coset_reps(a3, ParabolicSpec.keep([]), budget=5)
     with pytest.raises(EnumerationBudgetError):
         mulclose(a3, [a3.simple_reflection(i) for i in a3.nodes], budget=5)
+
+
+@pytest.mark.parametrize("label, rank, kept", [("A", 5, (1,)), ("E", 6, (2, 3, 4, 5, 6))])
+def test_budget_boundary_is_the_coset_count(label, rank, kept):
+    rs = build_root_system(label, rank)
+    p = ParabolicSpec.keep(kept)
+    cosets = rs.order // parabolic_order_formula(rs, p)
+    with pytest.raises(EnumerationBudgetError, match=f"budget of {cosets - 1} elements"):
+        compute_aP(rs, p, method="enumerate", budget=cosets - 1)
+    assert compute_aP(rs, p, method="enumerate", budget=cosets) == reference_aP(rs, p)
 
 
 def test_budget_env_override(monkeypatch):
