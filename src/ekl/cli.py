@@ -28,6 +28,7 @@ from .degree import (
     NotSupportedAtOriginError,
     ZeroSocleError,
     ekl_degree,
+    strip_solved,
 )
 from .gw import (
     DegenerateFormError,
@@ -35,10 +36,12 @@ from .gw import (
     GWClass,
     classify,
     gw_equal,
+    gw_mul,
     recognize_units,
     render_class,
     render_diagonal,
     render_units,
+    unit_class,
     units_class,
 )
 from .localg import InfiniteQuotientError, UnitIdealError
@@ -120,6 +123,21 @@ def _units_shape(c: GWClass):
     return None if isinstance(c.field, PrimeField) else recognize_units(c)
 
 
+def _stripped_class(f: MapSpec) -> tuple[int, GWClass]:
+    """dim Q and the class of f, as deg f = <u> * deg g for (g, u) =
+    ``strip_solved(f)``.  f itself gives them when nothing is stripped or g
+    raises a library failure, so that the message names f's variables."""
+    g, u = strip_solved(f)
+    if g is not f:
+        try:
+            result = ekl_degree(g)
+            return result.dimension, gw_mul(unit_class(u, g.field), result.gw_class)
+        except tuple(cls for cls, _, _ in FAILURES):
+            pass
+    result = ekl_degree(f)
+    return result.dimension, result.gw_class
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -177,10 +195,14 @@ def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float) -> dict:
 def cmd_degree(args) -> int:
     field = _parse_field(args.field)
     spec = _read_input(args.mapfile, lambda text: MapSpec.from_json(text, field))
-    started = time.perf_counter()
-    result = ekl_degree(spec)
-    elapsed = time.perf_counter() - started
-    cls = result.gw_class
+    if args.format == "invariants":
+        # only the class is printed, so the map may lose its solved coordinates
+        cls = _stripped_class(spec)[1]
+    else:
+        started = time.perf_counter()
+        result = ekl_degree(spec)
+        elapsed = time.perf_counter() - started
+        cls = result.gw_class
     if args.format == "json":
         print(json.dumps(_degree_report(spec, result, elapsed), indent=2))
     elif args.format == "named":
@@ -242,15 +264,23 @@ def cmd_quotient(args) -> int:
             raise _InputError(f"error: {exc}") from exc
         print(f"wrote {args.emit_map}", file=sys.stderr)
     started = time.perf_counter()
-    result = ekl_degree(spec.map)
+    computed = None
+    # over F_p the pivot residues are printed, and --emit-map writes the full map
+    if not (args.emit_map or isinstance(spec.map.field, PrimeField)):
+        dimension, computed = _stripped_class(spec.map)
+        units = _units_shape(computed)
+        if computed.rank > 1 and not (units and (units.ones or units.minus_ones)):
+            computed = None  # the diagonal is printed, and only the full map gives it
+    if computed is None:
+        result = ekl_degree(spec.map)
+        dimension, computed = result.dimension, result.gw_class
+        units = _units_shape(computed)
     elapsed = time.perf_counter() - started
 
     shape = expected_gw(spec)
-    computed = result.gw_class
     print(f"family: {spec.describe()}")
     print(f"expected degree: {spec.expected_degree}")
-    print(f"quotient dimension: {result.dimension}")
-    units = _units_shape(computed)
+    print(f"quotient dimension: {dimension}")
     verdict = "MISMATCH"
     alpha_note = ""
     if isinstance(computed.field, PrimeField):

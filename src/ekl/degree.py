@@ -17,7 +17,9 @@ and polynomial entries act on them through the M_k.  The Gram row for a
 standard monomial b is the functional r_b = phi(b * -): r_1 = phi, and
 r_{x_k m} = r_m M_k, so every row is one vector-matrix product away from
 the row of a divisor of b.  The same matrices give the origin test (every
-x_k is nilpotent).
+x_k is nilpotent).  Callers that need only the class and dim Q may first
+``strip_solved`` components c*x_k + h: the change y_k = c*x_k + h, of
+Jacobian c, leaves the map on y_k = 0 up to the unit <(-1)^(i+k) c>.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .poly import (
     DEGREVLEX,
     MonomialOrder,
     Polynomial,
+    mono_mul,
     parse_poly,
     partial_derivative,
     substitute,
@@ -69,6 +72,9 @@ class MapSpec:
     def __post_init__(self) -> None:
         if not self.ring:
             raise ValueError("a map spec needs at least one variable")
+        for i, name in enumerate(self.ring):
+            if name in self.ring[:i]:
+                raise ValueError(f"variable {name!r} is repeated")
         if len(self.components) != len(self.ring):
             raise ValueError("a map spec needs one component per variable")
         for f in self.components:
@@ -172,6 +178,51 @@ def compose_maps(f: MapSpec, g: MapSpec) -> MapSpec:
     assignment = {name: g.components[i] for i, name in enumerate(f.ring)}
     comps = tuple(substitute(c, assignment, ring=g.ring) for c in f.components)
     return MapSpec(g.ring, comps)
+
+
+def strip_solved(f: MapSpec) -> tuple[MapSpec, object]:
+    """A map g on fewer variables and a unit u with deg f = <u> * deg g.
+
+    While f_i = c*x_k + h for a constant c != 0, x_k not in h, and more than
+    one variable is left: substitute x_k = -h/c into the other components,
+    drop f_i and x_k, and multiply u by (-1)^(i+k) * c.  The pair whose f_i
+    has the fewest terms goes first (ties by i, then k), as substitution
+    densifies.  f comes back as is, with u = 1, if a component would vanish.
+    """
+    g, u, zero = f, f.field.one, f.field.zero
+    while len(g.ring) > 1:
+        n = len(g.ring)
+        pairs = [
+            (len(p.terms), i, k, p.terms[e])
+            for i, p in enumerate(g.components)
+            for k, e in enumerate(tuple(int(j == k) for j in range(n)) for k in range(n))
+            if e in p.terms and sum(1 for m in p.terms if m[k]) == 1
+        ]
+        if not pairs:
+            break
+        _, i, k, c = min(pairs)
+        ring = g.ring[:k] + g.ring[k + 1 :]
+        root = {m[:k] + m[k + 1 :]: -a / c for m, a in g.components[i].terms.items() if not m[k]}
+        powers = [None, Polynomial(ring, f.field, root)]  # powers[e] = (-h/c)^e
+        comps = []
+        for p in g.components[:i] + g.components[i + 1 :]:
+            terms: dict = {}
+            for m, a in p.terms.items():
+                rest = m[:k] + m[k + 1 :]
+                if not m[k]:  # free of x_k: copied
+                    terms[rest] = terms.get(rest, zero) + a
+                    continue
+                while len(powers) <= m[k]:
+                    powers.append(powers[-1] * powers[1])
+                for pm, pa in powers[m[k]].terms.items():
+                    key = mono_mul(rest, pm)
+                    terms[key] = terms.get(key, zero) + a * pa
+            comps.append(Polynomial(ring, f.field, terms))
+        if any(p.is_zero() for p in comps):
+            return f, f.field.one
+        u *= c if (i + k) % 2 == 0 else -c
+        g = MapSpec(ring, tuple(comps))
+    return g, u
 
 
 def prepare_quotient(

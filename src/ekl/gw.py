@@ -297,20 +297,24 @@ def gw_equal(c1: GWClass, c2: GWClass) -> bool:
 def gw_add(c1: GWClass, c2: GWClass) -> GWClass:
     if c1.field != c2.field:
         raise ValueError("GW classes over different fields")
-    return classify_diagonal(_diag_values(c1) + _diag_values(c2), c1.field)
+    return _diagonal_class(c1.diagonal + c2.diagonal, c1.field)
 
 
 def gw_mul(c1: GWClass, c2: GWClass) -> GWClass:
+    """The product class, from the pairwise products of the diagonal square
+    classes (no entry is factored again); c2 itself when c1 = <square>."""
     if c1.field != c2.field:
         raise ValueError("GW classes over different fields")
-    values = [x * y for x in _diag_values(c1) for y in _diag_values(c2)]
-    return classify_diagonal(values, c1.field)
+    if c1.rank == 1 and (c1.disc_legendre or c1.discriminant.rep) == 1:
+        return c2
+    return _diagonal_class([x * y for x in c1.diagonal for y in c2.diagonal], c1.field)
 
 
-def _diag_values(c: GWClass) -> list:
-    if isinstance(c.field, PrimeField):
-        return [c.field.from_int(r) for r in c.diagonal]
-    return [Fraction(sq.rep) for sq in c.diagonal]
+def _diagonal_class(entries, field) -> GWClass:
+    """The class of a diagonal of residues over F_p or square classes over Q."""
+    if isinstance(field, PrimeField):
+        return classify_diagonal(entries, field)
+    return _rational_class(list(entries), field)
 
 
 def unit_class(u, field) -> GWClass:

@@ -108,8 +108,9 @@ def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, content)
         ('{"components": ["x"]}', 'map file has no "variables" key'),
         ('{"variables": ["x"]}', 'map file has no "components" key'),
         ("3", 'a map file is a JSON object with "variables" and "components"'),
+        ('{"variables": ["x", "x"], "components": ["x", "x"]}', "variable 'x' is repeated"),
     ],
-    ids=["no-variables", "no-components", "top-level-number"],
+    ids=["no-variables", "no-components", "top-level-number", "repeated-variable"],
 )
 def test_map_file_shape_error_is_named(tmp_path, capsys, content, message):
     path = write(tmp_path, "m.json", content)
@@ -167,6 +168,36 @@ def test_library_failure_exit_codes_match_readme(tmp_path, capsys, monkeypatch, 
     code, prefix = readme_exit_codes()[key]
     path = write(tmp_path, "m.json", MAP_S2)
     assert run(capsys, "degree", path) == (code, "", f"{prefix}: {error}\n")
+
+
+# Each README example next to what its comment promises it prints.
+README_EXAMPLES = (
+    ("ekl degree s2.json", "1<1> + 1<-1>"),
+    ("ekl degree s2.json --format json", '"named_form": "1<1> + 1<-1>"'),
+    ("ekl quotient --type A --blocks 2,2", "computed: 4<1> + 2<-1>"),
+    ("ekl quotient --type A --blocks 2,2", "verdict: MATCH"),
+    ("ekl quotient --type D --rank 5 --parabolic D4", "quotient dimension: 10"),
+    ("ekl quotient --type D --rank 5 --parabolic D4", "alpha = "),
+    ("ekl weyl ap --type E6 --remove 1", "a_P: 3"),
+    ("ekl weyl ap --type E6 --remove 1,6", "a_P: 6"),
+    ("ekl weyl ap --type F4 --remove 1", "a_P: 0"),
+    ("ekl weyl ap --type F4 --remove 1", "shortcut: central longest word"),
+    ("ekl gw classify gram.json", "named form: 1<1> + 1<-1>"),
+)
+
+
+@pytest.mark.parametrize("command, promised", README_EXAMPLES)
+def test_readme_example_prints_what_its_comment_promises(
+    tmp_path, capsys, monkeypatch, command, promised
+):
+    text = README.read_text()
+    assert re.search(rf"^{re.escape(command)} +#", text, re.M), command
+    for name, content in re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", text, re.M | re.S):
+        write(tmp_path, name, content)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *command.split()[1:])
+    assert (code, err) == (0, "")
+    assert promised in out
 
 
 def test_readme_exit_code_table_names_every_failure_class():

@@ -1,0 +1,222 @@
+"""Stripping solved coordinates (``degree.strip_solved``) and the CLI paths
+that print only the class and the dimension.
+
+The oracle is always the full pipeline on the unreduced map: the reduction
+deg f = <u> * deg g must give an equal class and dimension, and every
+command that uses it must print what the full path prints.
+"""
+
+import importlib.util
+import json
+import random
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import ekl.cli
+from ekl.cli import main
+from ekl.degree import MapSpec, ekl_degree, strip_solved
+from ekl.gw import gw_equal, gw_mul, unit_class
+from ekl.quotmap import QuotientSpec, build_D_odd_partial, build_Sn_full, build_typeBC_full
+from ekl.scalar import GF, QQ, SquareClass, legendre
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+P = 32003
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, registered so that its dataclasses resolve."""
+    if "perfbench_workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["perfbench_workloads"]
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def untimed(text: str) -> str:
+    return re.sub(r"timing_seconds: [0-9.]+\n", "", text)
+
+
+def unreduced(f):
+    """``strip_solved`` that strips nothing: the CLI then runs the full map."""
+    return f, f.field.one
+
+
+# ---------------------------------------------------------------------------
+# the reduction against the full pipeline
+
+
+def planted_map(rng: random.Random) -> tuple[list[str], list[str], list[tuple[int, int, int]]]:
+    """Variables, components and planted (component, variable, c) triples.
+
+    The core (g1, g2) = (a y1^p + b y1 y2, d y2^q) in y1, y2 vanishes only at
+    the origin.  Each planted component c*t + h has h free of t, with cross
+    terms but no linear term, and a multiple r * (c*t + h) is added to a
+    core component, so t also occurs in powers and products there.  The
+    ideal is (g1, g2, planted), so the quotient stays finite at the origin.
+    """
+    ts = [f"t{j}" for j in range(1, rng.randint(1, 2) + 1)]
+    planted = []
+    for j, t in enumerate(ts):
+        pool = ["y1*y2", "y1^2", "y2^2", "y1^2*y2"] + [f"{s}^2" for s in ts[:j]] + [
+            f"y1*{s}" for s in ts[:j]
+        ]
+        terms = rng.sample(pool, rng.randint(1, 3))
+        h = " + ".join(f"{rng.choice((1, -1, 2, -3))}*{m}" for m in terms)
+        planted.append((t, rng.choice((1, -1, 3, -2)), h))
+    core = [
+        f"{rng.choice((1, 2, -3))}*y1^{rng.randint(2, 3)} + {rng.choice((1, -2))}*y1*y2",
+        f"{rng.choice((1, -1, 5))}*y2^{rng.randint(1, 3)}",
+    ]
+    for k in range(2):
+        t, c, h = rng.choice(planted)
+        r = rng.choice(("1", t, "y1", f"{t}*y2", "-2", f"y1 + {t}^2"))
+        core[k] = f"{core[k]} + ({r})*({c}*{t} + {h})"
+    variables = ["y1", "y2"] + ts
+    rng.shuffle(variables)
+    components = core + [f"{c}*{t} + {h}" for t, c, h in planted]
+    order = list(range(len(components)))
+    rng.shuffle(order)
+    components = [components[i] for i in order]
+    triples = [
+        (order.index(2 + j), variables.index(t), c) for j, (t, c, _) in enumerate(planted)
+    ]
+    return variables, components, triples
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["q", f"fp{P}"])
+def test_strip_matches_full_pipeline_on_planted_maps(field):
+    rng = random.Random(20261018)
+    parities, coefficients, units = set(), set(), []
+    for _ in range(24):
+        variables, components, triples = planted_map(rng)
+        f = MapSpec.from_strings(variables, components, field)
+        g, u = strip_solved(f)
+        assert len(g.ring) < len(f.ring)
+        full, reduced = ekl_degree(f), ekl_degree(g)
+        assert reduced.dimension == full.dimension
+        assert gw_equal(gw_mul(unit_class(u, field), reduced.gw_class), full.gw_class)
+        parities.update((i + k) % 2 for i, k, _ in triples)
+        coefficients.update(c for _, _, c in triples)
+        units.append(u)
+    assert parities == {0, 1}
+    assert coefficients == {1, -1, 3, -2}
+    if field == QQ:
+        classes = {SquareClass.of(u).rep for u in units}
+        assert min(classes) < 0 and max(abs(a) for a in classes) > 1
+    else:
+        assert {legendre(u.residue, P) for u in units} == {1, -1}
+
+
+def test_strip_shrinks_the_paper_families():
+    g, u = strip_solved(build_D_odd_partial(5, QQ).map)
+    assert len(g.ring) == 2 and u == -1
+    g, u = strip_solved(build_Sn_full(5, QQ).map)
+    assert len(g.ring) == 4 and u == 1
+    b3 = build_typeBC_full(3, QQ).map
+    g, u = strip_solved(b3)
+    assert g is b3 and u == 1
+
+
+def test_strip_takes_the_fewest_terms_first():
+    xyz = ("x", "y", "z")
+    # 3*z + x*y (i + k = 2 + 2, two terms) beats x + y + z^2 (three terms)
+    g, u = strip_solved(MapSpec.from_strings(xyz, ["x + y + z^2", "x^2 + y^3 + z^3", "3*z + x*y"]))
+    assert g.ring == ("x", "y") and u == 3
+    assert [str(c) for c in g.components] == ["1/9*x^2*y^2 + x + y", "-1/27*x^3*y^3 + y^3 + x^2"]
+    # a tie within x + y + z^2 goes to x (i + k = 1 + 0)
+    g, u = strip_solved(MapSpec.from_strings(xyz, ["y^2 + x*z", "x + y + z^2", "z^3 + x^2"]))
+    assert g.ring == ("y", "z") and u == -1
+    assert [str(c) for c in g.components] == ["-1*z^3 + y^2 - y*z", "z^4 + 2*y*z^2 + z^3 + y^2"]
+
+
+def test_strip_keeps_a_map_whose_component_vanishes(tmp_path, capsys):
+    components = ["x - y", "x - y + x^2 - y^2"]
+    f = MapSpec.from_strings(("x", "y"), components)
+    g, u = strip_solved(f)
+    assert g is f and u == 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"variables": ["x", "y"], "components": components}))
+    assert run(capsys, "degree", str(path), "--format", "invariants") == (
+        3,
+        "",
+        "not supported at origin: no pure power of 'y' among the leading monomials; "
+        "the quotient is infinite-dimensional\n",
+    )
+
+
+def test_failure_on_the_stripped_map_reports_the_full_map(tmp_path, capsys):
+    # the stripped map (y^2, y*z) lacks a pure power of z; the full map of x
+    path = tmp_path / "m.json"
+    components = ["x + z^2", "y^2", "y*z"]
+    path.write_text(json.dumps({"variables": ["x", "y", "z"], "components": components}))
+    named = run(capsys, "degree", str(path))
+    assert named[0] == 3 and "'x'" in named[2]
+    assert run(capsys, "degree", str(path), "--format", "invariants") == named
+
+
+# ---------------------------------------------------------------------------
+# CLI outputs against the full path
+
+
+def quotient_argvs():
+    ladder = [("quotient",) + args for _, args, _ in load_workloads().QUOTIENT_LADDER]
+    return ladder + [
+        ("quotient", "--type", "D", "--rank", str(r), "--parabolic", f"D{r - 1}") for r in (11, 13)
+    ]
+
+
+def test_quotient_prints_what_the_full_map_prints(capsys, monkeypatch):
+    argvs = quotient_argvs()
+    stripped = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(ekl.cli, "strip_solved", unreduced)
+    for argv, got in zip(argvs, stripped):
+        code, out, err = run(capsys, *argv)
+        assert (got[0], untimed(got[1]), got[2]) == (code, untimed(out), err), argv
+        assert code == 0
+
+
+def test_quotient_prints_the_full_diagonal_when_no_units_show(capsys, monkeypatch):
+    # <3> * deg(14/3*y^3) has the diagonal <-7,7,14>, the full map <-21,14,21>
+    f = MapSpec.from_strings(("x", "y"), ["3*x + y^2", "5*y^3 + x*y"])
+    spec = QuotientSpec("Sn-full", (3,), f, (1, 1), (1, 3))
+    monkeypatch.setattr(ekl.cli, "build_Sn_full", lambda n, field: spec)
+    monkeypatch.setattr(ekl.cli, "recognize_units", lambda c: None)
+    stripped = run(capsys, "quotient", "--type", "Sn", "--n", "3")
+    assert "computed: ⟨-21,14,21⟩\n" in stripped[1]
+    monkeypatch.setattr(ekl.cli, "strip_solved", unreduced)
+    full = run(capsys, "quotient", "--type", "Sn", "--n", "3")
+    assert (stripped[0], untimed(stripped[1]), stripped[2]) == (full[0], untimed(full[1]), full[2])
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--field", f"fp:{P}"), ("--emit-map", "{tmp}/m.json")],
+    ids=["fp", "emit-map"],
+)
+def test_quotient_keeps_the_full_map(tmp_path, capsys, monkeypatch, extra):
+    def refuse(f):
+        raise AssertionError("strip_solved called")
+
+    monkeypatch.setattr(ekl.cli, "strip_solved", refuse)
+    extra = [a.format(tmp=tmp_path) for a in extra]
+    for blocks in ("2,2", "3,2,1"):
+        code, out, _ = run(capsys, "quotient", "--type", "A", "--blocks", blocks, *extra)
+        assert code == 0 and "verdict: MATCH" in out
+
+
+@pytest.mark.parametrize("field", ["q", f"fp:{P}"])
+def test_degree_invariants_match_the_closed_form(tmp_path, capsys, field):
+    workloads = load_workloads()
+    for op in workloads.random_ops(1, field, str(tmp_path)):
+        code, out, err = run(capsys, *op.argv)
+        assert op.check(code, out) is None, (op.name, out, err)
+        assert err == ""
