@@ -27,8 +27,8 @@ from .degree import (
     MapSpec,
     NotSupportedAtOriginError,
     ZeroSocleError,
+    degree_class,
     ekl_degree,
-    strip_solved,
 )
 from .gw import (
     DegenerateFormError,
@@ -36,12 +36,10 @@ from .gw import (
     GWClass,
     classify,
     gw_equal,
-    gw_mul,
     recognize_units,
     render_class,
     render_diagonal,
     render_units,
-    unit_class,
     units_class,
 )
 from .localg import InfiniteQuotientError, UnitIdealError
@@ -123,21 +121,6 @@ def _units_shape(c: GWClass):
     return None if isinstance(c.field, PrimeField) else recognize_units(c)
 
 
-def _stripped_class(f: MapSpec) -> tuple[int, GWClass]:
-    """dim Q and the class of f, as deg f = <u> * deg g for (g, u) =
-    ``strip_solved(f)``.  f itself gives them when nothing is stripped or g
-    raises a library failure, so that the message names f's variables."""
-    g, u = strip_solved(f)
-    if g is not f:
-        try:
-            result = ekl_degree(g)
-            return result.dimension, gw_mul(unit_class(u, g.field), result.gw_class)
-        except tuple(cls for cls, _, _ in FAILURES):
-            pass
-    result = ekl_degree(f)
-    return result.dimension, result.gw_class
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -197,7 +180,7 @@ def cmd_degree(args) -> int:
     spec = _read_input(args.mapfile, lambda text: MapSpec.from_json(text, field))
     if args.format == "invariants":
         # only the class is printed, so the map may lose its solved coordinates
-        cls = _stripped_class(spec)[1]
+        cls = degree_class(spec)[1]
     else:
         started = time.perf_counter()
         result = ekl_degree(spec)
@@ -267,7 +250,7 @@ def cmd_quotient(args) -> int:
     computed = None
     # over F_p the pivot residues are printed, and --emit-map writes the full map
     if not (args.emit_map or isinstance(spec.map.field, PrimeField)):
-        dimension, computed = _stripped_class(spec.map)
+        dimension, computed = degree_class(spec.map)
         units = _units_shape(computed)
         if computed.rank > 1 and not (units and (units.ones or units.minus_ones)):
             computed = None  # the diagonal is printed, and only the full map gives it

@@ -17,22 +17,47 @@ and polynomial entries act on them through the M_k.  The Gram row for a
 standard monomial b is the functional r_b = phi(b * -): r_1 = phi, and
 r_{x_k m} = r_m M_k, so every row is one vector-matrix product away from
 the row of a divisor of b.  The same matrices give the origin test (every
-x_k is nilpotent).  Callers that need only the class and dim Q may first
-``strip_solved`` components c*x_k + h: the change y_k = c*x_k + h, of
-Jacobian c, leaves the map on y_k = 0 up to the unit <(-1)^(i+k) c>.
+x_k is nilpotent).
+
+Callers that need only the class and dim Q use ``degree_class``.  It
+first strips solved components c*x_k + h (``strip_solved``): the change
+y_k = c*x_k + h, of Jacobian c, leaves the map on y_k = 0 up to the unit
+<(-1)^(i+k) c>.  If positive integer weights make every remaining
+component weighted homogeneous (``homogeneous_weights``), Q is graded, E
+and phi live in one degree D, and phi(b*b') != 0 only when
+deg b + deg b' = D.  Then the class is (sum_{k<D/2} dim Q_k) H plus the
+class of the middle block Q_{D/2} (Witt decomposition), and only the rows
+of degree <= D/2, on the columns that pair with them, are built.  The
+theorem checks stay: J = dim(Q) * E, every pairing Q_k x Q_{D-k} with
+k < D/2 is perfect, certified by its rank modulo a large prime and by an
+exact rank only when that one comes out short, and the middle block is
+nondegenerate.  Maps without weights take the full path of ``ekl_degree``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
-from .gw import GramForm, GWClass, classify
+from .gw import (
+    DegenerateFormError,
+    GramForm,
+    GWClass,
+    classify,
+    gw_add,
+    gw_mul,
+    unit_class,
+    units_class,
+)
 from .localg import (
     AlgebraElement,
     GroebnerBasis,
+    InfiniteQuotientError,
     QuotientPresentation,
+    UnitIdealError,
     groebner,
     normal_form,  # noqa: F401  perfbench/tracer.py counts calls through this name
     origin_supported,
@@ -48,7 +73,7 @@ from .poly import (
     partial_derivative,
     substitute,
 )
-from .scalar import QQ
+from .scalar import QQ, FactorBoundError
 
 
 class NotSupportedAtOriginError(ValueError):
@@ -57,6 +82,17 @@ class NotSupportedAtOriginError(ValueError):
 
 class ZeroSocleError(ArithmeticError):
     """det(a_ij) vanished in the quotient; the zero is not isolated."""
+
+
+#: The library failures a map can raise, as opposed to failed theorem checks.
+MAP_FAILURES = (
+    NotSupportedAtOriginError,
+    InfiniteQuotientError,
+    UnitIdealError,
+    ZeroSocleError,
+    DegenerateFormError,
+    FactorBoundError,
+)
 
 
 @dataclass(frozen=True)
@@ -252,27 +288,118 @@ def ekl_degree(
     monomial), scaled so that phi(E) = 1.  The class does not depend on
     this choice.
     """
-    _, qp = prepare_quotient(f, order)
-    socle = socle_element(f, qp)
-    jac = jacobian_element(f, qp)
-    _assert_jacobian_relation(f, qp, socle, jac)
-
-    ord_ = qp.basis.order
+    qp, socle, jac = _checked_socle(f, order)
     if functional_monomial is None:
-        candidates = [
-            m for m, c in zip(qp.standard_monomials, socle.coordinates) if c
-        ]
-        functional_monomial = ord_.max(candidates)
+        functional_monomial = _top_socle_monomial(qp, socle)
     index = qp.standard_monomials.index(functional_monomial)
     pivot = socle.coordinates[index]
     if not pivot:
         raise ValueError("the functional monomial does not appear in the socle element")
 
-    gram = _gram_rows(qp, index, pivot)
+    gram = tuple(map(tuple, _gram_rows(qp, index, pivot, [range(qp.dimension)] * qp.dimension)))
     gw_class = classify(GramForm.from_field_entries(gram, qp.field), qp.field)
     if gw_class.rank != qp.dimension:
         raise ArithmeticError("the bilinear form is degenerate")
     return EKLResult(qp, gram, gw_class, socle, jac, functional_monomial)
+
+
+def degree_class(f: MapSpec) -> tuple[int, GWClass]:
+    """dim Q and the class of f, as deg f = <u> * deg g for (g, u) =
+    ``strip_solved(f)``.
+
+    A weighted-homogeneous g is split by degree (``_graded_class``), any
+    other g runs through ``ekl_degree``.  f itself gives the answer when
+    nothing is stripped or g raises one of ``MAP_FAILURES``, so that the
+    message names f's variables.
+    """
+    g, u = strip_solved(f)
+    if g is not f:
+        try:
+            dimension, cls = _split_class(g)
+            return dimension, gw_mul(unit_class(u, g.field), cls)
+        except MAP_FAILURES:
+            pass
+    return _split_class(f)
+
+
+def _split_class(f: MapSpec) -> tuple[int, GWClass]:
+    weights = homogeneous_weights(f)
+    if weights is None:
+        result = ekl_degree(f)
+        return result.dimension, result.gw_class
+    qp, socle, _ = _checked_socle(f)
+    return qp.dimension, _graded_class(qp, socle, weights)
+
+
+def homogeneous_weights(f: MapSpec) -> tuple[int, ...] | None:
+    """Positive integer weights w, one per variable, for which every
+    component of f is w-homogeneous; None when none are found.
+
+    w must annihilate the difference of any two exponent vectors of one
+    component.  Exact elimination on these differences keeps a reduced
+    echelon basis and gives up as soon as its rank reaches the number of
+    variables.  The free coordinates of the nullspace are set to 1, which
+    can miss a positive w when the nullspace has dimension 2 or more; such
+    a map only takes the slower full path.
+    """
+    n = len(f.ring)
+    rows: dict[int, list[int]] = {}  # pivot column -> row, 0 in the other pivots
+    for comp in f.components:
+        terms = list(comp.terms)
+        for m in terms[1:]:
+            v = [a - b for a, b in zip(m, terms[0])]
+            for c, row in rows.items():
+                if v[c]:
+                    v = _clear(v, row, c)
+            pivot = next((c for c, a in enumerate(v) if a), None)
+            if pivot is None:
+                continue
+            for c, row in rows.items():
+                if row[pivot]:
+                    rows[c] = _clear(row, v, pivot)
+            rows[pivot] = v
+            if len(rows) == n:
+                return None
+    free = [j for j in range(n) if j not in rows]
+    w = [Fraction(1)] * n
+    for c, row in rows.items():
+        w[c] = Fraction(-sum(row[j] for j in free), row[c])
+    if min(w) <= 0:
+        return None
+    scale = math.lcm(*(a.denominator for a in w))
+    ints = [int(a * scale) for a in w]
+    divisor = math.gcd(*ints)
+    weights = tuple(a // divisor for a in ints)
+    for comp in f.components:
+        if len({sum(a * e for a, e in zip(weights, m)) for m in comp.terms}) > 1:
+            raise ArithmeticError("the weights leave a component inhomogeneous")
+    return weights
+
+
+def _clear(v: list[int], row: list[int], c: int) -> list[int]:
+    """row[c] * v - v[c] * row, which is 0 at c, divided by its content."""
+    a, b = row[c], v[c]
+    out = [a * x - b * y for x, y in zip(v, row)]
+    content = math.gcd(*out)
+    return [x // content for x in out] if content > 1 else out
+
+
+def _checked_socle(
+    f: MapSpec, order: MonomialOrder | None = None
+) -> tuple[QuotientPresentation, AlgebraElement, AlgebraElement]:
+    """The presentation of Q, E and J, with J = dim * E asserted."""
+    _, qp = prepare_quotient(f, order)
+    socle = socle_element(f, qp)
+    jac = jacobian_element(f, qp)
+    _assert_jacobian_relation(f, qp, socle, jac)
+    return qp, socle, jac
+
+
+def _top_socle_monomial(qp: QuotientPresentation, socle: AlgebraElement) -> tuple[int, ...]:
+    """The order-maximal standard monomial with a nonzero socle coordinate."""
+    return qp.basis.order.max(
+        [m for m, c in zip(qp.standard_monomials, socle.coordinates) if c]
+    )
 
 
 def _assert_jacobian_relation(f, qp, socle, jac) -> None:
@@ -287,30 +414,118 @@ def _assert_jacobian_relation(f, qp, socle, jac) -> None:
         )
 
 
-def _gram_rows(qp: QuotientPresentation, index: int, pivot):
-    """Rows r_b(b') = phi(b * b') for phi = (coordinate ``index``) / pivot.
+def _gram_rows(qp: QuotientPresentation, index: int, pivot, columns) -> list:
+    """Rows r_b(b') = phi(b * b') for phi = (coordinate ``index``) / pivot,
+    filled at the positions ``columns[i]`` for the standard monomial b at
+    position i (0 elsewhere); None where ``columns[i]`` is None.
 
     r_1 = phi and r_b = r_m M_k, where x_k is the first variable dividing
     b and m = b / x_k.  Standard monomials are closed under division and a
     divisor precedes its multiple in every monomial order, so r_m is
-    already built when b comes up in the ascending basis.
+    already built when b comes up in the ascending basis, provided that
+    ``columns`` asks for r_m, over the support of each column of M_k that
+    r_b needs.
     """
     fld = qp.field
     zero = fld.zero
     position = qp.monomial_index()
-    phi = [zero] * qp.dimension
-    phi[index] = fld.one / pivot
-    rows: list[tuple] = []
-    for b in qp.standard_monomials:
-        k = next((k for k, e in enumerate(b) if e), None)
-        if k is None:
-            rows.append(tuple(phi))
+    rows: list = [None] * qp.dimension
+    rows[0] = [zero] * qp.dimension  # the standard monomial 1 comes first
+    rows[0][index] = fld.one / pivot
+    for i, b in enumerate(qp.standard_monomials[1:], 1):
+        if columns[i] is None:
             continue
+        k = next(k for k, e in enumerate(b) if e)
         r = rows[position[b[:k] + (b[k] - 1,) + b[k + 1 :]]]
-        rows.append(
-            tuple(
-                sum((r[i] * c for i, c in column.items() if r[i]), zero)
-                for column in qp.matrices[k]
-            )
-        )
-    return tuple(rows)
+        matrix = qp.matrices[k]
+        row = rows[i] = [zero] * qp.dimension
+        for j in columns[i]:
+            row[j] = sum((r[t] * c for t, c in matrix[j].items() if r[t]), zero)
+    return rows
+
+
+def _graded_class(qp: QuotientPresentation, socle: AlgebraElement, weights) -> GWClass:
+    """The class of beta_phi on a Q graded by ``weights``, split by degree.
+
+    E and phi live in one degree D, so b pairs only with degree D - deg b:
+    r_b is built only for deg b <= D/2, and only on the columns of degree
+    D - deg b.  Each pairing Q_k x Q_{D-k} with k < D/2 must be perfect
+    (``_full_rank``), and then adds dim Q_k hyperbolic planes; the middle
+    block Q_{D/2} is classified, and ``diagonalize`` refuses it if it is
+    degenerate.
+    """
+    fld = qp.field
+    std = qp.standard_monomials
+    degree = [sum(w * e for w, e in zip(weights, b)) for b in std]
+    index = std.index(_top_socle_monomial(qp, socle))
+    top = degree[index]
+    if any(c and d != top for c, d in zip(socle.coordinates, degree)):
+        raise ArithmeticError("the socle element is not homogeneous")
+    slices: dict[int, list[int]] = {}
+    for i, d in enumerate(degree):
+        slices.setdefault(d, []).append(i)
+    for d, part in slices.items():
+        if len(slices.get(top - d, ())) != len(part):
+            raise DegenerateFormError(f"degrees {d} and {top - d} differ in dimension")
+
+    # M_k maps degree D - deg b onto D - deg b + w_k, the columns of r_{b/x_k}
+    columns = [slices[top - d] if 2 * d <= top else None for d in degree]
+    rows = _gram_rows(qp, index, socle.coordinates[index], columns)
+
+    hyperbolic = 0
+    for d, part in slices.items():
+        if 2 * d < top:
+            if not _full_rank([[rows[i][j] for j in slices[top - d]] for i in part], fld):
+                raise DegenerateFormError(f"the pairing of degrees {d} and {top - d} is singular")
+            hyperbolic += len(part)
+    middle = slices.get(top // 2, []) if top % 2 == 0 else []
+    block = [[rows[i][j] for j in middle] for i in middle]
+    return gw_add(
+        units_class(hyperbolic, hyperbolic, (), fld),
+        classify(GramForm.from_field_entries(block, fld), fld),
+    )
+
+
+#: Full rank modulo this prime certifies full rank over Q.
+CERTIFICATE_PRIME = 2**61 - 1
+
+
+def _full_rank(block: list[list], fld) -> bool:
+    """Whether a square matrix over fld is invertible.
+
+    Over F_p this is its rank.  Over Q the rank modulo CERTIFICATE_PRIME
+    of a matrix with no denominator divisible by it is at most the rank
+    over Q, so a full one certifies it; a short one, or a vanishing
+    denominator, falls back to the exact rank.
+    """
+    n = len(block)
+    if fld.characteristic:
+        return _rank([[a.residue for a in row] for row in block], fld.characteristic) == n
+    p = CERTIFICATE_PRIME
+    if all(a.denominator % p for row in block for a in row):
+        residues = [[a.numerator * pow(a.denominator, -1, p) % p for a in row] for row in block]
+        if _rank(residues, p) == n:
+            return True
+    return _rank(block) == n
+
+
+def _rank(matrix: list[list], p: int = 0) -> int:
+    """Rank by Gaussian elimination: of integers modulo p, or exactly over
+    Q when p is 0."""
+    rows = [list(row) for row in matrix]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inverse = pow(top[c], -1, p) if p else 1 / top[c]
+        for row in rows[rank + 1 :]:
+            if row[c]:
+                t = row[c] * inverse
+                row[c:] = [a - t * b for a, b in zip(row[c:], top[c:])]
+                if p:
+                    row[c:] = [a % p for a in row[c:]]
+        rank += 1
+    return rank

@@ -8,6 +8,7 @@ integers, which makes them hashable and totally ordered.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,10 +54,12 @@ def is_odd_prime(n: int) -> bool:
 
 
 def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Factor a positive integer by trial division up to ``bound``.
+    """Factor a positive integer by trial division up to ``bound``, then
+    split what is left with Pollard-Brent rho.
 
-    Raises FactorBoundError when a cofactor survives that is neither 1,
-    a perfect square, nor certifiably prime.
+    Raises FactorBoundError when a cofactor survives that rho cannot split
+    within RHO_STEPS and that is neither 1, a perfect square, nor
+    certifiably prime.
     """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
@@ -68,18 +71,55 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     if n > 1:
-        if n <= bound * bound or is_odd_prime(n):
-            # cofactor below bound^2 with no prime factor <= bound is prime
-            factors[n] = factors.get(n, 0) + 1
-        else:
-            root = math.isqrt(n)
-            if root * root == n and (root <= bound * bound or is_odd_prime(root)):
-                factors[root] = factors.get(root, 0) + 2
-            else:
-                raise FactorBoundError(
-                    f"cofactor {n} exceeds the trial-division bound {bound}"
-                )
+        for p in _cofactor_primes(n, bound):
+            factors[p] = factors.get(p, 0) + 1
     return factors
+
+
+#: Pollard-Brent rho gives up on a cofactor after this many squarings.
+RHO_STEPS = 1 << 16
+
+
+def _cofactor_primes(n: int, bound: int) -> list[int]:
+    """The prime factors, with multiplicity, of n > 1 free of primes up to
+    ``bound``; FactorBoundError names n when a factor can be neither
+    certified nor split."""
+
+    def split(m: int) -> list[int]:
+        if m <= bound * bound or is_odd_prime(m):
+            return [m]  # below bound^2 with no prime factor <= bound, m is prime
+        root = math.isqrt(m)
+        if root * root == m:
+            return split(root) * 2
+        d = _rho(m)
+        if d is None:
+            raise FactorBoundError(f"cofactor {n} exceeds the trial-division bound {bound}")
+        return split(d) + split(m // d)
+
+    return split(n)
+
+
+def _rho(n: int) -> int | None:
+    """A proper divisor of the odd composite n, by Pollard's rho on
+    y -> y^2 + c with Brent's cycle search (x is y saved at each power of
+    two); c = 1, 2, ... in turn while the gcd comes out n.  None after
+    RHO_STEPS squarings."""
+    steps = 0
+    for c in itertools.count(1):
+        x = y = 2
+        power = length = 1
+        g = 1
+        while g == 1:
+            if steps == RHO_STEPS:
+                return None
+            if power == length:
+                x, power, length = y, 2 * power, 0
+            y = (y * y + c) % n
+            length += 1
+            steps += 1
+            g = math.gcd(abs(x - y), n)
+        if g != n:
+            return g
 
 
 def _trial_primes(bound: int):

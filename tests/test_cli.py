@@ -428,12 +428,19 @@ def test_gw_classify_degenerate(tmp_path, capsys):
 
 
 def test_gw_classify_factor_bound(tmp_path, capsys):
-    # 1000003 * 1000033: both prime factors lie above the trial-division bound
+    # 1000003 * 1000033: both prime factors lie above the trial-division
+    # bound, and Pollard-Brent rho splits the cofactor
     path = write(tmp_path, "g.json", '[["1000036000099"]]')
+    code, out, err = run(capsys, "gw", "classify", path)
+    assert (code, err) == (0, "")
+    assert "diagonal: ⟨1000036000099⟩" in out
+    # two primes near 10^12 are beyond rho's step cap
+    n = (10**12 + 39) * (10**12 + 61)
+    path = write(tmp_path, "g.json", f'[["{n}"]]')
     code, out, err = run(capsys, "gw", "classify", path)
     assert code == 5
     assert out == ""
-    assert err.startswith("factor bound exceeded: cofactor 1000036000099")
+    assert err.startswith(f"factor bound exceeded: cofactor {n}")
 
 
 @pytest.mark.parametrize(

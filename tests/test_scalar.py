@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import ekl.scalar
 from ekl.gw import hilbert_symbol
 from ekl.scalar import (
+    DEFAULT_FACTOR_BOUND,
     GF,
     PRIMALITY_LIMIT,
     QQ,
@@ -56,13 +58,42 @@ def test_squarefree_rejects_zero():
         squarefree_part(Fraction(0))
 
 
+# two primes near 10^12: rho would need about 10^6 steps to split their product
+LARGE_PRIMES = (10**12 + 39, 10**12 + 61)
+
+
 def test_factor_bound_fails_loudly():
-    # product of two primes beyond a tiny bound, not a square, no small factors
-    n = 1009 * 1013
-    with pytest.raises(FactorBoundError):
+    # a product of two primes beyond the bound is split by rho ...
+    assert factorize(1009 * 1013, bound=10) == {1009: 1, 1013: 1}
+    # ... unless rho runs out of steps first
+    n = math.prod(LARGE_PRIMES)
+    with pytest.raises(FactorBoundError, match=f"cofactor {n} exceeds"):
         factorize(n, bound=10)
-    # but a perfect square cofactor is fine even beyond the bound
+    # a perfect square cofactor is fine even beyond the bound
     assert factorize(1009 * 1009, bound=10) == {1009: 2}
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        {1467839: 1, 5009909: 1},  # 7,353,739,816,651, a cofactor of a D7 partial quotient
+        {1000003: 1, 1000033: 1},  # the two primes just above the default bound
+        {1000003: 2, 1000033: 1, 7: 1},
+        {1000003: 1, 1000033: 1, 1000037: 1},
+        {2**31 - 1: 1, 2**61 - 1: 1},
+    ],
+)
+def test_rho_splits_cofactors_above_the_bound(factors):
+    n = math.prod(p**e for p, e in factors.items())
+    assert n > DEFAULT_FACTOR_BOUND**2
+    assert factorize(n) == factors
+    assert all(is_odd_prime(p) for p in factors)
+
+
+def test_rho_keeps_the_bound_for_cofactors_it_cannot_split(monkeypatch):
+    monkeypatch.setattr(ekl.scalar, "RHO_STEPS", 0)
+    with pytest.raises(FactorBoundError, match="cofactor 1000036000099 exceeds"):
+        factorize(1000003 * 1000033)
 
 
 def test_legendre_zero_and_exhaustive_table():

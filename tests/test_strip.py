@@ -1,5 +1,5 @@
 """Stripping solved coordinates (``degree.strip_solved``) and the CLI paths
-that print only the class and the dimension.
+that print only the class and the dimension (``degree.degree_class``).
 
 The oracle is always the full pipeline on the unreduced map: the reduction
 deg f = <u> * deg g must give an equal class and dimension, and every
@@ -45,9 +45,10 @@ def untimed(text: str) -> str:
     return re.sub(r"timing_seconds: [0-9.]+\n", "", text)
 
 
-def unreduced(f):
-    """``strip_solved`` that strips nothing: the CLI then runs the full map."""
-    return f, f.field.one
+def full_class(f):
+    """``degree_class`` by the full pipeline on the unreduced map."""
+    result = ekl_degree(f)
+    return result.dimension, result.gw_class
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,7 @@ def quotient_argvs():
 def test_quotient_prints_what_the_full_map_prints(capsys, monkeypatch):
     argvs = quotient_argvs()
     stripped = [run(capsys, *argv) for argv in argvs]
-    monkeypatch.setattr(ekl.cli, "strip_solved", unreduced)
+    monkeypatch.setattr(ekl.cli, "degree_class", full_class)
     for argv, got in zip(argvs, stripped):
         code, out, err = run(capsys, *argv)
         assert (got[0], untimed(got[1]), got[2]) == (code, untimed(out), err), argv
@@ -192,7 +193,7 @@ def test_quotient_prints_the_full_diagonal_when_no_units_show(capsys, monkeypatc
     monkeypatch.setattr(ekl.cli, "recognize_units", lambda c: None)
     stripped = run(capsys, "quotient", "--type", "Sn", "--n", "3")
     assert "computed: ⟨-21,14,21⟩\n" in stripped[1]
-    monkeypatch.setattr(ekl.cli, "strip_solved", unreduced)
+    monkeypatch.setattr(ekl.cli, "degree_class", full_class)
     full = run(capsys, "quotient", "--type", "Sn", "--n", "3")
     assert (stripped[0], untimed(stripped[1]), stripped[2]) == (full[0], untimed(full[1]), full[2])
 
@@ -204,9 +205,9 @@ def test_quotient_prints_the_full_diagonal_when_no_units_show(capsys, monkeypatc
 )
 def test_quotient_keeps_the_full_map(tmp_path, capsys, monkeypatch, extra):
     def refuse(f):
-        raise AssertionError("strip_solved called")
+        raise AssertionError("degree_class called")
 
-    monkeypatch.setattr(ekl.cli, "strip_solved", refuse)
+    monkeypatch.setattr(ekl.cli, "degree_class", refuse)
     extra = [a.format(tmp=tmp_path) for a in extra]
     for blocks in ("2,2", "3,2,1"):
         code, out, _ = run(capsys, "quotient", "--type", "A", "--blocks", blocks, *extra)
