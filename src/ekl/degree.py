@@ -17,7 +17,10 @@ and polynomial entries act on them through the M_k.  The Gram row for a
 standard monomial b is the functional r_b = phi(b * -): r_1 = phi, and
 r_{x_k m} = r_m M_k, so every row is one vector-matrix product away from
 the row of a divisor of b.  The same matrices give the origin test (every
-x_k is nilpotent).
+x_k is nilpotent).  Over Q these kernels compute on ints where the values
+are integral (``localg._kernel``); values become Fractions again at the
+boundaries: the coordinates of E and J, the Gram entries and every
+GramForm.  No ``/`` touches a kernel value, since int / int is a float.
 
 Callers that need only the class and dim Q use ``degree_class``.  It
 first strips solved components c*x_k + h (``strip_solved``): the change
@@ -58,6 +61,7 @@ from .localg import (
     InfiniteQuotientError,
     QuotientPresentation,
     UnitIdealError,
+    _kernel,
     groebner,
     normal_form,  # noqa: F401  perfbench/tracer.py counts calls through this name
     origin_supported,
@@ -296,7 +300,8 @@ def ekl_degree(
     if not pivot:
         raise ValueError("the functional monomial does not appear in the socle element")
 
-    gram = tuple(map(tuple, _gram_rows(qp, index, pivot, [range(qp.dimension)] * qp.dimension)))
+    rows = _gram_rows(qp, index, qp.field.one / pivot, [range(qp.dimension)] * qp.dimension)
+    gram = tuple(map(tuple, rows))
     gw_class = classify(GramForm.from_field_entries(gram, qp.field), qp.field)
     if gw_class.rank != qp.dimension:
         raise ArithmeticError("the bilinear form is degenerate")
@@ -407,17 +412,15 @@ def _assert_jacobian_relation(f, qp, socle, jac) -> None:
     char = fld.characteristic
     if char and qp.dimension % char == 0:
         return  # the relation J = dim * E carries no information here
-    expected = socle.scaled(fld.from_int(qp.dimension))
-    if tuple(expected.coordinates) != tuple(jac.coordinates):
-        raise ArithmeticError(
-            "Jacobian element differs from dimension * socle element"
-        )
+    if socle.scaled(fld.from_int(qp.dimension)).coordinates != jac.coordinates:
+        raise ArithmeticError("Jacobian element differs from dimension * socle element")
 
 
-def _gram_rows(qp: QuotientPresentation, index: int, pivot, columns) -> list:
-    """Rows r_b(b') = phi(b * b') for phi = (coordinate ``index``) / pivot,
+def _gram_rows(qp: QuotientPresentation, index: int, start, columns) -> list:
+    """Rows r_b(b') = phi(b * b') for phi = start * (coordinate ``index``),
     filled at the positions ``columns[i]`` for the standard monomial b at
-    position i (0 elsewhere); None where ``columns[i]`` is None.
+    position i (0 elsewhere); None where ``columns[i]`` is None.  Over Q
+    a Fraction start makes Fraction entries; int 1 keeps integral ones ints.
 
     r_1 = phi and r_b = r_m M_k, where x_k is the first variable dividing
     b and m = b / x_k.  Standard monomials are closed under division and a
@@ -426,12 +429,11 @@ def _gram_rows(qp: QuotientPresentation, index: int, pivot, columns) -> list:
     ``columns`` asks for r_m, over the support of each column of M_k that
     r_b needs.
     """
-    fld = qp.field
-    zero = fld.zero
+    zero = start - start
     position = qp.monomial_index()
     rows: list = [None] * qp.dimension
     rows[0] = [zero] * qp.dimension  # the standard monomial 1 comes first
-    rows[0][index] = fld.one / pivot
+    rows[0][index] = start
     for i, b in enumerate(qp.standard_monomials[1:], 1):
         if columns[i] is None:
             continue
@@ -470,7 +472,7 @@ def _graded_class(qp: QuotientPresentation, socle: AlgebraElement, weights) -> G
 
     # M_k maps degree D - deg b onto D - deg b + w_k, the columns of r_{b/x_k}
     columns = [slices[top - d] if 2 * d <= top else None for d in degree]
-    rows = _gram_rows(qp, index, socle.coordinates[index], columns)
+    rows = _gram_rows(qp, index, _kernel(fld)[1], columns)
 
     hyperbolic = 0
     for d, part in slices.items():
@@ -479,7 +481,8 @@ def _graded_class(qp: QuotientPresentation, socle: AlgebraElement, weights) -> G
                 raise DegenerateFormError(f"the pairing of degrees {d} and {top - d} is singular")
             hyperbolic += len(part)
     middle = slices.get(top // 2, []) if top % 2 == 0 else []
-    block = [[rows[i][j] for j in middle] for i in middle]
+    inverse = fld.one / socle.coordinates[index]  # the rows are of pivot * phi
+    block = [[rows[i][j] * inverse for j in middle] for i in middle]
     return gw_add(
         units_class(hyperbolic, hyperbolic, (), fld),
         classify(GramForm.from_field_entries(block, fld), fld),
@@ -496,7 +499,7 @@ def _full_rank(block: list[list], fld) -> bool:
     Over F_p this is its rank.  Over Q the rank modulo CERTIFICATE_PRIME
     of a matrix with no denominator divisible by it is at most the rank
     over Q, so a full one certifies it; a short one, or a vanishing
-    denominator, falls back to the exact rank.
+    denominator, falls back to the exact rank, on Fractions (no int / int).
     """
     n = len(block)
     if fld.characteristic:
@@ -506,7 +509,7 @@ def _full_rank(block: list[list], fld) -> bool:
         residues = [[a.numerator * pow(a.denominator, -1, p) % p for a in row] for row in block]
         if _rank(residues, p) == n:
             return True
-    return _rank(block) == n
+    return _rank([[Fraction(a) for a in row] for row in block]) == n
 
 
 def _rank(matrix: list[list], p: int = 0) -> int:

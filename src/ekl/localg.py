@@ -12,7 +12,10 @@ outside the leading monomial staircase), gives coordinates of residue
 classes over them, and carries the sparse matrices M_k of multiplication
 by x_k, read off the basis tails without normal forms.  The origin test
 and determinants of polynomial matrices in the quotient run through these
-matrices and need no normal forms either.
+matrices and need no normal forms either.  Over Q these kernels compute on
+Python ints wherever the values are integral, the matrix entries included:
+mixed int and Fraction arithmetic is exact, and the kernels never divide.
+Over F_p they compute on the field elements, unconverted.
 """
 
 from __future__ import annotations
@@ -448,24 +451,25 @@ def multiplication_matrices(qp: QuotientPresentation) -> tuple[tuple[dict, ...],
     """Sparse matrices M_1..M_n of multiplication by x_k on the standard monomials.
 
     ``matrices[k][j]`` is column j of M_k, the coordinates ``{i: c}`` of
-    x_k * b_j.  The column is a unit vector when x_k * b_j is standard.
-    Otherwise x_k * b_j is a border monomial m; these are taken in
-    increasing order.  If m leads a basis generator g, its column is that
-    of m - g, the negated tail of g.  Otherwise some m / x_j is a smaller
-    border monomial, with column {i: c_i}, and m has the column of
-    sum c_i * x_j * b_i, where every x_j * b_i is smaller than m.
+    x_k * b_j; over Q an integral c is an ``int`` (see ``_kernel``).  The
+    column is a unit vector when x_k * b_j is standard.  Otherwise x_k * b_j
+    is a border monomial m; these are taken in increasing order.  If m
+    leads a basis generator g, its column is that of m - g, the negated
+    tail of g.  Otherwise some m / x_j is a smaller border monomial, with
+    column {i: c_i}, and m has the column of sum c_i * x_j * b_i, where
+    every x_j * b_i is smaller than m.
     """
     index = qp.monomial_index()
-    fld = qp.field
+    zero, one, into, _ = _kernel(qp.field)
     lead = dict(zip(qp.basis.leading_monomials(), qp.basis.generators))
     std = qp.standard_monomials
     products = [[b[:k] + (b[k] + 1,) + b[k + 1 :] for b in std] for k in range(len(qp.ring))]
-    columns: dict[Monomial, dict] = {m: {i: fld.one} for m, i in index.items()}
+    columns: dict[Monomial, dict] = {m: {i: one} for m, i in index.items()}
     border = {m for row in products for m in row if m not in index}
     for m in sorted(border, key=qp.basis.order.key):
         if m in lead:
             try:
-                column = {index[t]: -c for t, c in lead[m].terms.items() if t != m}
+                column = {index[t]: -c for t, c in into(lead[m].terms).items() if t != m}
             except KeyError:
                 raise ArithmeticError("normal form left the standard-monomial span") from None
         else:
@@ -475,9 +479,22 @@ def multiplication_matrices(qp: QuotientPresentation) -> tuple[tuple[dict, ...],
                     break
             column = {}
             for i, c in columns[below].items():
-                _add_multiple(column, c, columns[products[j][i]], fld.zero)
+                _add_multiple(column, c, columns[products[j][i]], zero)
+            column = into(column)
         columns[m] = column
     return tuple(tuple(columns[m] for m in row) for row in products)
+
+
+def _kernel(fld) -> tuple:
+    """``(zero, one, into, out)`` of the kernels over fld: ``into`` makes
+    the integral values of a dict ints, ``out`` a tuple of field elements."""
+    if fld.characteristic:
+        return fld.zero, fld.one, lambda values: values, tuple
+
+    def into(values: dict) -> dict:
+        return {k: c.numerator if c.denominator == 1 else c for k, c in values.items()}
+
+    return 0, 1, into, lambda values: tuple(map(Fraction, values))
 
 
 def _add_multiple(out: dict, a, vector: dict, zero) -> None:
@@ -498,10 +515,9 @@ def matrix_times_vector(columns: Sequence[dict], vector: dict, zero) -> dict:
     return out
 
 
-def _monomial_times(qp: QuotientPresentation, mono: Monomial, vector: dict) -> dict:
+def _monomial_times(qp: QuotientPresentation, mono: Monomial, vector: dict, zero) -> dict:
     """x^mono * v for a sparse coordinate vector v: mono[k] products with
     each M_k, stopping as soon as the vector is zero."""
-    zero = qp.field.zero
     for columns, e in zip(qp.matrices, mono):
         for _ in range(e):
             if not vector:
@@ -518,9 +534,9 @@ def origin_supported(qp: QuotientPresentation) -> bool:
     at most d products with the sparse matrix M_i.
     """
     n = len(qp.ring)
-    one = {qp.monomial_index()[(0,) * n]: qp.field.one}
+    zero, one = _kernel(qp.field)[:2]  # the standard monomial 1 comes first
     return not any(
-        _monomial_times(qp, (0,) * k + (qp.dimension,) + (0,) * (n - k - 1), one)
+        _monomial_times(qp, (0,) * k + (qp.dimension,) + (0,) * (n - k - 1), {0: one}, zero)
         for k in range(n)
     )
 
@@ -546,9 +562,9 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]], qp: QuotientPresentation) -
         for entry in row:
             if entry.ring != qp.ring or entry.field != qp.field:
                 raise ValueError("matrix entries do not match the quotient ring")
-    fld = qp.field
-    zero = fld.zero
-    minors = {0: {qp.monomial_index()[(0,) * len(qp.ring)]: fld.one}}
+    zero, one, into, out = _kernel(qp.field)
+    matrix = [[into(entry.terms) for entry in row] for row in matrix]
+    minors = {0: {qp.monomial_index()[(0,) * len(qp.ring)]: one}}
     for k in range(n - 1, -1, -1):
         wider: dict[int, dict] = {}
         for used, minor in minors.items():
@@ -558,9 +574,9 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]], qp: QuotientPresentation) -
                     sign = -sign
                     continue
                 target = wider.setdefault(used | 1 << j, {})
-                for m, c in entry.terms.items():
-                    shifted = _monomial_times(qp, m, minor)
+                for m, c in entry.items():
+                    shifted = _monomial_times(qp, m, minor, zero)
                     _add_multiple(target, c if sign == 1 else -c, shifted, zero)
         minors = {cols: vector for cols, vector in wider.items() if vector}
     det = minors.get((1 << n) - 1, {})
-    return AlgebraElement(tuple(det.get(i, zero) for i in range(qp.dimension)), qp)
+    return AlgebraElement(out(det.get(i, zero) for i in range(qp.dimension)), qp)

@@ -1,0 +1,202 @@
+"""The quotient algebra's kernels over Q compute on Python ints.
+
+``multiplication_matrices`` stores an integral entry as an ``int``, and
+``poly_det``, the origin test and ``_gram_rows`` carry ints through their
+sums and products wherever the values are integral.  The oracles below are
+the same kernels on field elements throughout (``Fraction`` over Q), as
+the library computed them before: the values must be equal, and every
+value that leaves the kernels (``AlgebraElement`` coordinates, Gram
+entries, every ``GramForm`` entry) must still be a ``Fraction`` over Q and
+a ``PrimeFieldElement`` over F_p.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import ekl.degree
+from ekl.degree import (
+    CERTIFICATE_PRIME,
+    MapSpec,
+    _full_rank,
+    _gram_rows,
+    degree_class,
+    ekl_degree,
+    linear_decompose,
+)
+from ekl.localg import _add_multiple, matrix_times_vector
+from ekl.poly import partial_derivative
+from ekl.scalar import GF, QQ, PrimeFieldElement
+from test_graded import LADDER, LARGE, P, family_spec
+from test_strip import load_workloads
+
+SN6_B4_D4 = LARGE[:3]
+
+
+# ---------------------------------------------------------------------------
+# the oracles: the kernels on field elements
+
+
+def field_multiplication_matrices(qp):
+    """M_1..M_n by the border recursion, with field-element entries."""
+    index = qp.monomial_index()
+    fld = qp.field
+    lead = dict(zip(qp.basis.leading_monomials(), qp.basis.generators))
+    products = [
+        [b[:k] + (b[k] + 1,) + b[k + 1 :] for b in qp.standard_monomials] for k in range(len(qp.ring))
+    ]
+    columns = {m: {i: fld.one} for m, i in index.items()}
+    border = {m for row in products for m in row if m not in index}
+    for m in sorted(border, key=qp.basis.order.key):
+        if m in lead:
+            column = {index[t]: -c for t, c in lead[m].terms.items() if t != m}
+        else:
+            j = next(j for j in range(len(m)) if m[j] and m[:j] + (m[j] - 1,) + m[j + 1 :] not in index)
+            column = {}
+            for i, c in columns[m[:j] + (m[j] - 1,) + m[j + 1 :]].items():
+                _add_multiple(column, c, columns[products[j][i]], fld.zero)
+        columns[m] = column
+    return tuple(tuple(columns[m] for m in row) for row in products)
+
+
+def field_poly_det(matrix, qp, matrices):
+    """Coordinates of det(matrix) in Q by expansion in minors, on field elements."""
+    zero = qp.field.zero
+    minors = {0: {qp.monomial_index()[(0,) * len(qp.ring)]: qp.field.one}}
+    for k in range(len(matrix) - 1, -1, -1):
+        wider: dict = {}
+        for used, minor in minors.items():
+            sign = 1
+            for j, entry in enumerate(matrix[k]):
+                if used >> j & 1:
+                    sign = -sign
+                    continue
+                target = wider.setdefault(used | 1 << j, {})
+                for m, c in entry.terms.items():
+                    shifted = minor
+                    for columns, e in zip(matrices, m):
+                        for _ in range(e):
+                            shifted = matrix_times_vector(columns, shifted, zero)
+                    _add_multiple(target, c if sign == 1 else -c, shifted, zero)
+        minors = {cols: vector for cols, vector in wider.items() if vector}
+    det = minors.get((1 << len(matrix)) - 1, {})
+    return tuple(det.get(i, zero) for i in range(qp.dimension))
+
+
+def field_gram_rows(qp, matrices, index, pivot):
+    """All rows r_b = phi(b * -) for phi = (coordinate ``index``) / pivot."""
+    fld, n = qp.field, qp.dimension
+    position = qp.monomial_index()
+    rows = [[fld.zero] * n]
+    rows[0][index] = fld.one / pivot
+    for b in qp.standard_monomials[1:]:
+        k = next(k for k, e in enumerate(b) if e)
+        r = rows[position[b[:k] + (b[k] - 1,) + b[k + 1 :]]]
+        rows.append([sum((r[t] * c for t, c in matrices[k][j].items() if r[t]), fld.zero) for j in range(n)])
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the oracles
+
+
+def check_kernels(f: MapSpec) -> bool:
+    """Compare one map's kernels with the oracles; True when some matrix
+    entry over Q is not integral."""
+    fld = f.field
+    result = ekl_degree(f)
+    qp = result.quotient
+    matrices = field_multiplication_matrices(qp)
+    assert qp.matrices == matrices
+    entries = [c for matrix in qp.matrices for column in matrix for c in column.values()]
+    if fld == QQ:
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in entries)
+        field_type = Fraction
+    else:
+        assert all(type(c) is PrimeFieldElement for c in entries)
+        field_type = PrimeFieldElement
+
+    n = len(f.ring)
+    jacobian = [[partial_derivative(f.components[i], f.ring[j]) for j in range(n)] for i in range(n)]
+    assert result.socle.coordinates == field_poly_det(linear_decompose(f), qp, matrices)
+    assert result.jacobian.coordinates == field_poly_det(jacobian, qp, matrices)
+    values = [*result.socle.coordinates, *result.jacobian.coordinates]
+    values += [c for row in result.gram for c in row]
+    assert all(type(c) is field_type for c in values)
+
+    index = qp.standard_monomials.index(result.functional_monomial)
+    pivot = result.socle.coordinates[index]
+    assert [list(row) for row in result.gram] == field_gram_rows(qp, matrices, index, pivot)
+    # the graded path starts r_1 at the kernels' one and scales by 1/pivot later
+    one = 1 if fld == QQ else fld.one
+    unscaled = _gram_rows(qp, index, one, [range(qp.dimension)] * qp.dimension)
+    assert [[c / pivot for c in row] for row in unscaled] == [list(row) for row in result.gram]
+    return any(type(c) is Fraction for c in entries)
+
+
+def recorded_forms(monkeypatch):
+    """The GramForms that ``ekl.degree`` classifies, recorded as they go by."""
+    forms = []
+    real = ekl.degree.classify
+
+    def recording(form, fld):
+        forms.append(form)
+        return real(form, fld)
+
+    monkeypatch.setattr(ekl.degree, "classify", recording)
+    return forms
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [(a, "q") for a in LADDER + SN6_B4_D4] + [(a, f"fp:{P}") for a in LADDER],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_family_kernels_equal_the_field_oracles(monkeypatch, args, field):
+    f = family_spec(args, field).map
+    assert not check_kernels(f)  # the family matrices are integral over Q
+    forms = recorded_forms(monkeypatch)
+    degree_class(f)
+    field_type = Fraction if field == "q" else PrimeFieldElement
+    assert forms and all(type(c) is field_type for form in forms for row in form.entries for c in row)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(P)], ids=["q", f"fp{P}"])
+def test_random_map_kernels_equal_the_field_oracles(monkeypatch, fld):
+    maps = [MapSpec.from_json(m.to_json(), fld) for m in load_workloads().random_maps(1)]
+    mixed = sum(check_kernels(f) for f in maps)
+    # some basis tails over Q are not integral, so the mixed int/Fraction path runs
+    assert mixed > 0 if fld == QQ else mixed == 0
+    forms = recorded_forms(monkeypatch)
+    for f in maps:
+        degree_class(f)
+    field_type = Fraction if fld == QQ else PrimeFieldElement
+    assert all(type(c) is field_type for form in forms for row in form.entries for c in row)
+
+
+# ---------------------------------------------------------------------------
+# the pairing certificate on int entries
+
+
+def test_full_rank_of_int_blocks(monkeypatch):
+    ranks = []
+    real_rank = ekl.degree._rank
+
+    def spy(matrix, p=0):
+        values = [a for row in matrix for a in row]
+        assert not any(isinstance(a, float) for a in values)
+        if not p:
+            assert all(type(a) is Fraction for a in values)
+        ranks.append(p)
+        return real_rank(matrix, p)
+
+    monkeypatch.setattr(ekl.degree, "_rank", spy)
+    # short modulo the prime, full over Q through the exact fallback
+    assert _full_rank([[2**61 - 1, 0], [0, 1]], QQ)
+    assert ranks == [CERTIFICATE_PRIME, 0]
+    ranks.clear()
+    assert not _full_rank([[2, 4], [3, 6]], QQ)
+    assert ranks == [CERTIFICATE_PRIME, 0]
+    ranks.clear()
+    assert _full_rank([[2, Fraction(1, 3)], [3, 6]], QQ)
+    assert ranks == [CERTIFICATE_PRIME]
