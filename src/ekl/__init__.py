@@ -78,7 +78,6 @@ from .weyl import (
     EnumerationBudgetError,
     ParabolicSpec,
     RootSystem,
-    WeylElement,
     aP_formula_typeA,
     build_root_system,
     compute_aP,
@@ -86,7 +85,6 @@ from .weyl import (
     is_central_longest,
     longest_element,
     min_coset_reps,
-    parabolic_subgroup_order,
 )
 
 __version__ = "0.1.0"

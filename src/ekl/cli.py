@@ -59,6 +59,7 @@ from .weyl import (
     ParabolicSpec,
     build_root_system,
     compute_aP,
+    enum_budget,
     is_central_longest,
     longest_element,
     parabolic_order_formula,
@@ -324,6 +325,7 @@ def cmd_weyl_ap(args) -> int:
         spec.validate(rs)
         if not spec.is_proper(rs):
             raise ValueError("the parabolic must be proper")
+        budget = enum_budget()
     except ValueError as exc:
         raise _InputError(f"error: {exc}") from exc
 
@@ -335,7 +337,7 @@ def cmd_weyl_ap(args) -> int:
         f"order {sub_order}"
     )
     print(f"cosets: {order // sub_order}")
-    print(f"a_P: {compute_aP(rs, spec, method=args.method)}")
+    print(f"a_P: {compute_aP(rs, spec, method=args.method, budget=budget)}")
     shortcut = args.method == "auto" and is_central_longest(rs)
     print(f"shortcut: {'central longest word, no enumeration' if shortcut else 'not used'}")
     return EXIT_OK
@@ -346,7 +348,7 @@ def cmd_weyl_info(args) -> int:
     print(f"type: {rs.type_label}{rs.rank}")
     print(f"order: {rs.order}")
     print(f"positive roots: {rs.npos}")
-    print(f"longest word length: {longest_element(rs).length}")
+    print(f"longest word length: {len(longest_element(rs))}")
     print(f"longest word central: {'yes' if is_central_longest(rs) else 'no'}")
     return EXIT_OK
 

@@ -1,12 +1,22 @@
 """Root systems, Weyl groups, and parabolic coset counting.
 
-A root system is built from its Cartan matrix; roots live in the
-simple-root basis as integer vectors, and group elements are stored as
-permutations of the full signed root list (packed into ``bytes``, so
-composition is a C-speed translate).  Length is the number of positive
-roots sent negative.  Minimal coset representatives of W_P come from a tree
-walk of the orbit of a weight lambda with stabilizer W_P, and a_P from
-reading w0 = -iota off each weight in that orbit.
+A root system is its Cartan matrix C, with the group order and the
+positive-root count read off closed forms by type.  Weyl group data lives
+in omega-coordinates only: a weight mu = sum mu_i omega_i, on which the
+simple reflection s_i acts by (s_i mu)_j = mu_j - mu_i C[j][i], and an
+element is named by a word in the simple reflections.  Three facts do all
+the work (Humphreys, *Reflection Groups and Coxeter Groups*):
+
+* l(s_i w) > l(w) iff mu_i > 0 for mu = w.lambda and lambda regular
+  dominant.  So reflecting lambda = (1, 2, ..., n) at a positive coordinate
+  until none is left takes l(w0) steps, the steps spell a reduced word of
+  w0, and the end weight w0.lambda = -iota(lambda) gives the diagram
+  automorphism iota.
+* The stabilizer of the dominant weight lambda_P = sum of omega_i over the
+  nodes removed from P is W_P, so the cosets w W_P match the orbit
+  W.lambda_P, which ``min_coset_reps`` walks as a tree.
+* w^-1 w0 w lies in W_P iff w0 = -iota fixes mu = w.lambda_P, that is
+  mu_k = -mu_iota(k) for every node k; ``compute_aP`` counts those weights.
 
 Node numbering follows the usual diagram conventions: D_n has its fork at
 nodes 1 and 2, both attached to node 3, with the chain running 3 .. n; the
@@ -22,12 +32,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-_PAD = bytes(range(256))
+#: Largest positive-root count of a supported root system (A361, B/C/D256);
+#: the Cartan matrix has rank^2 entries and the longest word this many.
+MAX_POSITIVE_ROOTS = 2**16
 
-#: Largest root count a ``bytes`` permutation can index.
-MAX_ROOTS = len(_PAD)
-
-#: Default cap on enumerated group elements; override with EKL_ENUM_BUDGET.
+#: Default cap on enumerated cosets; override with EKL_ENUM_BUDGET.
 DEFAULT_ENUM_BUDGET = 10_000_000
 
 
@@ -36,21 +45,20 @@ class EnumerationBudgetError(RuntimeError):
 
 
 def enum_budget(budget: int | None = None) -> int:
+    """``budget`` if given, else EKL_ENUM_BUDGET, else the default; a value
+    of EKL_ENUM_BUDGET that is not a non-negative integer is a ValueError."""
     if budget is not None:
         return budget
-    return int(os.environ.get("EKL_ENUM_BUDGET", DEFAULT_ENUM_BUDGET))
-
-
-def _compose(p: bytes, q: bytes) -> bytes:
-    """(p o q)[i] = p[q[i]]."""
-    return q.translate(p + _PAD[len(p):])
-
-
-def _invert(p: bytes) -> bytes:
-    out = bytearray(len(p))
-    for i, v in enumerate(p):
-        out[v] = i
-    return bytes(out)
+    text = os.environ.get("EKL_ENUM_BUDGET")
+    if text is None:
+        return DEFAULT_ENUM_BUDGET
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"EKL_ENUM_BUDGET must be a non-negative integer, not {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +152,10 @@ class RootSystem:
     type_label: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    roots: tuple[tuple[int, ...], ...]  # positives first, then their negatives
     npos: int
-    simple_positions: tuple[int, ...]  # index of each simple root in ``roots``
-    gens: tuple[bytes, ...]  # simple reflections as root permutations
     norms: tuple[Fraction, ...]  # squared-length ratios of the simple roots
+    longest_word: tuple[int, ...]  # a reduced word of w0, as nodes
+    iota: tuple[int, ...]  # the diagram automorphism w0 = -iota: node k -> iota[k - 1]
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -158,62 +165,8 @@ class RootSystem:
     def order(self) -> int:
         return weyl_order(self.type_label, self.rank)
 
-    def identity_perm(self) -> bytes:
-        return bytes(range(2 * self.npos))
-
-    def identity(self) -> "WeylElement":
-        return WeylElement(self, self.identity_perm())
-
-    def simple_reflection(self, node: int) -> "WeylElement":
-        return WeylElement(self, self.gens[node - 1])
-
-    def length_of(self, perm: bytes) -> int:
-        npos = self.npos
-        return sum(1 for i in range(npos) if perm[i] >= npos)
-
     def __repr__(self) -> str:
         return f"<root system {self.type_label}{self.rank}>"
-
-
-class WeylElement:
-    """A Weyl group element as its permutation of the signed root list."""
-
-    __slots__ = ("system", "perm", "_length")
-
-    def __init__(self, system: RootSystem, perm: bytes):
-        self.system = system
-        self.perm = perm
-        self._length: int | None = None
-
-    @property
-    def length(self) -> int:
-        if self._length is None:
-            self._length = self.system.length_of(self.perm)
-        return self._length
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.system is not other.system:
-            raise ValueError("elements of different Weyl groups")
-        return WeylElement(self.system, _compose(self.perm, other.perm))
-
-    def inverse(self) -> "WeylElement":
-        return WeylElement(self.system, _invert(self.perm))
-
-    def is_identity(self) -> bool:
-        return self.perm == self.system.identity_perm()
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.system is other.system
-            and self.perm == other.perm
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.perm)
-
-    def __repr__(self) -> str:
-        return f"<weyl element of length {self.length}>"
 
 
 @dataclass(frozen=True)
@@ -241,47 +194,49 @@ class ParabolicSpec:
         return self.kept_nodes != set(rs.nodes)
 
 
+def _moves(cartan) -> list[list[tuple[int, int]]]:
+    """(s_i mu)_j = mu_j - mu_i C[j][i] moves only i and its neighbours j,
+    by (j, -C[j][i]) for each neighbour."""
+    n = len(cartan)
+    return [[(j, -cartan[j][i]) for j in range(n) if j != i and cartan[j][i]] for i in range(n)]
+
+
+def _longest_walk(cartan) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reflect lambda = (1, 2, ..., n) at a positive coordinate until none is
+    left: the steps are a reduced word of w0, and the end weight
+    w0.lambda = -iota(lambda) has coordinate -iota(j) at node j.  A step at
+    i changes only i and its neighbours, so only those become candidates."""
+    moves = _moves(cartan)
+    mu = list(range(1, len(cartan) + 1))
+    word = []
+    candidates = list(range(len(cartan)))
+    while candidates:
+        i = candidates.pop()
+        m = mu[i]
+        if m > 0:
+            word.append(i + 1)
+            mu[i] = -m
+            for j, a in moves[i]:
+                mu[j] += a * m
+                if mu[j] > 0:
+                    candidates.append(j)
+    return tuple(word), tuple(-m for m in mu)
+
+
 @lru_cache(maxsize=None)
 def build_root_system(type_label: str, rank: int) -> RootSystem:
-    """Roots and simple reflections from the Cartan matrix, closed under
-    the reflection orbit."""
-    cartan = cartan_matrix(type_label, rank)
-    expected = _POSITIVE_ROOT_COUNT[type_label](rank)
-    if 2 * expected > MAX_ROOTS:
+    """The Cartan matrix, the squared-length ratios of the simple roots and
+    the longest word, refused above MAX_POSITIVE_ROOTS before any of them
+    is built."""
+    _validate_type(type_label, rank)
+    npos = _POSITIVE_ROOT_COUNT[type_label](rank)
+    if npos > MAX_POSITIVE_ROOTS:
         raise ValueError(
-            f"{type_label}{rank} has {2 * expected} roots; Weyl group elements "
-            f"are stored as bytes permutations of at most {MAX_ROOTS} roots"
+            f"{type_label}{rank} has {npos} positive roots; "
+            f"at most {MAX_POSITIVE_ROOTS} are supported"
         )
+    cartan = cartan_matrix(type_label, rank)
     n = rank
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-    def reflect(i: int, v: tuple[int, ...]) -> tuple[int, ...]:
-        pairing = sum(cartan[i][j] * v[j] for j in range(n))
-        return tuple(v[j] - pairing if j == i else v[j] for j in range(n))
-
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for v in frontier:
-            for i in range(n):
-                w = reflect(i, v)
-                if w not in roots:
-                    roots.add(w)
-                    new.append(w)
-        frontier = new
-
-    positives = sorted(
-        (r for r in roots if all(c >= 0 for c in r)), key=lambda r: (sum(r), r)
-    )
-    if len(positives) != expected or len(roots) != 2 * expected:
-        raise AssertionError("root enumeration does not match the classification")
-    ordered = positives + [tuple(-c for c in r) for r in positives]
-    index = {r: i for i, r in enumerate(ordered)}
-    gens = []
-    for i in range(n):
-        gens.append(bytes(index[reflect(i, r)] for r in ordered))
-    simple_positions = tuple(index[s] for s in simple)
 
     # squared-length ratios solved along the diagram (d_i C[i][j] = d_j C[j][i])
     norms: list[Fraction | None] = [None] * n
@@ -294,71 +249,53 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
                 norms[j] = norms[i] * cartan[i][j] / cartan[j][i]
                 stack.append(j)
 
-    return RootSystem(
-        type_label,
-        rank,
-        cartan,
-        tuple(ordered),
-        expected,
-        simple_positions,
-        tuple(gens),
-        tuple(norms),
-    )
+    word, iota = _longest_walk(cartan)
+    if len(word) != npos:
+        raise AssertionError("the longest word does not match the positive-root count")
+    return RootSystem(type_label, rank, cartan, npos, tuple(norms), word, iota)
 
 
 # ---------------------------------------------------------------------------
-# longest element and descent machinery
+# longest element, cosets and a_P
 
-def longest_element(rs: RootSystem) -> WeylElement:
-    """Apply any length-increasing simple reflection until none remains."""
-    npos = rs.npos
-    perm = rs.identity_perm()
-    while True:
-        for i in range(rs.rank):
-            # l(w s_i) > l(w) iff w(alpha_i) > 0
-            if perm[rs.simple_positions[i]] < npos:
-                perm = _compose(perm, rs.gens[i])
-                break
-        else:
-            break
-    w = WeylElement(rs, perm)
-    if w.length != npos:
-        raise AssertionError("longest element search terminated early")
-    return w
+def longest_element(rs: RootSystem) -> tuple[int, ...]:
+    """A reduced word of the longest element w0, as a tuple of nodes."""
+    return rs.longest_word
 
 
 def is_central_longest(rs: RootSystem) -> bool:
-    """True iff the longest word acts as -1 on the root space, i.e. is central."""
-    npos = rs.npos
-    return longest_element(rs).perm == bytes(range(npos, 2 * npos)) + bytes(range(npos))
+    """True iff w0 = -iota acts as -1, i.e. iota is the identity."""
+    return rs.iota == rs.nodes
+
+
+def _parabolic_weight(rs: RootSystem, p: ParabolicSpec) -> list[int]:
+    """lambda_P = sum of omega_i over the nodes i not kept; its stabilizer is W_P."""
+    return [0 if i in p.kept_nodes else 1 for i in rs.nodes]
 
 
 def min_coset_reps(
     rs: RootSystem, p: ParabolicSpec, budget: int | None = None
-) -> list[WeylElement]:
-    """Minimal representatives of the left cosets w W_P, by (length, perm).
+) -> list[list[int]]:
+    """The orbit W.lambda_P in omega-coordinates: one weight w.lambda_P for
+    each coset w W_P, ordered by the length of the minimal representative w.
 
-    W_P fixes lambda = sum of omega_i over the removed nodes, so the cosets
-    match the orbit W.lambda, walked as a tree in omega-coordinates: s_i.mu
-    is a child of mu iff mu_i > 0 and i is the first negative coordinate of
-    s_i.mu.  Each weight but lambda has one parent, so no hash set is needed;
-    the representative of s_i.mu is s_i times that of mu, its length the
-    depth.  The budget caps the coset count |W| / |W_P|, checked up front.
+    The orbit is walked as a tree: s_i.mu is a child of mu iff mu_i > 0 and
+    i is the first negative coordinate of s_i.mu.  Each weight but lambda_P
+    has one parent, so no hash set is needed, and the depth of a weight is
+    the length of its minimal representative.  The budget caps the coset
+    count |W| / |W_P|, checked up front.
     """
     p.validate(rs)
     cap = enum_budget(budget)
     if rs.order // parabolic_order_formula(rs, p) > cap:
         raise EnumerationBudgetError(f"coset enumeration exceeded the budget of {cap} elements")
-    n, c = rs.rank, rs.cartan
-    # (s_i mu)_j = mu_j - mu_i C[j][i], which moves only i and its neighbours
-    moves = [[(j, -c[j][i]) for j in range(n) if j != i and c[j][i]] for i in range(n)]
-    tables = [g + _PAD[len(g):] for g in rs.gens]  # _compose's padding, done once
-    level = [([0 if i in p.kept_nodes else 1 for i in rs.nodes], rs.identity_perm())]
-    reps: list[WeylElement] = []
+    moves = _moves(rs.cartan)
+    level = [_parabolic_weight(rs, p)]
+    reps: list[list[int]] = []
     while level:
-        reps.extend(WeylElement(rs, perm) for perm in sorted(q for _, q in level))
+        reps.extend(level)
         children = []
-        for mu, perm in level:
+        for mu in level:
             for i, m in enumerate(mu):
                 if m > 0:
                     nu = mu.copy()
@@ -366,59 +303,27 @@ def min_coset_reps(
                     for j, a in moves[i]:
                         nu[j] += a * m
                     if min(nu[:i], default=0) >= 0:
-                        children.append((nu, perm.translate(tables[i])))
+                        children.append(nu)
         level = children
     return reps
 
 
-def in_parabolic(w: WeylElement, p: ParabolicSpec) -> bool:
-    """Greedy left-descent reduction within the kept generators; w lies in
-    W_P iff the reduction reaches the identity."""
-    rs = w.system
+def in_parabolic(rs: RootSystem, word: Sequence[int], p: ParabolicSpec) -> bool:
+    """Whether the product of the simple reflections s_a over the nodes a of
+    ``word`` lies in W_P, the stabilizer of lambda_P."""
     p.validate(rs)
-    npos = rs.npos
-    kept = sorted(p.kept_nodes)
-    perm = w.perm
-    inv = _invert(perm)
-    while True:
-        for j in kept:
-            pos = rs.simple_positions[j - 1]
-            if inv[pos] >= npos:  # l(s_j w) < l(w)
-                gen = rs.gens[j - 1]
-                perm = _compose(gen, perm)
-                inv = _compose(inv, gen)
-                break
-        else:
-            return perm == rs.identity_perm()
-
-
-def mulclose(rs: RootSystem, gens: Sequence[WeylElement], budget: int | None = None) -> set[bytes]:
-    """Closure of the given elements under multiplication (as permutations)."""
-    cap = enum_budget(budget)
-    gen_perms = [g.perm for g in gens]
-    seen = {rs.identity_perm()}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for perm in frontier:
-            for g in gen_perms:
-                cand = _compose(g, perm)
-                if cand not in seen:
-                    if len(seen) >= cap:
-                        raise EnumerationBudgetError(
-                            f"group enumeration exceeded the budget of {cap} elements"
-                        )
-                    seen.add(cand)
-                    new.append(cand)
-        frontier = new
-    return seen
-
-
-def parabolic_subgroup_order(rs: RootSystem, p: ParabolicSpec, budget: int | None = None) -> int:
-    """|W_P| by explicit closure of the kept simple reflections."""
-    p.validate(rs)
-    gens = [rs.simple_reflection(j) for j in sorted(p.kept_nodes)]
-    return len(mulclose(rs, gens, budget))
+    if not set(word) <= set(rs.nodes):
+        raise ValueError("word letters outside the diagram")
+    moves = _moves(rs.cartan)
+    lam = _parabolic_weight(rs, p)
+    mu = lam.copy()
+    for node in reversed(word):
+        i = node - 1
+        m = mu[i]
+        mu[i] = -m
+        for j, a in moves[i]:
+            mu[j] += a * m
+    return mu == lam
 
 
 def compute_aP(
@@ -432,9 +337,9 @@ def compute_aP(
     With a central longest word w0 every conjugate equals w0 itself, whose
     support is the full diagram, so the count is 0 for any proper
     parabolic; "auto" uses that shortcut when available and enumerates
-    minimal coset representatives otherwise; "enumerate" always enumerates.
-    A representative w counts iff w0 = -iota fixes mu = w.lambda (lambda as in
-    ``min_coset_reps``): mu_k = -mu_iota(k), mu_k = <lambda, (w^-1 alpha_k)^vee>.
+    the orbit of ``min_coset_reps`` otherwise; "enumerate" always
+    enumerates.  A coset counts iff w0 = -iota fixes its weight mu,
+    i.e. mu_k = -mu_iota(k) for every node k.
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -443,35 +348,10 @@ def compute_aP(
         raise ValueError("the parabolic must be proper")
     if method == "auto" and is_central_longest(rs):
         return 0
-    w0 = longest_element(rs)
-    pairing = _coroot_pairings(rs.type_label, rs.rank, p.kept_nodes)
-    # w0(alpha_k) = -alpha_iota(k): pair the positions of alpha_k and alpha_iota(k)
-    pairs = [(pos, w0.perm[pos] - rs.npos) for pos in rs.simple_positions]
-
-    def self_dual(perm: bytes) -> bool:
-        return all(pairing[perm.index(a)] == -pairing[perm.index(b)] for a, b in pairs)
-
-    return sum(self_dual(rep.perm) for rep in min_coset_reps(rs, p, budget))
-
-
-@lru_cache(maxsize=None)
-def _coroot_pairings(type_label: str, rank: int, kept: frozenset[int]) -> tuple[int, ...]:
-    """<lambda, beta^vee> = 2 (lambda, beta) / |beta|^2 for every root beta,
-    in ``roots`` order; lambda = sum of omega_i over the nodes i not kept,
-    and (omega_i, alpha_j) = delta_ij |alpha_j|^2 / 2."""
-    rs = build_root_system(type_label, rank)
-    scale = math.lcm(*(x.denominator for x in rs.norms))
-    d = [int(x * scale) for x in rs.norms]  # |alpha_i|^2, scaled to integers
-    # 2 (alpha_i, alpha_j) = d_i C[i][j]; 2 (lambda, alpha_i) = d_i off the kept nodes
-    form = [[x * c for c in row] for x, row in zip(d, rs.cartan)]
-    lam = [0 if i in kept else x for i, x in zip(rs.nodes, d)]
-    pairings = []
-    for root in rs.roots:
-        norm2 = sum(c * sum(a * b for a, b in zip(row, root)) for c, row in zip(root, form))
-        pairings.append(Fraction(2 * sum(c * x for c, x in zip(root, lam)), norm2))
-    if any(v.denominator != 1 for v in pairings):
-        raise AssertionError("coroot pairing is not an integer")
-    return tuple(int(v) for v in pairings)
+    pairs = [(k, j - 1) for k, j in enumerate(rs.iota) if k < j]
+    return sum(
+        all(mu[k] == -mu[j] for k, j in pairs) for mu in min_coset_reps(rs, p, budget)
+    )
 
 
 def aP_formula_typeA(blocks: Sequence[int]) -> int:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,12 @@ from ekl.degree import NotSupportedAtOriginError, ZeroSocleError
 from ekl.gw import DegenerateFormError
 from ekl.localg import InfiniteQuotientError, UnitIdealError
 from ekl.scalar import FactorBoundError
-from ekl.weyl import EnumerationBudgetError
+from ekl.weyl import (
+    EnumerationBudgetError,
+    aP_formula_typeA,
+    build_root_system,
+    weyl_order,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -390,10 +396,46 @@ def test_weyl_bad_type(capsys):
     assert code == 2
 
 
-def test_weyl_too_many_roots(capsys):
-    code, _, err = run(capsys, "weyl", "info", "--type", "A16")
+@pytest.mark.parametrize("label, rank", [("A", 16), ("B", 12), ("C", 12), ("D", 12)])
+def test_weyl_info_beyond_256_roots(capsys, label, rank):
+    code, out, _ = run(capsys, "weyl", "info", "--type", f"{label}{rank}")
+    npos = build_root_system(label, rank).npos
+    assert code == 0
+    assert f"order: {weyl_order(label, rank)}\n" in out
+    assert f"positive roots: {npos}\n" in out
+    assert f"longest word length: {npos}\n" in out
+
+
+def test_weyl_ap_beyond_256_roots(capsys):
+    code, out, _ = run(capsys, "weyl", "ap", "--type", "A16", "--remove", "1")
+    assert code == 0
+    assert f"a_P: {aP_formula_typeA([1, 16])}\n" in out
+    assert "a_P: 1\n" in out
+    keep = ",".join(str(k) for k in range(1, 13))
+    code, out, _ = run(
+        capsys, "weyl", "ap", "--type", "D13", "--keep", keep, "--method", "enumerate"
+    )
+    assert code == 0
+    assert "cosets: 26\na_P: 2\n" in out
+
+
+def test_weyl_too_many_roots_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weyl", "info", "--type", "A100000")
+    assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert "A16 has 272 roots" in err and "256" in err
+    assert out == ""
+    assert err == "error: A100000 has 5000050000 positive roots; at most 65536 are supported\n"
+
+
+@pytest.mark.parametrize("method", ["auto", "enumerate"])
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_weyl_ap_malformed_budget_is_a_flag_error(capsys, monkeypatch, value, method):
+    monkeypatch.setenv("EKL_ENUM_BUDGET", value)
+    code, out, err = run(capsys, "weyl", "ap", "--type", "A3", "--keep", "1", "--method", method)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: EKL_ENUM_BUDGET must be a non-negative integer, not {value!r}\n"
 
 
 def test_gw_classify_hyperbolic(tmp_path, capsys):

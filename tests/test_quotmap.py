@@ -24,6 +24,14 @@ from ekl.quotmap import (
     expected_gw,
 )
 from ekl.scalar import QQ
+from ekl.weyl import (
+    ParabolicSpec,
+    build_root_system,
+    compute_aP,
+    min_coset_reps,
+    parabolic_order_formula,
+    typeA_parabolic_for_blocks,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +374,40 @@ def test_expected_gw_shapes():
     assert expected_gw(build_Sn_full(1)) == ExpectedShape(1, 0, 0, 1)
     assert expected_gw(build_typeBC_full(2)) == ExpectedShape(4, 4, 0, 8)
     assert expected_gw(build_D_odd_partial(2)) == ExpectedShape(4, 4, 2, 10)
+
+
+# ---------------------------------------------------------------------------
+# the link to ekl.weyl: the residual of the predicted class is a_P, and the
+# rank is the coset count |W| / |W_P|
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_d_odd_residual_is_the_weyl_count(m):
+    rs = build_root_system("D", 2 * m + 1)
+    p = ParabolicSpec.keep(range(1, 2 * m + 1))
+    shape = expected_gw(build_D_odd_partial(m))
+    assert compute_aP(rs, p, method="enumerate") == shape.residual_count
+    assert len(min_coset_reps(rs, p)) == shape.rank
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_typeA_signature_is_the_weyl_count(n):
+    rs = build_root_system("A", n - 1)
+    for blocks in _compositions(n):
+        if blocks == (n,):
+            continue
+        p = typeA_parabolic_for_blocks(blocks)
+        shape = expected_gw(build_typeA_partial(blocks))
+        assert compute_aP(rs, p, method="enumerate") == shape.ones - shape.minus_ones, blocks
+        assert rs.order // parabolic_order_formula(rs, p) == shape.rank, blocks
 
 
 def test_blocks_2_2_class_matches_prediction():

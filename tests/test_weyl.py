@@ -1,57 +1,40 @@
 import pytest
 
+from weyl_perms import (
+    WeylElement,
+    _coroot_pairings,
+    in_parabolic as reference_in_parabolic,
+    is_central_longest as reference_is_central_longest,
+    longest_element as reference_longest_element,
+    mulclose,
+    parabolic_subgroup_order,
+    perm_root_system,
+    reduced_word,
+    reference_aP,
+    reference_min_coset_reps,
+    walked_weight,
+    word_element,
+)
+
 from ekl.weyl import (
+    MAX_POSITIVE_ROOTS,
     EnumerationBudgetError,
     ParabolicSpec,
-    WeylElement,
-    _compose,
-    _coroot_pairings,
     aP_formula_typeA,
     build_root_system,
     cartan_matrix,
     classify_subdiagram,
     compute_aP,
+    enum_budget,
     in_parabolic,
     is_central_longest,
     longest_element,
     min_coset_reps,
-    mulclose,
     parabolic_order_formula,
-    parabolic_subgroup_order,
     parabolic_type_name,
     typeA_parabolic_for_blocks,
     weyl_order,
 )
-
-
-def reference_min_coset_reps(rs, p):
-    """Breadth-first search from the identity over the left weak order: w is
-    minimal in w W_P iff w(alpha_j) > 0 for every kept node j, and the
-    minimal representatives are closed downward, so each is s_i times a
-    shorter one."""
-    npos = rs.npos
-    kept_positions = [rs.simple_positions[j - 1] for j in p.kept_nodes]
-    identity = rs.identity_perm()
-    reps = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for perm in frontier:
-            for gen in rs.gens:
-                cand = _compose(gen, perm)
-                if rs.length_of(cand) != reps[perm] + 1 or cand in reps:
-                    continue
-                if all(cand[pos] < npos for pos in kept_positions):
-                    reps[cand] = reps[perm] + 1
-                    new.append(cand)
-        frontier = new
-    return [WeylElement(rs, b) for b in sorted(reps, key=lambda b: (reps[b], b))]
-
-
-def reference_aP(rs, p):
-    """#{w W_P : w^-1 w0 w in W_P} by the descent test of ``in_parabolic``."""
-    w0 = longest_element(rs)
-    return sum(in_parabolic(rep.inverse() * w0 * rep, p) for rep in reference_min_coset_reps(rs, p))
 
 
 def compositions(n):
@@ -61,6 +44,15 @@ def compositions(n):
     for first in range(1, n + 1):
         for rest in compositions(n - first):
             yield (first,) + rest
+
+
+# every root system of rank at most 8
+SMALL_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [(label, n) for label in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +68,13 @@ def test_positive_root_counts():
     assert build_root_system("G", 2).npos == 6
 
 
+@pytest.mark.parametrize("label, rank", SMALL_TYPES)
+def test_closed_form_root_count_matches_the_root_closure(label, rank):
+    # perm_root_system closes the simple roots under the reflections and
+    # asserts the closed-form count
+    assert len(perm_root_system(label, rank).roots) == 2 * build_root_system(label, rank).npos
+
+
 def test_invalid_type_pairs():
     for label, rank in (("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 3), ("A", 0), ("Z", 4)):
         with pytest.raises(ValueError):
@@ -83,7 +82,7 @@ def test_invalid_type_pairs():
 
 
 def test_simple_reflections_permute_roots():
-    rs = build_root_system("B", 3)
+    rs = perm_root_system("B", 3)
     size = 2 * rs.npos
     for gen in rs.gens:
         assert sorted(gen) == list(range(size))
@@ -95,32 +94,58 @@ def test_simple_reflections_permute_roots():
 
 def test_group_orders_by_enumeration():
     for label, rank in (("A", 3), ("B", 3), ("D", 4), ("G", 2)):
-        rs = build_root_system(label, rank)
+        rs = perm_root_system(label, rank)
         gens = [rs.simple_reflection(i) for i in rs.nodes]
         assert len(mulclose(rs, gens)) == weyl_order(label, rank)
 
 
 def test_d3_equals_a3():
-    d3 = build_root_system("D", 3)
+    d3 = perm_root_system("D", 3)
     assert d3.npos == 6
     gens = [d3.simple_reflection(i) for i in d3.nodes]
     assert len(mulclose(d3, gens)) == 24
+
+
+def test_large_root_systems_up_to_the_bound():
+    for label, rank in (("A", 16), ("B", 12), ("C", 12), ("D", 12), ("D", 13)):
+        rs = build_root_system(label, rank)
+        assert len(longest_element(rs)) == rs.npos
+    # A361 and B/C/D256 are the largest of their types within the bound
+    for label, rank in (("A", 361), ("B", 256), ("C", 256), ("D", 256)):
+        rs = build_root_system(label, rank)
+        assert rs.npos <= MAX_POSITIVE_ROOTS
+        assert len(longest_element(rs)) == rs.npos
+    for label, rank in (("A", 362), ("B", 257), ("C", 257), ("D", 257), ("A", 100000)):
+        with pytest.raises(ValueError, match=f"{label}{rank} has .* at most 65536 are supported"):
+            build_root_system(label, rank)
 
 
 # ---------------------------------------------------------------------------
 # longest element
 
 def test_longest_element_lengths():
-    a1 = build_root_system("A", 1)
-    assert longest_element(a1).length == 1
-    d5 = build_root_system("D", 5)
-    assert longest_element(d5).length == 20  # n^2 - n for n = 5
+    assert longest_element(build_root_system("A", 1)) == (1,)
+    assert len(longest_element(build_root_system("D", 5))) == 20  # n^2 - n for n = 5
     for label, rank in (("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
                         ("D", 4), ("D", 5), ("E", 6), ("E", 7), ("F", 4), ("G", 2)):
-        rs = build_root_system(label, rank)
-        w0 = longest_element(rs)
+        rs = perm_root_system(label, rank)
+        w0 = word_element(rs, longest_element(build_root_system(label, rank)))
         assert w0.length == rs.npos
         assert (w0 * w0).is_identity()
+
+
+@pytest.mark.parametrize("label, rank", SMALL_TYPES)
+def test_longest_word_and_iota_match_the_oracle(label, rank):
+    rs = build_root_system(label, rank)
+    oracle = perm_root_system(label, rank)
+    w0 = reference_longest_element(oracle)
+    word = longest_element(rs)
+    assert len(word) == oracle.npos
+    assert word_element(oracle, word) == w0
+    # w0(alpha_k) = -alpha_iota(k)
+    for k, pos in zip(rs.nodes, oracle.simple_positions):
+        assert w0.perm[pos] == oracle.simple_positions[rs.iota[k - 1] - 1] + oracle.npos
+    assert is_central_longest(rs) == reference_is_central_longest(oracle)
 
 
 def test_centrality_table():
@@ -134,10 +159,17 @@ def test_centrality_table():
         assert is_central_longest(build_root_system(label, rank)), (label, rank)
 
 
+def test_iota_is_the_diagram_automorphism():
+    assert build_root_system("A", 4).iota == (4, 3, 2, 1)
+    assert build_root_system("D", 5).iota == (2, 1, 3, 4, 5)
+    assert build_root_system("D", 13).iota == (2, 1) + tuple(range(3, 14))
+    assert build_root_system("E", 6).iota == (6, 2, 5, 4, 3, 1)
+
+
 def test_d_odd_longest_word_conjugation():
     # for odd n the longest word swaps the fork nodes and fixes the chain
-    rs = build_root_system("D", 5)
-    w0 = longest_element(rs)
+    rs = perm_root_system("D", 5)
+    w0 = word_element(rs, longest_element(build_root_system("D", 5)))
     s = [rs.simple_reflection(i) for i in rs.nodes]
     conj = lambda i: w0 * s[i - 1] * w0.inverse()
     assert conj(1) == s[2 - 1]
@@ -163,20 +195,21 @@ def test_min_coset_reps_counts():
     assert len(reps) == 6  # the whole group
 
 
-def test_min_reps_are_minimal_and_cover():
+def test_orbit_weights_cover_the_group_by_cosets():
+    # w.lambda is constant exactly on the cosets w W_P, and the shortest
+    # element of each coset is the reference representative
     a3 = build_root_system("A", 3)
-    p = ParabolicSpec.keep([1, 3])
-    reps = min_coset_reps(a3, p)
-    sub = mulclose(a3, [a3.simple_reflection(1), a3.simple_reflection(3)])
-
-    cosets = set()
-    for rep in reps:
-        coset = frozenset(_compose(rep.perm, h) for h in sub)
-        for h in sub:
-            assert rep.length <= a3.length_of(_compose(rep.perm, h))
-        cosets.add(coset)
-    assert len(cosets) == 6
-    assert sum(len(c) for c in cosets) == 24
+    oracle = perm_root_system("A", 3)
+    kept = (1, 3)
+    p = ParabolicSpec.keep(kept)
+    whole = mulclose(oracle, [oracle.simple_reflection(i) for i in oracle.nodes])
+    fibres = {}
+    for perm in whole:
+        fibres.setdefault(tuple(walked_weight(oracle, perm, kept)), []).append(perm)
+    assert sorted(fibres) == sorted(map(tuple, min_coset_reps(a3, p)))
+    assert all(len(fibre) == 4 for fibre in fibres.values())  # |W_P|
+    shortest = {min(fibre, key=oracle.length_of) for fibre in fibres.values()}
+    assert shortest == {rep.perm for rep in reference_min_coset_reps(oracle, p)}
 
 
 # (type, rank, kept nodes, a_P): non-simply-laced B, C, F4 and G2, where
@@ -214,33 +247,26 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("label, rank, kept, aP", ORACLE_CASES)
 def test_orbit_walk_matches_reference(label, rank, kept, aP):
     rs = build_root_system(label, rank)
+    oracle = perm_root_system(label, rank)
     p = ParabolicSpec.keep(kept)
     reps = min_coset_reps(rs, p)
-    assert [r.perm for r in reps] == [r.perm for r in reference_min_coset_reps(rs, p)]
-    assert compute_aP(rs, p, method="enumerate") == reference_aP(rs, p) == aP
-
-
-def walked_weight(rs, perm, kept):
-    """w.lambda in omega-coordinates, applying the simple reflections of a
-    reduced word of w to lambda one at a time: (s_k mu)_j = mu_j - mu_k C[j][k]."""
-    mu = [0 if node in kept else 1 for node in rs.nodes]
-    while perm != rs.identity_perm():
-        # a right descent k (w(alpha_k) < 0) gives w = (w s_k) s_k
-        k = next(k for k, pos in enumerate(rs.simple_positions) if perm[pos] >= rs.npos)
-        mu = [m - mu[k] * rs.cartan[j][k] for j, m in enumerate(mu)]
-        perm = _compose(perm, rs.gens[k])
-    return mu
+    reference = reference_min_coset_reps(oracle, p)
+    length = {tuple(walked_weight(oracle, r.perm, kept)): r.length for r in reference}
+    assert sorted(map(tuple, reps)) == sorted(length)
+    depths = [length[tuple(mu)] for mu in reps]
+    assert depths == sorted(depths)
+    assert compute_aP(rs, p, method="enumerate") == reference_aP(oracle, p) == aP
 
 
 @pytest.mark.parametrize("label, rank, kept, aP", ORACLE_CASES)
 def test_coroot_pairings_give_the_orbit_weight(label, rank, kept, aP):
     # mu_k = <w.lambda, alpha_k^vee> = <lambda, (w^-1 alpha_k)^vee>, which in
     # B, C, F4 and G2 differs from the root coefficients of w^-1 alpha_k
-    rs = build_root_system(label, rank)
+    oracle = perm_root_system(label, rank)
     pairing = _coroot_pairings(label, rank, frozenset(kept))
-    for rep in min_coset_reps(rs, ParabolicSpec.keep(kept)):
-        mu = [pairing[rep.perm.index(pos)] for pos in rs.simple_positions]
-        assert mu == walked_weight(rs, rep.perm, kept)
+    for rep in reference_min_coset_reps(oracle, ParabolicSpec.keep(kept)):
+        mu = [pairing[rep.perm.index(pos)] for pos in oracle.simple_positions]
+        assert mu == walked_weight(oracle, rep.perm, kept)
 
 
 def test_order_product_invariant():
@@ -249,29 +275,34 @@ def test_order_product_invariant():
         rs = build_root_system(label, rank)
         p = ParabolicSpec.keep(kept)
         reps = min_coset_reps(rs, p)
-        assert len(reps) * parabolic_subgroup_order(rs, p) == weyl_order(label, rank)
+        assert len(reps) * parabolic_subgroup_order(perm_root_system(label, rank), p) == weyl_order(
+            label, rank
+        )
 
 
 def test_in_parabolic_examples():
     d4 = build_root_system("D", 4)
     p = ParabolicSpec.keep([1, 2])
-    assert in_parabolic(d4.identity(), p)
-    assert in_parabolic(d4.simple_reflection(1), p)
-    assert not in_parabolic(d4.simple_reflection(3), p)
+    assert in_parabolic(d4, (), p)
+    assert in_parabolic(d4, (1,), p)
+    assert in_parabolic(d4, (1, 2, 1), p)
+    assert not in_parabolic(d4, (3,), p)
+    assert in_parabolic(d4, (3, 3), p)
     e6 = build_root_system("E", 6)
-    w0 = longest_element(e6)
     for node in e6.nodes:
-        assert not in_parabolic(w0, ParabolicSpec.remove(e6, [node]))
+        assert not in_parabolic(e6, longest_element(e6), ParabolicSpec.remove(e6, [node]))
+    with pytest.raises(ValueError, match="word letters outside the diagram"):
+        in_parabolic(d4, (0,), p)
 
 
 def test_in_parabolic_exhaustive_a3():
     a3 = build_root_system("A", 3)
+    oracle = perm_root_system("A", 3)
     p = ParabolicSpec.keep([1, 2])
-    members = {w for w in mulclose(a3, [a3.simple_reflection(1), a3.simple_reflection(2)])}
-    whole = mulclose(a3, [a3.simple_reflection(i) for i in a3.nodes])
+    members = mulclose(oracle, [oracle.simple_reflection(1), oracle.simple_reflection(2)])
+    whole = mulclose(oracle, [oracle.simple_reflection(i) for i in oracle.nodes])
     for perm in whole:
-        w = WeylElement(a3, perm)
-        assert in_parabolic(w, p) == (perm in members)
+        assert in_parabolic(a3, reduced_word(oracle, perm), p) == (perm in members)
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +383,22 @@ def test_formula_vs_enumeration_small_n():
 
 def test_aP_equals_whole_group_count_over_subgroup_order():
     # counting over minimal representatives must match the whole-group
-    # count #{w : w^-1 w0 w in W_P} divided by |W_P|
+    # count #{w : w^-1 w0 w in W_P} divided by |W_P|, with the library's
+    # and the oracle's membership tests agreeing on every conjugate
     cases = [("A", 3, [1, 3], 4), ("D", 5, [1, 2, 3, 4], 192)]
     for label, rank, kept, sub_order in cases:
         rs = build_root_system(label, rank)
+        oracle = perm_root_system(label, rank)
         p = ParabolicSpec.keep(kept)
-        w0 = longest_element(rs)
-        whole = mulclose(rs, [rs.simple_reflection(i) for i in rs.nodes])
+        w0 = reference_longest_element(oracle)
+        whole = mulclose(oracle, [oracle.simple_reflection(i) for i in oracle.nodes])
         count = 0
         for perm in whole:
-            w = WeylElement(rs, perm)
-            if in_parabolic(w.inverse() * w0 * w, p):
-                count += 1
+            w = WeylElement(oracle, perm)
+            conjugate = w.inverse() * w0 * w
+            member = reference_in_parabolic(conjugate, p)
+            assert in_parabolic(rs, reduced_word(oracle, conjugate.perm), p) == member
+            count += member
         assert count == compute_aP(rs, p, method="enumerate") * sub_order
 
 
@@ -371,14 +406,6 @@ def test_aP_enumerate_count_e6():
     e6 = build_root_system("E", 6)
     p = ParabolicSpec.remove(e6, [1])
     assert compute_aP(e6, p, method="enumerate") == 3
-
-
-def test_root_count_limit():
-    assert build_root_system("A", 15).npos == 120
-    assert build_root_system("E", 8).npos == 120
-    for label, rank in (("A", 16), ("B", 12), ("C", 12), ("D", 12)):
-        with pytest.raises(ValueError, match=f"{label}{rank} has .* at most 256 roots"):
-            build_root_system(label, rank)
 
 
 def test_remove_rejects_unknown_nodes():
@@ -391,8 +418,9 @@ def test_budget_enforced():
     a3 = build_root_system("A", 3)
     with pytest.raises(EnumerationBudgetError):
         min_coset_reps(a3, ParabolicSpec.keep([]), budget=5)
+    oracle = perm_root_system("A", 3)
     with pytest.raises(EnumerationBudgetError):
-        mulclose(a3, [a3.simple_reflection(i) for i in a3.nodes], budget=5)
+        mulclose(oracle, [oracle.simple_reflection(i) for i in oracle.nodes], budget=5)
 
 
 @pytest.mark.parametrize("label, rank, kept", [("A", 5, (1,)), ("E", 6, (2, 3, 4, 5, 6))])
@@ -402,7 +430,8 @@ def test_budget_boundary_is_the_coset_count(label, rank, kept):
     cosets = rs.order // parabolic_order_formula(rs, p)
     with pytest.raises(EnumerationBudgetError, match=f"budget of {cosets - 1} elements"):
         compute_aP(rs, p, method="enumerate", budget=cosets - 1)
-    assert compute_aP(rs, p, method="enumerate", budget=cosets) == reference_aP(rs, p)
+    reference = reference_aP(perm_root_system(label, rank), p)
+    assert compute_aP(rs, p, method="enumerate", budget=cosets) == reference
 
 
 def test_budget_env_override(monkeypatch):
@@ -410,6 +439,16 @@ def test_budget_env_override(monkeypatch):
     a3 = build_root_system("A", 3)
     with pytest.raises(EnumerationBudgetError):
         min_coset_reps(a3, ParabolicSpec.keep([]))
+
+
+@pytest.mark.parametrize("text", ["abc", "-1", "", "2.5"])
+def test_malformed_budget_env_is_a_value_error(monkeypatch, text):
+    monkeypatch.setenv("EKL_ENUM_BUDGET", text)
+    with pytest.raises(ValueError, match="EKL_ENUM_BUDGET must be a non-negative integer"):
+        enum_budget()
+    assert enum_budget(7) == 7
+    monkeypatch.setenv("EKL_ENUM_BUDGET", "0")
+    assert enum_budget() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +480,8 @@ def test_parabolic_order_formula_matches_enumeration():
     for label, rank, kept in cases:
         rs = build_root_system(label, rank)
         p = ParabolicSpec.keep(kept)
-        assert parabolic_order_formula(rs, p) == parabolic_subgroup_order(rs, p)
+        oracle_order = parabolic_subgroup_order(perm_root_system(label, rank), p)
+        assert parabolic_order_formula(rs, p) == oracle_order
 
 
 def test_parabolic_type_names():
