@@ -59,6 +59,7 @@ from .quotmap import (
     build_D_full,
     build_D_odd_partial,
     build_Sn_full,
+    build_quotient,
     build_typeA_partial,
     build_typeBC_full,
     expected_gw,
@@ -79,6 +80,7 @@ from .weyl import (
     ParabolicSpec,
     RootSystem,
     aP_formula_typeA,
+    block_parabolic,
     build_root_system,
     compute_aP,
     in_parabolic,

@@ -49,6 +49,7 @@ from .quotmap import (
     build_D_full,
     build_D_odd_partial,
     build_Sn_full,
+    build_quotient,
     build_typeA_partial,
     build_typeBC_full,
     expected_gw,
@@ -205,38 +206,52 @@ def cmd_degree(args) -> int:
     return EXIT_OK
 
 
+#: The flags each ``quotient --type`` takes besides --field and --emit-map.
+QUOTIENT_FLAGS = {
+    "A": ("blocks",),
+    "Sn": ("n",),
+    "B": ("rank", "blocks"),
+    "C": ("rank", "blocks"),
+    "D": ("rank", "blocks", "parabolic"),
+}
+
+
 def _build_quotient_spec(args) -> QuotientSpec:
     field = _parse_field(args.field)
+    for flag in ("blocks", "n", "rank", "parabolic"):
+        if getattr(args, flag) is not None and flag not in QUOTIENT_FLAGS[args.type]:
+            raise ValueError(f"--type {args.type} does not take --{flag}")
+    if args.parabolic is not None and args.blocks is not None:
+        raise ValueError("--parabolic and --blocks exclude each other")
+    blocks = [int(b) for b in args.blocks.split(",")] if args.blocks else None
     if args.type == "A":
-        if not args.blocks:
+        if blocks is None:
             raise ValueError("--type A requires --blocks")
-        blocks = [int(b) for b in args.blocks.split(",")]
         return build_typeA_partial(blocks, field)
     if args.type == "Sn":
         if args.n is None:
             raise ValueError("--type Sn requires --n")
         return build_Sn_full(args.n, field)
+    if args.rank is None:
+        raise ValueError(f"--type {args.type} requires --rank")
+    if blocks is not None:
+        family = f"{args.type}{args.rank}-partial"
+        return build_quotient(args.type, blocks, args.rank - sum(blocks), field, family=family)
     if args.type in ("B", "C"):
-        if args.rank is None:
-            raise ValueError(f"--type {args.type} requires --rank")
         return build_typeBC_full(args.rank, field)
-    if args.type == "D":
-        if args.rank is None:
-            raise ValueError("--type D requires --rank")
-        if args.parabolic is None:
-            return build_D_full(args.rank, field)
-        expected = f"D{args.rank - 1}"
-        if args.parabolic.upper() != expected or args.rank % 2 == 0 or args.rank < 5:
-            raise ValueError(
-                f"the supported partial family is odd rank r over --parabolic D(r-1), r >= 5"
-            )
-        return build_D_odd_partial((args.rank - 1) // 2, field)
-    raise ValueError(f"unknown quotient type {args.type!r}")
+    if args.parabolic is None:
+        return build_D_full(args.rank, field)
+    if args.parabolic.upper() != f"D{args.rank - 1}" or args.rank % 2 == 0 or args.rank < 5:
+        raise ValueError(
+            "the supported partial family is odd rank r over --parabolic D(r-1), r >= 5"
+        )
+    return build_D_odd_partial((args.rank - 1) // 2, field)
 
 
 def cmd_quotient(args) -> int:
     try:
         spec = _build_quotient_spec(args)
+        shape = expected_gw(spec)
     except ValueError as exc:
         raise _InputError(f"error: {exc}") from exc
     if args.emit_map:
@@ -261,7 +276,6 @@ def cmd_quotient(args) -> int:
         units = _units_shape(computed)
     elapsed = time.perf_counter() - started
 
-    shape = expected_gw(spec)
     print(f"family: {spec.describe()}")
     print(f"expected degree: {spec.expected_degree}")
     print(f"quotient dimension: {dimension}")
@@ -387,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_quot = sub.add_parser("quotient", help="build and run a quotient-map family member")
     p_quot.add_argument("--type", required=True, choices=["A", "B", "C", "D", "Sn"])
-    p_quot.add_argument("--blocks", help="comma-separated block sizes (type A)")
+    p_quot.add_argument("--blocks", help="comma-separated block sizes (types A, B, C, D)")
     p_quot.add_argument("--n", type=int, help="number of variables (type Sn)")
     p_quot.add_argument("--rank", type=int, help="rank (types B, C, D)")
     p_quot.add_argument("--parabolic", help="partial quotient subgroup, e.g. D4")

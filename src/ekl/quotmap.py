@@ -1,46 +1,57 @@
-"""Constructors for reflection-group quotient maps in invariant coordinates.
+"""The quotient maps A^n / W_P -> A^n / W in invariant coordinates.
 
-Each builder returns a QuotientSpec holding the square map expressing the
-target invariant generators in the source ones, and the degrees of both
-generator sets: component i of the map is weighted-homogeneous of degree
-``target_degrees[i]`` when the map's variables weigh ``source_degrees``.
-The expected covering degree is the ratio of the two degree products, the
-index of the source group in the target group.  Each builder's docstring
-names the generators in ambient coordinates; they are not built.
+W is the Weyl group of type X in {A, B/C, D} and W_P = S_{k_1} x ... x
+S_{k_r} x W(X_m), over blocks of k_i consecutive coordinates and a tail of
+the last m = n - sum k_i (m = 0 for A, m != 1 for D); see Chevalley,
+"Invariants of finite groups generated by reflections", and Humphreys,
+*Reflection Groups and Coxeter Groups*, section 3.  ``build_quotient``
+writes the target's basic invariants in the source's:
 
-Families:
-  * symmetric-group partial quotients A^n / prod S_{n_i} -> A^n / S_n in
-    elementary symmetric coordinates (the target components come from the
-    convolution of the per-block generating polynomials);
-  * full quotients for S_n, the signed-permutation groups (elementary
-    symmetric functions of squares), and the even-sign variant (with the
-    plain product of coordinates as the last generator);
-  * the partial quotient of the even-sign group of odd rank over its
-    corank-one subgroup fixing the first coordinate, which is the smallest
-    family whose degree class picks up a non-unit residual summand.
+  * source: e_1 .. e_{k_i} of each block; for B/C, e_1 .. e_m of the
+    squares of the tail; for D, e_1 .. e_{m-1} of them and the tail's
+    product q;
+  * A: component k is e_k(x), the t^k coefficient of prod_i A_i(t), where
+    A_i(t) = 1 + sum_j y_{i,j} t^j;
+  * B/C: component k is e_k(x^2), the s^k coefficient of prod_i B_i(s) V(s),
+    where B_i(s) = sum_j (-1)^j [t^2j] A_i(t) A_i(-t) and V(s) = 1 + sum_j
+    v_j s^j is the tail's; for D the same for k < n, with q^2 as V's top
+    coefficient, and last x_1 ... x_n = prod_i y_{i,k_i} q.
+
+Component i is weighted-homogeneous of degree ``target_degrees[i]`` when the
+variables weigh ``source_degrees``, so the covering degree |W/W_P| is the
+ratio of the degree products.  The named families are members: A-partial is
+A over its blocks, Sn-full A over 1^n, BC-full B over 1^n, D-full D over
+1^n, and D-odd-partial m is D_{2m+1} over the block (1) with tail 2m, the
+smallest family whose class has a non-hyperbolic residual.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from typing import Sequence
 
 from .degree import MapSpec
-from .poly import Polynomial, elementary_symmetric, substitute
+from .poly import Polynomial
 from .scalar import QQ
-from .weyl import aP_formula_typeA
+from .weyl import block_parabolic, build_root_system, compute_aP, parabolic_order_formula
 
 
 @dataclass(frozen=True)
 class QuotientSpec:
-    """A quotient map with the degrees of its source and target generators."""
+    """A quotient map with the degrees of its source and target generators
+    and its Weyl data: W = W(weyl_type, rank), W_P = block_parabolic(...)."""
 
-    family: str  # A-partial | Sn-full | BC-full | D-full | D-odd-partial
+    family: str  # A-partial | Sn-full | BC-full | D-full | D-odd-partial | {X}{n}-partial
     parameters: tuple[int, ...]
     map: MapSpec
     source_degrees: tuple[int, ...]
     target_degrees: tuple[int, ...]
+    weyl_type: str  # A, B, C or D
+    rank: int
+    blocks: tuple[int, ...]
 
     @property
     def expected_degree(self) -> int:
@@ -52,154 +63,118 @@ class QuotientSpec:
         return f"{self.family}({params})"
 
 
-def _ambient(n: int, field) -> tuple[tuple[str, ...], list[Polynomial]]:
-    ring = tuple(f"x{i}" for i in range(1, n + 1))
-    xs = [Polynomial.variable(v, ring, field) for v in ring]
-    return ring, xs
-
-
 _BLOCK_LETTERS = "yzwuvt"
 
 
-def _block_names(blocks: Sequence[int]) -> list[list[str]]:
+def _block_names(blocks: Sequence[int]) -> list[str]:
     if len(blocks) <= len(_BLOCK_LETTERS):
-        return [
-            [f"{_BLOCK_LETTERS[i]}{j}" for j in range(1, b + 1)]
-            for i, b in enumerate(blocks)
-        ]
-    return [
-        [f"b{i + 1}x{j}" for j in range(1, b + 1)] for i, b in enumerate(blocks)
-    ]
+        return [f"{_BLOCK_LETTERS[i]}{j}" for i, b in enumerate(blocks) for j in range(1, b + 1)]
+    return [f"b{i + 1}x{j}" for i, b in enumerate(blocks) for j in range(1, b + 1)]
+
+
+def _times(p: list[Polynomial], q: list[Polynomial]) -> list[Polynomial]:
+    """The product of two polynomials in one variable, as coefficient lists."""
+    out = [Polynomial.zero(p[0].ring, p[0].field)] * (len(p) + len(q) - 1)
+    for a, x in enumerate(p):
+        for b, y in enumerate(q):
+            out[a + b] = out[a + b] + x * y
+    return out
+
+
+def build_quotient(
+    type_label: str,
+    blocks: Sequence[int],
+    tail: int,
+    field=QQ,
+    *,
+    family: str,
+    ring: Sequence[str] | None = None,
+    parameters: Sequence[int] | None = None,
+) -> QuotientSpec:
+    """The map of the module docstring for W(X_n) over blocks and a tail.
+    ``ring`` names the source coordinates (default: y1, y2, .. for the first
+    block, z1, .. for the second, then s1, .. for the tail, q for D's
+    product); ``parameters`` default to the blocks."""
+    blocks = tuple(int(b) for b in blocks)
+    n = sum(blocks) + tail
+    rank = n - 1 if type_label == "A" else n
+    block_parabolic(type_label, rank, blocks)  # refuses blocks and tails with no such W_P
+    tail_degrees = [2 * j for j in range(1, tail + 1)]
+    tail_names = [f"s{j}" for j in range(1, tail + 1)]
+    if type_label == "D" and tail:
+        tail_degrees[-1], tail_names[-1] = tail, "q"
+    ring = tuple(_block_names(blocks) + tail_names if ring is None else ring)
+    xs = [Polynomial.variable(v, ring, field) for v in ring]
+    one = Polynomial.constant(1, ring, field)
+    cuts = [0, *accumulate(blocks)]
+    series = [[one] + xs[i:j] for i, j in zip(cuts, cuts[1:])]  # the coefficients of A_i(t)
+    if type_label == "A":
+        factors = series
+    else:
+        factors = []
+        for a in series:
+            even = _times(a, [-y if j % 2 else y for j, y in enumerate(a)])[::2]
+            factors.append([-c if j % 2 else c for j, c in enumerate(even)])
+        tail_coeffs = xs[cuts[-1] :]
+        if type_label == "D" and tail:
+            tail_coeffs[-1] = tail_coeffs[-1] * tail_coeffs[-1]
+        factors.append([one] + tail_coeffs)
+    coeffs = reduce(_times, factors)
+    components = coeffs[1 : n + 1]
+    target_degrees = [k * (1 if type_label == "A" else 2) for k in range(1, n + 1)]
+    if type_label == "D":
+        components[-1] = reduce(Polynomial.__mul__, [a[-1] for a in series] + xs[cuts[-1] :][-1:])
+        target_degrees[-1] = n
+    return QuotientSpec(
+        family,
+        blocks if parameters is None else tuple(parameters),
+        MapSpec(ring, tuple(components)),
+        tuple(j for b in blocks for j in range(1, b + 1)) + tuple(tail_degrees),
+        tuple(target_degrees),
+        type_label,
+        rank,
+        blocks,
+    )
+
+
+def _xs(n: int) -> list[str]:
+    return [f"x{i}" for i in range(1, n + 1)]
 
 
 def build_typeA_partial(blocks: Sequence[int], field=QQ) -> QuotientSpec:
-    """The map A^n / prod S_{n_i} -> A^n / S_n in elementary symmetric
-    coordinates.
-
-    The ambient coordinates x_1 .. x_n split into consecutive blocks of
-    sizes n_1, n_2, ...  Source coordinate (i, j) is e_j of block i, of
-    degree j; the k-th target component is e_k(x_1, ..., x_n), of degree k,
-    written as the coefficient of t^k in the product over blocks of
-    (1 + y_{i,1} t + ... + y_{i,n_i} t^{n_i}).
-    """
-    blocks = tuple(int(b) for b in blocks)
-    if not blocks or any(b <= 0 for b in blocks):
-        raise ValueError("blocks must be a non-empty list of positive integers")
-    n = sum(blocks)
-    names = _block_names(blocks)
-    ring = tuple(name for group in names for name in group)
-    one = Polynomial.constant(1, ring, field)
-    zero = Polynomial.zero(ring, field)
-
-    coeffs = [one] + [zero] * n  # running coefficients of the t-polynomial
-    degree_so_far = 0
-    for i, b in enumerate(blocks):
-        block_vars = [Polynomial.variable(v, ring, field) for v in names[i]]
-        new = [zero] * (degree_so_far + b + 1)
-        for k in range(degree_so_far + 1):
-            if coeffs[k].is_zero():
-                continue
-            new[k] = new[k] + coeffs[k]
-            for j, y in enumerate(block_vars, start=1):
-                new[k + j] = new[k + j] + coeffs[k] * y
-        for k in range(degree_so_far + b + 1):
-            coeffs[k] = new[k]
-        degree_so_far += b
-
-    spec = QuotientSpec(
-        "A-partial",
-        blocks,
-        MapSpec(ring, tuple(coeffs[k] for k in range(1, n + 1))),
-        tuple(j for b in blocks for j in range(1, b + 1)),
-        tuple(range(1, n + 1)),
-    )
-    assert spec.expected_degree == math.factorial(n) // math.prod(
-        math.factorial(b) for b in blocks
-    )
-    return spec
+    """A^n / prod S_{n_i} -> A^n / S_n over consecutive blocks of sizes n_i."""
+    return build_quotient("A", blocks, 0, field, family="A-partial")
 
 
 def build_Sn_full(n: int, field=QQ) -> QuotientSpec:
     """The full quotient A^n -> A^n / S_n: components e_1, ..., e_n."""
     if n < 1:
         raise ValueError("n must be positive")
-    ring = tuple(f"x{i}" for i in range(1, n + 1))
-    gens = tuple(
-        elementary_symmetric(k, ring, ring, field) for k in range(1, n + 1)
-    )
-    return QuotientSpec(
-        "Sn-full", (n,), MapSpec(ring, gens), (1,) * n, tuple(range(1, n + 1))
-    )
+    return build_quotient("A", [1] * n, 0, field, family="Sn-full", ring=_xs(n), parameters=(n,))
 
 
 def build_typeBC_full(n: int, field=QQ) -> QuotientSpec:
     """Full signed-permutation quotient: components e_k(x_1^2, ..., x_n^2)."""
     if n < 1:
         raise ValueError("n must be positive")
-    ring, xs = _ambient(n, field)
-    squares = {f"x{i}": xs[i - 1] * xs[i - 1] for i in range(1, n + 1)}
-    gens = tuple(
-        substitute(elementary_symmetric(k, ring, ring, field), squares)
-        for k in range(1, n + 1)
-    )
-    return QuotientSpec(
-        "BC-full", (n,), MapSpec(ring, gens), (1,) * n, tuple(range(2, 2 * n + 1, 2))
-    )
+    return build_quotient("B", [1] * n, 0, field, family="BC-full", ring=_xs(n), parameters=(n,))
 
 
 def build_D_full(n: int, field=QQ) -> QuotientSpec:
     """Full even-sign quotient: e_1(x^2), ..., e_{n-1}(x^2) and x_1 ... x_n."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    ring, xs = _ambient(n, field)
-    squares = {f"x{i}": xs[i - 1] * xs[i - 1] for i in range(1, n + 1)}
-    gens = [
-        substitute(elementary_symmetric(k, ring, ring, field), squares)
-        for k in range(1, n)
-    ]
-    product = xs[0]
-    for x in xs[1:]:
-        product = product * x
-    gens.append(product)
-    return QuotientSpec(
-        "D-full",
-        (n,),
-        MapSpec(ring, tuple(gens)),
-        (1,) * n,
-        tuple(range(2, 2 * n - 1, 2)) + (n,),
-    )
+    return build_quotient("D", [1] * n, 0, field, family="D-full", ring=_xs(n), parameters=(n,))
 
 
 def build_D_odd_partial(m: int, field=QQ) -> QuotientSpec:
-    """The partial quotient for the odd-rank even-sign group over the
-    corank-one subgroup acting on the last 2m coordinates.
-
-    Ambient variables x_1 .. x_{2m+1}.  Source coordinates:
-    u0 = x_1, u_k = e_k(x_2^2, ..., x_{2m+1}^2) for k = 1 .. 2m-1, and
-    u_{2m} = x_2 ... x_{2m+1}, of degrees 1, 2, 4, ..., 4m-2 and 2m.  The
-    target generators are those of the full even-sign quotient of rank
-    2m+1, of degrees 2, 4, ..., 4m and 2m+1.  Target components in the
-    source coordinates:
-    p_1 = u_1 + u0^2, p_k = u_k + u0^2 u_{k-1} for k = 2 .. 2m-1,
-    p_{2m} = u_{2m}^2 + u0^2 u_{2m-1}, p_{2m+1} = u0 u_{2m}.
-    """
+    """The even-sign group of rank 2m+1 over its corank-one subgroup acting on
+    the last 2m coordinates: u0 = x_1, u_k = e_k(x_2^2, ..., x_{2m+1}^2) for
+    k < 2m and u_{2m} = x_2 ... x_{2m+1}."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    ring = tuple(f"u{k}" for k in range(2 * m + 1))
-    u = [Polynomial.variable(v, ring, field) for v in ring]
-    u0sq = u[0] * u[0]
-    comps = [u[1] + u0sq]
-    for k in range(2, 2 * m):
-        comps.append(u[k] + u0sq * u[k - 1])
-    comps.append(u[2 * m] * u[2 * m] + u0sq * u[2 * m - 1])
-    comps.append(u[0] * u[2 * m])
-    return QuotientSpec(
-        "D-odd-partial",
-        (m,),
-        MapSpec(ring, tuple(comps)),
-        (1,) + tuple(range(2, 4 * m - 1, 2)) + (2 * m,),
-        tuple(range(2, 4 * m + 1, 2)) + (2 * m + 1,),
-    )
+    ring, family = [f"u{k}" for k in range(2 * m + 1)], "D-odd-partial"
+    return build_quotient("D", [1], 2 * m, field, family=family, ring=ring, parameters=(m,))
 
 
 @dataclass(frozen=True)
@@ -213,23 +188,22 @@ class ExpectedShape:
 
 
 def expected_gw(spec: QuotientSpec) -> ExpectedShape:
-    """Predicted class shape for a built quotient map.
-
-    Partial symmetric quotients have a = floor(n/2)!/prod floor(n_i/2)!
-    when at most one block is odd (else 0), absorbed into the unit counts
-    since the unit there is 1.  Full quotients of groups containing a
-    reflection are integer multiples of the rank-2 split form.  The odd
-    even-sign partial quotient keeps a residual of two copies of one
-    square class.
+    """Predicted class ((d - a)/2) H + a<alpha> (alpha = 1 for type A) for
+    d = |W/W_P|, asserted equal to the covering degree, and a = a_P from
+    ``ekl.weyl`` with budget d.  a = 1 when W_P = W, and a = 0 for W(B1),
+    W(C1) and W(D2), which contain -1 and which ``ekl.weyl`` does not build.
     """
     deg = spec.expected_degree
-    if spec.family == "A-partial":
-        a = aP_formula_typeA(spec.parameters)
+    if deg == 1:
+        a = 1
+    elif (spec.weyl_type, spec.rank) in (("B", 1), ("C", 1), ("D", 2)):
+        a = 0
+    else:
+        rs = build_root_system(spec.weyl_type, spec.rank)
+        p = block_parabolic(spec.weyl_type, spec.rank, spec.blocks)
+        if rs.order // parabolic_order_formula(rs, p) != deg:
+            raise AssertionError(f"|W/W_P| differs from the covering degree {deg}")
+        a = compute_aP(rs, p, budget=deg)
+    if spec.weyl_type == "A":
         return ExpectedShape((deg + a) // 2, (deg - a) // 2, 0, deg)
-    if spec.family in ("Sn-full", "BC-full", "D-full"):
-        if deg == 1:
-            return ExpectedShape(1, 0, 0, 1)
-        return ExpectedShape(deg // 2, deg // 2, 0, deg)
-    if spec.family == "D-odd-partial":
-        return ExpectedShape((deg - 2) // 2, (deg - 2) // 2, 2, deg)
-    raise ValueError(f"unknown family {spec.family!r}")
+    return ExpectedShape((deg - a) // 2, (deg - a) // 2, a, deg)

@@ -25,6 +25,7 @@ E types run 1-3-4-5-6(-7-8) with node 2 attached to node 4.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -371,15 +372,22 @@ def aP_formula_typeA(blocks: Sequence[int]) -> int:
     return value
 
 
-def typeA_parabolic_for_blocks(blocks: Sequence[int]) -> ParabolicSpec:
-    """Kept nodes of the block parabolic of S_n: all nodes except the cuts."""
-    n = sum(blocks)
-    cuts = set()
-    acc = 0
-    for b in blocks[:-1]:
-        acc += b
-        cuts.add(acc)
-    return ParabolicSpec.keep(set(range(1, n)) - cuts)
+def block_parabolic(type_label: str, rank: int, blocks: Sequence[int]) -> ParabolicSpec:
+    """W_P = S_{k_1} x ... x S_{k_r} x W(X_m) in W(X_rank) for X in A, B, C, D,
+    over blocks of k_i consecutive coordinates and a tail of the last m (none
+    for A, m != 1 for D): all nodes but the cuts k_1, k_1 + k_2, ... in
+    Bourbaki's numbering, where node j of D is node rank + 1 - j here."""
+    if type_label not in ("A", "B", "C", "D"):
+        raise ValueError(f"no block parabolic in type {type_label}")
+    if not blocks or min(blocks) <= 0:
+        raise ValueError("blocks must be a non-empty list of positive integers")
+    tail = rank + (type_label == "A") - sum(blocks)
+    if tail < 0 or (type_label == "A" and tail) or (type_label == "D" and tail == 1):
+        raise ValueError(f"blocks {','.join(map(str, blocks))} do not fit type {type_label}{rank}")
+    cuts = set(itertools.accumulate(blocks))
+    if type_label == "D":
+        cuts = {rank + 1 - c for c in cuts}
+    return ParabolicSpec.keep(set(range(1, rank + 1)) - cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,10 @@ from ekl.scalar import GF, QQ, SquareClass, factorize, squarefree_part
 from ekl.weyl import (
     ParabolicSpec,
     aP_formula_typeA,
+    block_parabolic,
     build_root_system,
     compute_aP,
     is_central_longest,
-    typeA_parabolic_for_blocks,
 )
 
 REAL_PLACE = "inf"
@@ -167,7 +167,7 @@ def test_criterion_7_formula_vs_enumeration_n6():
         for blocks in compositions(6):
             if blocks == (6,):
                 continue  # the parabolic would be the whole group
-            p = typeA_parabolic_for_blocks(blocks)
+            p = block_parabolic("A", 5, blocks)
             assert compute_aP(a5, p, method="enumerate") == aP_formula_typeA(blocks), blocks
             checked += 1
         assert checked == 31

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -184,6 +185,9 @@ README_EXAMPLES = (
     ("ekl quotient --type A --blocks 2,2", "verdict: MATCH"),
     ("ekl quotient --type D --rank 5 --parabolic D4", "quotient dimension: 10"),
     ("ekl quotient --type D --rank 5 --parabolic D4", "alpha = "),
+    ("ekl quotient --type B --rank 3 --blocks 2,1", "family: B3-partial(2,1)"),
+    ("ekl quotient --type B --rank 3 --blocks 2,1", "computed: 12<1> + 12<-1>"),
+    ("ekl quotient --type D --rank 6 --blocks 2,2", "quotient dimension: 1440"),
     ("ekl weyl ap --type E6 --remove 1", "a_P: 3"),
     ("ekl weyl ap --type E6 --remove 1,6", "a_P: 6"),
     ("ekl weyl ap --type F4 --remove 1", "a_P: 0"),
@@ -303,6 +307,91 @@ def test_quotient_bad_parameters(capsys):
     assert code == 2
     code, _, err = run(capsys, "quotient", "--type", "D", "--rank", "6", "--parabolic", "D5")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--type", "B", "--rank", "3", "--n", "3"), "error: --type B does not take --n\n"),
+        (("--type", "Sn", "--n", "3", "--rank", "9"), "error: --type Sn does not take --rank\n"),
+        (("--type", "Sn", "--n", "3", "--blocks", "2,1"), "error: --type Sn does not take --blocks\n"),
+        (("--type", "A", "--blocks", "2,2", "--parabolic", "D4"), "error: --type A does not take --parabolic\n"),
+        (("--type", "A", "--blocks", "2,2", "--rank", "3"), "error: --type A does not take --rank\n"),
+        (("--type", "C", "--rank", "3", "--parabolic", "C2"), "error: --type C does not take --parabolic\n"),
+        (("--type", "D", "--rank", "5", "--n", "5"), "error: --type D does not take --n\n"),
+        (
+            ("--type", "D", "--rank", "5", "--parabolic", "D4", "--blocks", "1"),
+            "error: --parabolic and --blocks exclude each other\n",
+        ),
+        (("--type", "D", "--rank", "5", "--blocks", "4"), "error: blocks 4 do not fit type D5\n"),
+        (("--type", "B", "--rank", "3", "--blocks", "2,2"), "error: blocks 2,2 do not fit type B3\n"),
+        (("--type", "B", "--blocks", "2"), "error: --type B requires --rank\n"),
+    ],
+)
+def test_quotient_refuses_flags_the_type_does_not_take(capsys, argv, message):
+    assert run(capsys, "quotient", *argv) == (2, "", message)
+
+
+def test_quotient_does_not_read_the_enumeration_budget():
+    # the coset count is known, so it is the budget; EKL_ENUM_BUDGET caps `weyl ap` only
+    src = os.path.dirname(os.path.dirname(ekl.__file__))
+    for value in ("0", "abc"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ekl.cli", "quotient", "--type", "Sn", "--n", "4"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src, EKL_ENUM_BUDGET=value),
+            timeout=60,
+        )
+        assert proc.returncode == 0 and "verdict: MATCH\n" in proc.stdout, value
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def _block_members(max_cosets):
+    """(type, rank, blocks, |W/W_P|) for B/C rank 1..5 and D rank 2..5."""
+    def order(label, n):  # |W(X_n)|, 1 for the empty tail
+        return 2 ** (n - (label == "D" and n > 0)) * math.factorial(n)
+
+    for label, ranks in (("B", range(1, 6)), ("C", range(1, 6)), ("D", range(2, 6))):
+        for n in ranks:
+            for size in range(1, n + 1):
+                tail = n - size
+                if label == "D" and tail == 1:
+                    continue
+                for blocks in _compositions(size):
+                    parabolic = math.prod(map(math.factorial, blocks)) * order(label, tail)
+                    if order(label, n) // parabolic <= max_cosets:
+                        yield label, n, blocks, order(label, n) // parabolic
+
+
+def test_quotient_block_members_match(capsys):
+    members = list(_block_members(400))
+    assert len(members) == 112
+    for label, rank, blocks, cosets in members:
+        argv = ("quotient", "--type", label, "--rank", str(rank), "--blocks", ",".join(map(str, blocks)))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert f"family: {label}{rank}-partial({','.join(map(str, blocks))})\n" in out, argv
+        assert f"expected degree: {cosets}\nquotient dimension: {cosets}\n" in out, argv
+        assert "verdict: MATCH\n" in out, argv
+
+
+@pytest.mark.parametrize(
+    "rank, blocks, computed",
+    [("6", "2,2", "720<1> + 720<-1>"), ("7", "5", "336<1> + 336<-1>")],
+)
+def test_quotient_large_block_members(capsys, rank, blocks, computed):
+    code, out, _ = run(capsys, "quotient", "--type", "D", "--rank", rank, "--blocks", blocks)
+    assert code == 0
+    assert f"computed: {computed}\npredicted: {computed}\nverdict: MATCH\n" in out
 
 
 def test_weyl_ap_e6(capsys):

@@ -3,6 +3,7 @@ from operator import mul
 
 import pytest
 
+import quotmap_oracle as oracle
 from conftest import reference_poly_det
 
 from ekl.degree import ekl_degree
@@ -19,18 +20,19 @@ from ekl.quotmap import (
     build_D_full,
     build_D_odd_partial,
     build_Sn_full,
+    build_quotient,
     build_typeA_partial,
     build_typeBC_full,
     expected_gw,
 )
-from ekl.scalar import QQ
+from ekl.scalar import GF, QQ
 from ekl.weyl import (
     ParabolicSpec,
+    block_parabolic,
     build_root_system,
     compute_aP,
     min_coset_reps,
     parabolic_order_formula,
-    typeA_parabolic_for_blocks,
 )
 
 
@@ -404,11 +406,83 @@ def test_typeA_signature_is_the_weyl_count(n):
     for blocks in _compositions(n):
         if blocks == (n,):
             continue
-        p = typeA_parabolic_for_blocks(blocks)
+        p = block_parabolic("A", n - 1, blocks)
         shape = expected_gw(build_typeA_partial(blocks))
         assert compute_aP(rs, p, method="enumerate") == shape.ones - shape.minus_ones, blocks
         assert rs.order // parabolic_order_formula(rs, p) == shape.rank, blocks
 
+
+def test_d_odd_parabolic_is_the_block_parabolic():
+    # D_{2m+1} over the block (1): Bourbaki's cut at node 1 is node 2m+1 here
+    for m in range(1, 7):
+        assert block_parabolic("D", 2 * m + 1, [1]) == ParabolicSpec.keep(range(1, 2 * m + 1))
+
+
+@pytest.mark.parametrize(
+    "label, rank, blocks, kept",
+    [
+        ("A", 4, (2, 3), {1, 3, 4}),
+        ("B", 4, (1, 2), {2, 4}),
+        ("C", 3, (3,), {1, 2}),
+        ("D", 4, (2, 2), {2, 4}),
+        ("D", 5, (2,), {1, 2, 3, 5}),
+        ("D", 3, (1, 1, 1), set()),
+    ],
+)
+def test_block_parabolic_cuts(label, rank, blocks, kept):
+    assert block_parabolic(label, rank, blocks) == ParabolicSpec.keep(kept)
+
+
+@pytest.mark.parametrize(
+    "label, rank, blocks",
+    [("A", 4, (2, 2)), ("B", 3, (2, 2)), ("D", 4, (3,)), ("D", 4, (0, 2)), ("E", 6, (1,)), ("B", 3, ())],
+)
+def test_block_parabolic_rejects_misfits(label, rank, blocks):
+    with pytest.raises(ValueError):
+        block_parabolic(label, rank, blocks)
+
+
+# ---------------------------------------------------------------------------
+# the one builder against the per-family oracle builders and closed forms
+
+ORACLE_CASES = (
+    [(build_typeA_partial, oracle.typeA_partial, list(b)) for n in range(1, 7) for b in _compositions(n)]
+    + [(build_Sn_full, oracle.Sn_full, n) for n in range(1, 7)]
+    + [(build_typeBC_full, oracle.typeBC_full, n) for n in range(1, 7)]
+    + [(build_D_full, oracle.D_full, n) for n in range(2, 7)]
+    + [(build_D_odd_partial, oracle.D_odd_partial, m) for m in range(2, 7)]
+)
+
+
+def _fields(spec):
+    return (spec.family, spec.parameters, spec.map, spec.source_degrees, spec.target_degrees)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["q", "fp32003"])
+def test_builders_match_the_oracle_builders(field):
+    assert len(ORACLE_CASES) == 85
+    for build, old, arg in ORACLE_CASES:
+        assert _fields(build(arg, field)) == _fields(old(arg, field)), (build.__name__, arg)
+
+
+def test_expected_gw_is_the_closed_form():
+    for build, old, arg in ORACLE_CASES:
+        assert expected_gw(build(arg)) == oracle.closed_form_gw(old(arg)), (build.__name__, arg)
+
+
+def test_build_quotient_rejects_bad_tails():
+    for label, blocks, tail in [("B", [2], -1), ("A", [2], 2), ("D", [2], 1), ("E", [2], 0)]:
+        with pytest.raises(ValueError):
+            build_quotient(label, blocks, tail, family="X")
+
+
+def test_build_quotient_names_the_tail():
+    b = build_quotient("B", [1], 2, family="B3-partial")
+    assert b.map.ring == ("y1", "s1", "s2") and b.source_degrees == (1, 2, 4)
+    d = build_quotient("D", [2], 3, family="D5-partial")
+    assert d.map.ring == ("y1", "y2", "s1", "s2", "q") and d.source_degrees == (1, 2, 2, 4, 3)
+    assert str(d.map.components[-1]) == "y2*q"
+    assert (d.weyl_type, d.rank, d.blocks, d.parameters) == ("D", 5, (2,), (2,))
 
 def test_blocks_2_2_class_matches_prediction():
     spec = build_typeA_partial([2, 2])

@@ -188,7 +188,8 @@ def test_quotient_prints_what_the_full_map_prints(capsys, monkeypatch):
 def test_quotient_prints_the_full_diagonal_when_no_units_show(capsys, monkeypatch):
     # <3> * deg(14/3*y^3) has the diagonal <-7,7,14>, the full map <-21,14,21>
     f = MapSpec.from_strings(("x", "y"), ["3*x + y^2", "5*y^3 + x*y"])
-    spec = QuotientSpec("Sn-full", (3,), f, (1, 1), (1, 3))
+    # degree 3, with the Weyl data of S3 over S2 x S1, which has 3 cosets
+    spec = QuotientSpec("Sn-full", (3,), f, (1, 1), (1, 3), "A", 2, (2, 1))
     monkeypatch.setattr(ekl.cli, "build_Sn_full", lambda n, field: spec)
     monkeypatch.setattr(ekl.cli, "recognize_units", lambda c: None)
     stripped = run(capsys, "quotient", "--type", "Sn", "--n", "3")

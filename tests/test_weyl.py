@@ -21,6 +21,7 @@ from ekl.weyl import (
     EnumerationBudgetError,
     ParabolicSpec,
     aP_formula_typeA,
+    block_parabolic,
     build_root_system,
     cartan_matrix,
     classify_subdiagram,
@@ -32,7 +33,6 @@ from ekl.weyl import (
     min_coset_reps,
     parabolic_order_formula,
     parabolic_type_name,
-    typeA_parabolic_for_blocks,
     weyl_order,
 )
 
@@ -377,7 +377,7 @@ def test_formula_vs_enumeration_small_n():
         for blocks in compositions(n):
             if blocks == (n,):
                 continue
-            p = typeA_parabolic_for_blocks(blocks)
+            p = block_parabolic("A", n - 1, blocks)
             assert compute_aP(rs, p, method="enumerate") == aP_formula_typeA(blocks), blocks
 
 
