@@ -34,6 +34,7 @@ from .gw import (
     DegenerateFormError,
     GramForm,
     GWClass,
+    UnitsShape,
     classify,
     gw_equal,
     recognize_units,
@@ -118,9 +119,18 @@ def _read_input(path: str, parse):
         raise _InputError(f"parse error: {exc}") from exc
 
 
-def _units_shape(c: GWClass):
-    """``recognize_units`` of a class over Q; None over F_p."""
-    return None if isinstance(c.field, PrimeField) else recognize_units(c)
+def _named_class(spec: MapSpec) -> tuple[int, GWClass, UnitsShape | None]:
+    """dim Q, the class and its ``recognize_units`` shape, for ``render_units``:
+    from ``degree_class`` over Q when a named form prints (rank 1, or unit
+    content), else from ``ekl_degree``, whose diagonal is printed (always over F_p).
+    """
+    if not isinstance(spec.field, PrimeField):
+        dimension, cls = degree_class(spec)
+        shape = recognize_units(cls)
+        if cls.rank == 1 or (shape and (shape.ones or shape.minus_ones)):
+            return dimension, cls, shape
+    result = ekl_degree(spec)
+    return result.dimension, result.gw_class, recognize_units(result.gw_class)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +161,8 @@ def _hasse_line(hasse: dict) -> str:
 
 def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float) -> dict:
     """The ``--format json`` report: strings, and null for a missing named form."""
-    qp = result.quotient
-    cls = result.gw_class
-    shape = _units_shape(cls)
+    qp, cls = result.quotient, result.gw_class
+    shape = recognize_units(cls)
     return {
         "input": {
             "variables": list(spec.ring),
@@ -182,20 +191,7 @@ def cmd_degree(args) -> int:
     spec = _read_input(args.mapfile, lambda text: MapSpec.from_json(text, field))
     if args.format == "invariants":
         # only the class is printed, so the map may lose its solved coordinates
-        cls = degree_class(spec)[1]
-    else:
-        started = time.perf_counter()
-        result = ekl_degree(spec)
-        elapsed = time.perf_counter() - started
-        cls = result.gw_class
-    if args.format == "json":
-        print(json.dumps(_degree_report(spec, result, elapsed), indent=2))
-    elif args.format == "named":
-        print(render_units(cls, _units_shape(cls)))
-    elif args.format == "diag":
-        print(render_diagonal(cls))
-    else:
-        inv = _class_invariants(cls)
+        inv = _class_invariants(degree_class(spec)[1])
         print(f"rank {inv['rank']}")
         if "signature" in inv:
             print(f"signature {inv['signature']}")
@@ -203,6 +199,16 @@ def cmd_degree(args) -> int:
             print(f"hasse {_hasse_line(inv['hasse'])}")
         else:
             print(f"discriminant square: {inv['discriminant_is_square']}")
+    elif args.format == "named":
+        print(render_units(*_named_class(spec)[1:]))
+    else:
+        started = time.perf_counter()
+        result = ekl_degree(spec)
+        elapsed = time.perf_counter() - started
+        if args.format == "json":
+            print(json.dumps(_degree_report(spec, result, elapsed), indent=2))
+        else:
+            print(render_diagonal(result.gw_class))
     return EXIT_OK
 
 
@@ -263,17 +269,7 @@ def cmd_quotient(args) -> int:
             raise _InputError(f"error: {exc}") from exc
         print(f"wrote {args.emit_map}", file=sys.stderr)
     started = time.perf_counter()
-    computed = None
-    # over F_p the pivot residues are printed, and --emit-map writes the full map
-    if not (args.emit_map or isinstance(spec.map.field, PrimeField)):
-        dimension, computed = degree_class(spec.map)
-        units = _units_shape(computed)
-        if computed.rank > 1 and not (units and (units.ones or units.minus_ones)):
-            computed = None  # the diagonal is printed, and only the full map gives it
-    if computed is None:
-        result = ekl_degree(spec.map)
-        dimension, computed = result.dimension, result.gw_class
-        units = _units_shape(computed)
+    dimension, computed, units = _named_class(spec.map)
     elapsed = time.perf_counter() - started
 
     print(f"family: {spec.describe()}")
@@ -374,7 +370,7 @@ def cmd_gw_classify(args) -> int:
     print(f"diagonal: {render_diagonal(cls)}")
     for key, value in _class_invariants(cls).items():
         print(f"{key}: {_hasse_line(value) if key == 'hasse' else value}")
-    shape = _units_shape(cls)
+    shape = recognize_units(cls)
     if shape is not None:
         print(f"named form: {render_units(cls, shape)}")
     return EXIT_OK

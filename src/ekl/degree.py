@@ -34,7 +34,8 @@ of degree <= D/2, on the columns that pair with them, are built.  The
 theorem checks stay: J = dim(Q) * E, every pairing Q_k x Q_{D-k} with
 k < D/2 is perfect, certified by its rank modulo a large prime and by an
 exact rank only when that one comes out short, and the middle block is
-nondegenerate.  Maps without weights take the full path of ``ekl_degree``.
+nondegenerate.  A map without weights is split under the zero weight: one
+degree, and the whole Gram matrix is the middle block, as in ``ekl_degree``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .poly import (
     DEGREVLEX,
     MonomialOrder,
     Polynomial,
+    is_identifier,
     mono_mul,
     parse_poly,
     partial_derivative,
@@ -113,6 +115,8 @@ class MapSpec:
         if not self.ring:
             raise ValueError("a map spec needs at least one variable")
         for i, name in enumerate(self.ring):
+            if not is_identifier(name):
+                raise ValueError(f"variable name {name!r} is not one identifier")
             if name in self.ring[:i]:
                 raise ValueError(f"variable {name!r} is repeated")
         if len(self.components) != len(self.ring):
@@ -128,10 +132,6 @@ class MapSpec:
         return self.components[0].field
 
     @classmethod
-    def build(cls, ring: Sequence[str], components: Sequence[Polynomial]) -> "MapSpec":
-        return cls(tuple(ring), tuple(components))
-
-    @classmethod
     def from_strings(cls, ring: Sequence[str], texts: Sequence[str], field=QQ) -> "MapSpec":
         ring = tuple(ring)
         return cls(ring, tuple(parse_poly(t, ring, field) for t in texts))
@@ -144,6 +144,8 @@ class MapSpec:
         for key in ("variables", "components"):
             if key not in data:
                 raise ValueError(f'map file has no "{key}" key')
+            if not (isinstance(data[key], list) and all(isinstance(v, str) for v in data[key])):
+                raise ValueError(f'"{key}" must be a list of strings')
         return cls.from_strings(data["variables"], data["components"], field)
 
     def to_json(self, comment: str | None = None) -> str:
@@ -296,15 +298,10 @@ def ekl_degree(
     if functional_monomial is None:
         functional_monomial = _top_socle_monomial(qp, socle)
     index = qp.standard_monomials.index(functional_monomial)
-    pivot = socle.coordinates[index]
-    if not pivot:
+    if not socle.coordinates[index]:
         raise ValueError("the functional monomial does not appear in the socle element")
-
-    rows = _gram_rows(qp, index, qp.field.one / pivot, [range(qp.dimension)] * qp.dimension)
-    gram = tuple(map(tuple, rows))
+    gram = tuple(map(tuple, _split_form(qp, socle, index, [0] * qp.dimension)[1]))
     gw_class = classify(GramForm.from_field_entries(gram, qp.field), qp.field)
-    if gw_class.rank != qp.dimension:
-        raise ArithmeticError("the bilinear form is degenerate")
     return EKLResult(qp, gram, gw_class, socle, jac, functional_monomial)
 
 
@@ -312,8 +309,8 @@ def degree_class(f: MapSpec) -> tuple[int, GWClass]:
     """dim Q and the class of f, as deg f = <u> * deg g for (g, u) =
     ``strip_solved(f)``.
 
-    A weighted-homogeneous g is split by degree (``_graded_class``), any
-    other g runs through ``ekl_degree``.  f itself gives the answer when
+    g is split by degree (``_split_form``) under ``homogeneous_weights(g)``,
+    or under the zero weight when it has none.  f itself gives the answer when
     nothing is stripped or g raises one of ``MAP_FAILURES``, so that the
     message names f's variables.
     """
@@ -329,11 +326,15 @@ def degree_class(f: MapSpec) -> tuple[int, GWClass]:
 
 def _split_class(f: MapSpec) -> tuple[int, GWClass]:
     weights = homogeneous_weights(f)
-    if weights is None:
-        result = ekl_degree(f)
-        return result.dimension, result.gw_class
     qp, socle, _ = _checked_socle(f)
-    return qp.dimension, _graded_class(qp, socle, weights)
+    std = qp.standard_monomials  # no weights: the zero weight, one degree
+    degree = [sum(w * e for w, e in zip(weights, b)) for b in std] if weights else [0] * len(std)
+    index = std.index(_top_socle_monomial(qp, socle))
+    hyperbolic, block = _split_form(qp, socle, index, degree)
+    cls = classify(GramForm.from_field_entries(block, qp.field), qp.field)
+    if hyperbolic:
+        cls = gw_add(units_class(hyperbolic, hyperbolic, (), qp.field), cls)
+    return qp.dimension, cls
 
 
 def homogeneous_weights(f: MapSpec) -> tuple[int, ...] | None:
@@ -416,24 +417,24 @@ def _assert_jacobian_relation(f, qp, socle, jac) -> None:
         raise ArithmeticError("Jacobian element differs from dimension * socle element")
 
 
-def _gram_rows(qp: QuotientPresentation, index: int, start, columns) -> list:
-    """Rows r_b(b') = phi(b * b') for phi = start * (coordinate ``index``),
-    filled at the positions ``columns[i]`` for the standard monomial b at
-    position i (0 elsewhere); None where ``columns[i]`` is None.  Over Q
-    a Fraction start makes Fraction entries; int 1 keeps integral ones ints.
+def _gram_rows(qp: QuotientPresentation, index: int, columns) -> list:
+    """Rows r_b(b') = psi(b * b') for psi the coordinate ``index`` (pivot
+    * phi), filled at the positions ``columns[i]`` for the standard monomial
+    b at position i (0 elsewhere); None where ``columns[i]`` is None.  Over
+    Q the entries are ints where they are integral.
 
-    r_1 = phi and r_b = r_m M_k, where x_k is the first variable dividing
+    r_1 = psi and r_b = r_m M_k, where x_k is the first variable dividing
     b and m = b / x_k.  Standard monomials are closed under division and a
     divisor precedes its multiple in every monomial order, so r_m is
     already built when b comes up in the ascending basis, provided that
     ``columns`` asks for r_m, over the support of each column of M_k that
     r_b needs.
     """
-    zero = start - start
+    zero, one = _kernel(qp.field)[:2]
     position = qp.monomial_index()
     rows: list = [None] * qp.dimension
     rows[0] = [zero] * qp.dimension  # the standard monomial 1 comes first
-    rows[0][index] = start
+    rows[0][index] = one
     for i, b in enumerate(qp.standard_monomials[1:], 1):
         if columns[i] is None:
             continue
@@ -446,20 +447,18 @@ def _gram_rows(qp: QuotientPresentation, index: int, start, columns) -> list:
     return rows
 
 
-def _graded_class(qp: QuotientPresentation, socle: AlgebraElement, weights) -> GWClass:
-    """The class of beta_phi on a Q graded by ``weights``, split by degree.
+def _split_form(qp: QuotientPresentation, socle: AlgebraElement, index: int, degree) -> tuple:
+    """(h, middle block) of beta_phi on Q graded by ``degree`` (one integer
+    per standard monomial), for phi dual to the coordinate ``index``.
 
     E and phi live in one degree D, so b pairs only with degree D - deg b:
     r_b is built only for deg b <= D/2, and only on the columns of degree
     D - deg b.  Each pairing Q_k x Q_{D-k} with k < D/2 must be perfect
-    (``_full_rank``), and then adds dim Q_k hyperbolic planes; the middle
-    block Q_{D/2} is classified, and ``diagonalize`` refuses it if it is
-    degenerate.
+    (``_full_rank``) and adds dim Q_k hyperbolic planes to h.  The middle
+    block Q_{D/2}, the whole Gram matrix under the zero degree, is left to
+    ``classify``, which refuses it if it is degenerate.
     """
     fld = qp.field
-    std = qp.standard_monomials
-    degree = [sum(w * e for w, e in zip(weights, b)) for b in std]
-    index = std.index(_top_socle_monomial(qp, socle))
     top = degree[index]
     if any(c and d != top for c, d in zip(socle.coordinates, degree)):
         raise ArithmeticError("the socle element is not homogeneous")
@@ -472,7 +471,7 @@ def _graded_class(qp: QuotientPresentation, socle: AlgebraElement, weights) -> G
 
     # M_k maps degree D - deg b onto D - deg b + w_k, the columns of r_{b/x_k}
     columns = [slices[top - d] if 2 * d <= top else None for d in degree]
-    rows = _gram_rows(qp, index, _kernel(fld)[1], columns)
+    rows = _gram_rows(qp, index, columns)
 
     hyperbolic = 0
     for d, part in slices.items():
@@ -481,12 +480,10 @@ def _graded_class(qp: QuotientPresentation, socle: AlgebraElement, weights) -> G
                 raise DegenerateFormError(f"the pairing of degrees {d} and {top - d} is singular")
             hyperbolic += len(part)
     middle = slices.get(top // 2, []) if top % 2 == 0 else []
-    inverse = fld.one / socle.coordinates[index]  # the rows are of pivot * phi
-    block = [[rows[i][j] * inverse for j in middle] for i in middle]
-    return gw_add(
-        units_class(hyperbolic, hyperbolic, (), fld),
-        classify(GramForm.from_field_entries(block, fld), fld),
-    )
+    # the rows are of pivot * phi; scaling only the nonzero entries pays on a sparse block
+    inverse, zero = fld.one / socle.coordinates[index], fld.zero
+    block = ([rows[i][j] for j in middle] for i in middle)
+    return hyperbolic, [[inverse * a if a else zero for a in row] for row in block]
 
 
 #: Full rank modulo this prime certifies full rank over Q.

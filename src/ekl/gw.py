@@ -322,9 +322,7 @@ def unit_class(u, field) -> GWClass:
 
 
 def hyperbolic_class(field) -> GWClass:
-    if isinstance(field, PrimeField):
-        return classify_diagonal([field.one, -field.one], field)
-    return classify_diagonal([Fraction(1), Fraction(-1)], field)
+    return units_class(1, 1, (), field)
 
 
 def units_class(ones: int, minus_ones: int, residual: Sequence[SquareClass], field) -> GWClass:
@@ -346,13 +344,13 @@ class UnitsShape:
 
 def recognize_units(c: GWClass) -> UnitsShape | None:
     """Maximal decomposition c = p<1> + q<-1> + r<alpha> (single square
-    class alpha), found by invariant matching; None when no such shape fits.
+    class alpha), found by invariant matching; None over F_p or when no shape fits.
 
     Maximality means the residual is as short as possible, so an alpha of
     1 or -1 is absorbed into the unit counts.
     """
     if isinstance(c.field, PrimeField):
-        raise ValueError("recognize_units expects a class over Q")
+        return None
     n, s = c.rank, c.signature
     # every alpha tried is built from primes of c, so c's places suffice
     places = _places(sq.rep for sq in c.diagonal) | {v for v, _ in c.hasse or ()}
@@ -415,8 +413,7 @@ def _alpha_candidates(c: GWClass, q: int, r: int, alpha_sign: int) -> list[int]:
 def render_class(c: GWClass) -> str:
     """Named form "p<1> + q<-1> [+ r<alpha>]" when the shape is recognized
     with some unit content, otherwise the diagonal rendering."""
-    shape = None if isinstance(c.field, PrimeField) else recognize_units(c)
-    return render_units(c, shape)
+    return render_units(c, recognize_units(c))
 
 
 def render_units(c: GWClass, shape: UnitsShape | None) -> str:

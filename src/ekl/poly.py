@@ -13,6 +13,7 @@ quotient algebra (``localg.poly_det``).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -468,6 +469,15 @@ class _Parser:
 def parse_poly(text: str, ring: Sequence[str], field: Field = QQ) -> Polynomial:
     """Parse an expression over the given ring; raises ParseError with a position."""
     return _Parser(text, ring, field).parse()
+
+
+@functools.lru_cache(maxsize=1024)  # MapSpec checks every name of every map it builds
+def is_identifier(name: str) -> bool:
+    """Whether ``name`` is exactly one identifier token of the expression syntax."""
+    try:
+        return [tok[:2] for tok in _tokenize(name)] == [("ident", name), ("end", "")]
+    except ParseError:
+        return False
 
 
 # ---------------------------------------------------------------------------

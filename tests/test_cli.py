@@ -116,8 +116,25 @@ def test_malformed_input_file_is_parse_error(tmp_path, capsys, command, content)
         ('{"variables": ["x"]}', 'map file has no "components" key'),
         ("3", 'a map file is a JSON object with "variables" and "components"'),
         ('{"variables": ["x", "x"], "components": ["x", "x"]}', "variable 'x' is repeated"),
+        ('{"variables": "xy", "components": ["x^2", "y^2"]}', '"variables" must be a list of strings'),
+        ('{"variables": ["x"], "components": "x"}', '"components" must be a list of strings'),
+        ('{"variables": "x1", "components": ["x", "x^2"]}', '"variables" must be a list of strings'),
+        ('{"variables": ["x", "2"], "components": ["x", "x^2"]}', "variable name '2' is not one identifier"),
+        ('{"variables": ["x", "y z"], "components": ["x", "x^2"]}', "variable name 'y z' is not one identifier"),
+        ('{"variables": ["x", "y.z"], "components": ["x", "x^2"]}', "variable name 'y.z' is not one identifier"),
     ],
-    ids=["no-variables", "no-components", "top-level-number", "repeated-variable"],
+    ids=[
+        "no-variables",
+        "no-components",
+        "top-level-number",
+        "repeated-variable",
+        "variables-string",
+        "components-string",
+        "variables-string-with-digit",
+        "variable-number",
+        "variable-two-tokens",
+        "variable-bad-character",
+    ],
 )
 def test_map_file_shape_error_is_named(tmp_path, capsys, content, message):
     path = write(tmp_path, "m.json", content)
@@ -171,6 +188,8 @@ def test_library_failure_exit_codes_match_readme(tmp_path, capsys, monkeypatch, 
     def fail(spec):
         raise error
 
+    # over Q the named format asks degree_class first, and ekl_degree for a diagonal
+    monkeypatch.setattr(ekl.cli, "degree_class", fail)
     monkeypatch.setattr(ekl.cli, "ekl_degree", fail)
     code, prefix = readme_exit_codes()[key]
     path = write(tmp_path, "m.json", MAP_S2)

@@ -21,12 +21,13 @@ from ekl.degree import (
     MAP_FAILURES,
     MapSpec,
     _full_rank,
-    _graded_class,
+    _split_form,
+    _top_socle_monomial,
     degree_class,
     homogeneous_weights,
     strip_solved,
 )
-from ekl.gw import DegenerateFormError, gw_equal
+from ekl.gw import DegenerateFormError, GramForm, classify, gw_equal
 from ekl.localg import coordinates, groebner, quotient_presentation
 from ekl.poly import parse_poly
 from ekl.scalar import GF, QQ
@@ -215,20 +216,28 @@ def presentation(ring, generators, socle):
     return qp, coordinates(parse_poly(socle, ring, QQ), qp)
 
 
+def split_and_classify(qp, socle, weights):
+    """``_split_form`` of Q graded by ``weights``, then ``classify`` of its middle block."""
+    degree = [sum(w * e for w, e in zip(weights, b)) for b in qp.standard_monomials]
+    index = qp.standard_monomials.index(_top_socle_monomial(qp, socle))
+    block = _split_form(qp, socle, index, degree)[1]
+    return classify(GramForm.from_field_entries(block, qp.field), qp.field)
+
+
 def test_a_singular_pairing_is_degenerate():
     # Q = K[x,z]/(xz, z^3, x^4) has the Hilbert function (1, 2, 2, 1), but z^2
     # lies in the socle too, so x^3 leaves Q_1 x Q_2 singular
     qp, socle = presentation(("x", "z"), ["x*z", "z^3", "x^4"], "x^3")
     with pytest.raises(DegenerateFormError, match="pairing of degrees 1 and 2"):
-        _graded_class(qp, socle, (1, 1))
+        split_and_classify(qp, socle, (1, 1))
     # Q = K[x,y]/(x^2, xy, y^3): x pairs to zero with the middle degree
     qp, socle = presentation(("x", "y"), ["x^2", "x*y", "y^3"], "y^2")
     with pytest.raises(DegenerateFormError):
-        _graded_class(qp, socle, (1, 1))
+        split_and_classify(qp, socle, (1, 1))
     # Q = K[x,y]/(x^2, y^2) with E = x: degree 2 has no partner
     qp, socle = presentation(("x", "y"), ["x^2", "y^2"], "x")
     with pytest.raises(DegenerateFormError, match="differ in dimension"):
-        _graded_class(qp, socle, (1, 1))
+        split_and_classify(qp, socle, (1, 1))
 
 
 def test_sn5_diagonalizes_only_its_middle_block(capsys, monkeypatch):

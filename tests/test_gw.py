@@ -392,6 +392,16 @@ def test_units_roundtrip_random():
         assert len(shape.residual) <= r  # maximality
 
 
+def test_recognize_units_over_fp_is_none():
+    f5 = GF(5)
+    c = classify_diagonal([f5.one, -f5.one], f5)
+    assert recognize_units(c) is None
+    assert render_class(c) == "⟨1,4⟩"
+    # units_class builds the same class as the explicit diagonal over both fields
+    assert hyperbolic_class(f5) == c
+    assert hyperbolic_class(QQ) == classify_diagonal([Fraction(1), Fraction(-1)], QQ)
+
+
 def test_render_class():
     assert render_class(classify_diagonal([0 + Fraction(1), Fraction(-1)], QQ)) == "1<1> + 1<-1>"
     assert render_class(classify_diagonal([2], QQ)) == "⟨2⟩"

@@ -127,9 +127,8 @@ def check_kernels(f: MapSpec) -> bool:
     index = qp.standard_monomials.index(result.functional_monomial)
     pivot = result.socle.coordinates[index]
     assert [list(row) for row in result.gram] == field_gram_rows(qp, matrices, index, pivot)
-    # the graded path starts r_1 at the kernels' one and scales by 1/pivot later
-    one = 1 if fld == QQ else fld.one
-    unscaled = _gram_rows(qp, index, one, [range(qp.dimension)] * qp.dimension)
+    # the rows start r_1 at the kernels' one and are scaled by 1/pivot later
+    unscaled = _gram_rows(qp, index, [range(qp.dimension)] * qp.dimension)
     assert [[c / pivot for c in row] for row in unscaled] == [list(row) for row in result.gram]
     return any(type(c) is Fraction for c in entries)
 

@@ -14,6 +14,7 @@ from ekl.poly import (
     elementary_symmetric,
     format_monomial,
     format_poly,
+    is_identifier,
     parse_poly,
     partial_derivative,
     substitute,
@@ -88,6 +89,15 @@ def test_parse_division_by_nonconstant():
 def test_parse_no_implicit_multiplication():
     with pytest.raises(ParseError):
         P("2x")
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [("x", True), ("x_1", True), ("_a2", True), ("", False), ("2", False), ("x1 ", False),
+     (" x", False), ("y z", False), ("x+y", False), ("x.y", False)],
+)
+def test_is_identifier_is_one_token_of_the_parser(name, expected):
+    assert is_identifier(name) is expected
 
 
 def test_print_parse_round_trip():

@@ -18,7 +18,7 @@ import pytest
 import ekl.cli
 from ekl.cli import main
 from ekl.degree import MapSpec, ekl_degree, strip_solved
-from ekl.gw import gw_equal, gw_mul, unit_class
+from ekl.gw import gw_equal, gw_mul, recognize_units, render_units, unit_class
 from ekl.quotmap import QuotientSpec, build_D_odd_partial, build_Sn_full, build_typeBC_full
 from ekl.scalar import GF, QQ, SquareClass, legendre
 
@@ -199,20 +199,32 @@ def test_quotient_prints_the_full_diagonal_when_no_units_show(capsys, monkeypatc
     assert (stripped[0], untimed(stripped[1]), stripped[2]) == (full[0], untimed(full[1]), full[2])
 
 
-@pytest.mark.parametrize(
-    "extra",
-    [("--field", f"fp:{P}"), ("--emit-map", "{tmp}/m.json")],
-    ids=["fp", "emit-map"],
-)
+@pytest.mark.parametrize("extra", [("--field", f"fp:{P}")], ids=["fp"])
 def test_quotient_keeps_the_full_map(tmp_path, capsys, monkeypatch, extra):
     def refuse(f):
         raise AssertionError("degree_class called")
 
     monkeypatch.setattr(ekl.cli, "degree_class", refuse)
-    extra = [a.format(tmp=tmp_path) for a in extra]
     for blocks in ("2,2", "3,2,1"):
         code, out, _ = run(capsys, "quotient", "--type", "A", "--blocks", blocks, *extra)
         assert code == 0 and "verdict: MATCH" in out
+
+
+def test_quotient_emit_map_prints_what_the_call_without_it_prints(tmp_path, capsys, monkeypatch):
+    # the emitted file is the full map whichever class path runs
+    calls = []
+    real = ekl.cli.degree_class
+    monkeypatch.setattr(ekl.cli, "degree_class", lambda f: calls.append(f) or real(f))
+    target = tmp_path / "m.json"
+    for blocks in ("2,2", "3,2,1"):
+        argv = ("quotient", "--type", "A", "--blocks", blocks)
+        plain = run(capsys, *argv)
+        emitted = run(capsys, *argv, "--emit-map", str(target))
+        assert plain[0] == emitted[0] == 0
+        assert untimed(emitted[1]) == untimed(plain[1])
+        assert emitted[2] == f"wrote {target}\n"
+        assert MapSpec.from_json(target.read_text()) == calls[-1]
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("field", ["q", f"fp:{P}"])
@@ -222,3 +234,26 @@ def test_degree_invariants_match_the_closed_form(tmp_path, capsys, field):
         code, out, err = run(capsys, *op.argv)
         assert op.check(code, out) is None, (op.name, out, err)
         assert err == ""
+
+
+@pytest.mark.parametrize("field, fld", [("q", QQ), (f"fp:{P}", GF(P))], ids=["q", f"fp{P}"])
+def test_degree_named_prints_the_full_class(tmp_path, capsys, monkeypatch, field, fld):
+    calls = []
+    for name in ("degree_class", "ekl_degree"):
+        real = getattr(ekl.cli, name)
+        monkeypatch.setattr(ekl.cli, name, lambda f, name=name, real=real: calls.append(name) or real(f))
+    named = 0
+    for op in load_workloads().random_ops(1, field, str(tmp_path)):
+        path = op.argv[1]
+        full = ekl_degree(MapSpec.from_json(Path(path).read_text(), fld)).gw_class
+        shape = recognize_units(full)
+        calls.clear()
+        assert run(capsys, "degree", path, "--field", field) == (0, render_units(full, shape) + "\n", "")
+        if field != "q":
+            assert calls == ["ekl_degree"]
+        elif full.rank == 1 or (shape and (shape.ones or shape.minus_ones)):
+            assert calls == ["degree_class"]  # a named form prints, the class path gives it
+            named += 1
+        else:
+            assert calls == ["degree_class", "ekl_degree"]
+    assert named > 0 or field != "q"
