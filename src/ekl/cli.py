@@ -328,7 +328,7 @@ def _root_system(text: str):
 def cmd_weyl_ap(args) -> int:
     rs = _root_system(args.type)
     try:
-        if args.keep:
+        if args.keep is not None:
             spec = ParabolicSpec.keep(_parse_nodes(args.keep))
         else:
             spec = ParabolicSpec.remove(rs, _parse_nodes(args.remove))
@@ -448,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         for cls, code, prefix in FAILURES:
             if isinstance(exc, cls):
                 return _fail(code, f"{prefix}: {exc}")
-        return _fail(EXIT_INTERNAL, f"internal error: {exc}")
+        return _fail(EXIT_INTERNAL, f"internal error: {str(exc) or type(exc).__name__}")
 
 
 if __name__ == "__main__":

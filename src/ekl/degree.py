@@ -29,13 +29,14 @@ y_k = c*x_k + h, of Jacobian c, leaves the map on y_k = 0 up to the unit
 component weighted homogeneous (``homogeneous_weights``), Q is graded, E
 and phi live in one degree D, and phi(b*b') != 0 only when
 deg b + deg b' = D.  Then the class is (sum_{k<D/2} dim Q_k) H plus the
-class of the middle block Q_{D/2} (Witt decomposition), and only the rows
-of degree <= D/2, on the columns that pair with them, are built.  The
-theorem checks stay: J = dim(Q) * E, every pairing Q_k x Q_{D-k} with
-k < D/2 is perfect, certified by its rank modulo a large prime and by an
-exact rank only when that one comes out short, and the middle block is
-nondegenerate.  A map without weights is split under the zero weight: one
-degree, and the whole Gram matrix is the middle block, as in ``ekl_degree``.
+class of the middle block Q_{D/2} (Witt decomposition).  Only the rows
+r_b with deg b <= D/2 are built, each stored only on its partner columns,
+those of degree D - deg b.  The theorem checks stay: J = dim(Q) * E,
+every pairing Q_k x Q_{D-k} with k < D/2 is perfect, certified by its
+rank modulo a large prime and by an exact rank only when that one comes
+out short, and the middle block is nondegenerate.  A map without weights
+is split under the zero weight: one degree, one dense slice, and the
+whole Gram matrix is the middle block, as in ``ekl_degree``.
 """
 
 from __future__ import annotations
@@ -417,33 +418,38 @@ def _assert_jacobian_relation(f, qp, socle, jac) -> None:
         raise ArithmeticError("Jacobian element differs from dimension * socle element")
 
 
-def _gram_rows(qp: QuotientPresentation, index: int, columns) -> list:
+def _gram_rows(qp: QuotientPresentation, index: int, degree, slices: dict) -> list:
     """Rows r_b(b') = psi(b * b') for psi the coordinate ``index`` (pivot
-    * phi), filled at the positions ``columns[i]`` for the standard monomial
-    b at position i (0 elsewhere); None where ``columns[i]`` is None.  Over
-    Q the entries are ints where they are integral.
+    * phi), on Q graded by ``degree``, with the positions of each degree in
+    ``slices``.  psi lives in degree D, so r_b is built only for 2 deg b <= D
+    (None elsewhere) and only on its partner columns ``slices[D - deg b]``,
+    in their order.  Over Q the entries are ints where they are integral.
 
     r_1 = psi and r_b = r_m M_k, where x_k is the first variable dividing
     b and m = b / x_k.  Standard monomials are closed under division and a
     divisor precedes its multiple in every monomial order, so r_m is
-    already built when b comes up in the ascending basis, provided that
-    ``columns`` asks for r_m, over the support of each column of M_k that
-    r_b needs.
+    already built when b comes up in the ascending basis, and M_k maps the
+    partner columns of b onto those of m, where ``place`` finds r_m's entries.
     """
     zero, one = _kernel(qp.field)[:2]
     position = qp.monomial_index()
+    place = [0] * qp.dimension  # each position's index in its slice
+    for part in slices.values():
+        for p, i in enumerate(part):
+            place[i] = p
+    top = degree[index]
     rows: list = [None] * qp.dimension
-    rows[0] = [zero] * qp.dimension  # the standard monomial 1 comes first
-    rows[0][index] = one
+    rows[0] = [zero] * len(slices[top])  # the standard monomial 1 comes first
+    rows[0][place[index]] = one
     for i, b in enumerate(qp.standard_monomials[1:], 1):
-        if columns[i] is None:
-            continue
-        k = next(k for k, e in enumerate(b) if e)
-        r = rows[position[b[:k] + (b[k] - 1,) + b[k + 1 :]]]
-        matrix = qp.matrices[k]
-        row = rows[i] = [zero] * qp.dimension
-        for j in columns[i]:
-            row[j] = sum((r[t] * c for t, c in matrix[j].items() if r[t]), zero)
+        if 2 * degree[i] <= top:
+            k = next(k for k, e in enumerate(b) if e)
+            r = rows[position[b[:k] + (b[k] - 1,) + b[k + 1 :]]]
+            matrix = qp.matrices[k]
+            rows[i] = [
+                sum((r[place[t]] * c for t, c in matrix[j].items() if r[place[t]]), zero)
+                for j in slices[top - degree[i]]
+            ]
     return rows
 
 
@@ -451,12 +457,12 @@ def _split_form(qp: QuotientPresentation, socle: AlgebraElement, index: int, deg
     """(h, middle block) of beta_phi on Q graded by ``degree`` (one integer
     per standard monomial), for phi dual to the coordinate ``index``.
 
-    E and phi live in one degree D, so b pairs only with degree D - deg b:
-    r_b is built only for deg b <= D/2, and only on the columns of degree
-    D - deg b.  Each pairing Q_k x Q_{D-k} with k < D/2 must be perfect
-    (``_full_rank``) and adds dim Q_k hyperbolic planes to h.  The middle
-    block Q_{D/2}, the whole Gram matrix under the zero degree, is left to
-    ``classify``, which refuses it if it is degenerate.
+    E and phi live in one degree D, so b pairs only with degree D - deg b,
+    and ``_gram_rows`` builds r_b only there and only for deg b <= D/2.
+    Each pairing Q_k x Q_{D-k} with k < D/2 must be perfect (``_full_rank``)
+    and adds dim Q_k hyperbolic planes to h.  The middle block Q_{D/2}, the
+    whole Gram matrix under the zero degree, is left to ``classify``, which
+    refuses it if it is degenerate.
     """
     fld = qp.field
     top = degree[index]
@@ -468,22 +474,18 @@ def _split_form(qp: QuotientPresentation, socle: AlgebraElement, index: int, deg
     for d, part in slices.items():
         if len(slices.get(top - d, ())) != len(part):
             raise DegenerateFormError(f"degrees {d} and {top - d} differ in dimension")
-
-    # M_k maps degree D - deg b onto D - deg b + w_k, the columns of r_{b/x_k}
-    columns = [slices[top - d] if 2 * d <= top else None for d in degree]
-    rows = _gram_rows(qp, index, columns)
+    rows = _gram_rows(qp, index, degree, slices)
 
     hyperbolic = 0
     for d, part in slices.items():
         if 2 * d < top:
-            if not _full_rank([[rows[i][j] for j in slices[top - d]] for i in part], fld):
+            if not _full_rank([rows[i] for i in part], fld):
                 raise DegenerateFormError(f"the pairing of degrees {d} and {top - d} is singular")
             hyperbolic += len(part)
     middle = slices.get(top // 2, []) if top % 2 == 0 else []
     # the rows are of pivot * phi; scaling only the nonzero entries pays on a sparse block
     inverse, zero = fld.one / socle.coordinates[index], fld.zero
-    block = ([rows[i][j] for j in middle] for i in middle)
-    return hyperbolic, [[inverse * a if a else zero for a in row] for row in block]
+    return hyperbolic, [[inverse * a if a else zero for a in rows[i]] for i in middle]
 
 
 #: Full rank modulo this prime certifies full rank over Q.

@@ -31,7 +31,6 @@ from .poly import (
     Monomial,
     MonomialOrder,
     Polynomial,
-    format_monomial,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -358,16 +357,6 @@ class QuotientPresentation:
 
     def monomial_index(self) -> dict[Monomial, int]:
         return {m: i for i, m in enumerate(self.standard_monomials)}
-
-    def staircase_report(self) -> str:
-        lead = ", ".join(
-            format_monomial(m, self.ring) for m in self.basis.leading_monomials()
-        )
-        std = ", ".join(format_monomial(m, self.ring) for m in self.standard_monomials)
-        return (
-            f"leading monomials: {lead}\n"
-            f"standard monomials ({self.dimension}): {std}"
-        )
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,16 @@ def test_library_failure_exit_codes_match_readme(tmp_path, capsys, monkeypatch, 
     assert run(capsys, "degree", path) == (code, "", f"{prefix}: {error}\n")
 
 
+@pytest.mark.parametrize("error", [MemoryError(), ArithmeticError()], ids=lambda e: type(e).__name__)
+def test_internal_error_without_text_is_named_by_its_type(tmp_path, capsys, monkeypatch, error):
+    def fail(spec):
+        raise error
+
+    monkeypatch.setattr(ekl.cli, "degree_class", fail)
+    path = write(tmp_path, "m.json", MAP_S2)
+    assert run(capsys, "degree", path) == (1, "", f"internal error: {type(error).__name__}\n")
+
+
 # Each README example next to what its comment promises it prints.
 README_EXAMPLES = (
     ("ekl degree s2.json", "1<1> + 1<-1>"),
@@ -439,6 +449,15 @@ def test_weyl_ap_keep(capsys):
     code, out, _ = run(capsys, "weyl", "ap", "--type", "D5", "--keep", "1,2,3,4")
     assert code == 0
     assert "a_P: 2" in out
+
+
+@pytest.mark.parametrize("rank, cosets", [("A1", 2), ("A3", 24)])
+@pytest.mark.parametrize("keep", ["", " "])
+def test_weyl_ap_empty_keep_keeps_no_nodes(capsys, rank, cosets, keep):
+    code, out, err = run(capsys, "weyl", "ap", "--type", rank, "--keep", keep)
+    assert (code, err) == (0, "")
+    assert "parabolic: keep [] (trivial), order 1\n" in out
+    assert f"cosets: {cosets}\na_P: 0\n" in out
 
 
 def test_weyl_ap_improper(capsys):

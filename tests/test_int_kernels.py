@@ -18,11 +18,15 @@ import ekl.degree
 from ekl.degree import (
     CERTIFICATE_PRIME,
     MapSpec,
+    _checked_socle,
     _full_rank,
     _gram_rows,
+    _top_socle_monomial,
     degree_class,
     ekl_degree,
+    homogeneous_weights,
     linear_decompose,
+    strip_solved,
 )
 from ekl.localg import _add_multiple, matrix_times_vector
 from ekl.poly import partial_derivative
@@ -127,8 +131,9 @@ def check_kernels(f: MapSpec) -> bool:
     index = qp.standard_monomials.index(result.functional_monomial)
     pivot = result.socle.coordinates[index]
     assert [list(row) for row in result.gram] == field_gram_rows(qp, matrices, index, pivot)
-    # the rows start r_1 at the kernels' one and are scaled by 1/pivot later
-    unscaled = _gram_rows(qp, index, [range(qp.dimension)] * qp.dimension)
+    # the rows start r_1 at the kernels' one and are scaled by 1/pivot later;
+    # the zero degree is one dense slice
+    unscaled = _gram_rows(qp, index, [0] * qp.dimension, {0: list(range(qp.dimension))})
     assert [[c / pivot for c in row] for row in unscaled] == [list(row) for row in result.gram]
     return any(type(c) is Fraction for c in entries)
 
@@ -171,6 +176,52 @@ def test_random_map_kernels_equal_the_field_oracles(monkeypatch, fld):
         degree_class(f)
     field_type = Fraction if fld == QQ else PrimeFieldElement
     assert all(type(c) is field_type for form in forms for row in form.entries for c in row)
+
+
+# ---------------------------------------------------------------------------
+# the graded row layout: each row only on the columns it pairs with
+
+
+def graded_rows(args, field):
+    """(qp, index, pivot, degree, slices, rows) as ``degree_class`` builds
+    them for a family member: its stripped map, graded by its weights."""
+    g = strip_solved(family_spec(args, field).map)[0]
+    weights = homogeneous_weights(g)
+    qp, socle, _ = _checked_socle(g)
+    degree = [sum(w * e for w, e in zip(weights, b)) for b in qp.standard_monomials]
+    index = qp.standard_monomials.index(_top_socle_monomial(qp, socle))
+    slices: dict = {}
+    for i, d in enumerate(degree):
+        slices.setdefault(d, []).append(i)
+    rows = _gram_rows(qp, index, degree, slices)
+    return qp, index, socle.coordinates[index], degree, slices, rows
+
+
+@pytest.mark.parametrize("args", LADDER + LARGE, ids=" ".join)
+def test_gram_rows_exist_below_the_middle_on_their_partner_columns(args):
+    _, index, _, degree, slices, rows = graded_rows(args, "q")
+    top = degree[index]
+    assert len(slices) > 1
+    assert [i for i, r in enumerate(rows) if r is not None] == [
+        i for i, d in enumerate(degree) if 2 * d <= top
+    ]
+    assert all(len(r) == len(slices[top - d]) for r, d in zip(rows, degree) if r is not None)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [(a, f) for f in ("q", f"fp:{P}") for a in LADDER + LARGE],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_gram_rows_equal_the_dense_oracle_on_their_partner_columns(args, field):
+    qp, index, pivot, degree, slices, rows = graded_rows(args, field)
+    top = degree[index]
+    oracle = field_gram_rows(qp, field_multiplication_matrices(qp), index, pivot)
+    for i, row in enumerate(rows):
+        if row is not None:
+            partner = slices[top - degree[i]]
+            assert [c / pivot for c in row] == [oracle[i][j] for j in partner]
+            assert sum(1 for c in oracle[i] if c) == sum(1 for j in partner if oracle[i][j])
 
 
 # ---------------------------------------------------------------------------

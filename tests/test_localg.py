@@ -136,16 +136,6 @@ def test_quotient_infinite_dimension_names_variable():
     assert info.value.variable == "y"
 
 
-def test_staircase_report():
-    qp = quotient_presentation(groebner(gens("x^2", "y^2")))
-    report = qp.staircase_report()
-    assert "x^2" in report and "standard monomials (4)" in report
-    qp = quotient_presentation(groebner(gens("x^2 + y", "y^2")))
-    assert qp.staircase_report() == (
-        "leading monomials: x^2, y^2\nstandard monomials (4): 1, y, x, x*y"
-    )
-
-
 def test_origin_supported_examples():
     qp = quotient_presentation(groebner(gens("x + y", "x*y")))
     assert origin_supported(qp)
