@@ -55,6 +55,8 @@ class GramForm:
         from .scalar import QQ
 
         field = field if field is not None else QQ
+        if any(isinstance(v, bool) for row in rows for v in row):
+            raise ValueError("Gram entries are numbers or rational strings, not booleans")
         # entries are read with Fraction() as over Q ("1/3", 0.5, 0.1 as 1/10), then reduced mod p
         rows = [[str(v) if isinstance(v, float) else v for v in row] for row in rows]
         conv = (

@@ -1,27 +1,25 @@
 """Groebner bases and finite-dimensional quotient presentations.
 
-One reducer on integer coefficient dictionaries serves both coefficient
-rings: over Q it works fraction-free over Z (pseudo-reduction with
-periodic content stripping), over F_p it works modulo p.  Buchberger's
-algorithm, with the coprimality and chain criteria, runs on it, and so
-does every normal form: the basis keeps its integer entries, and the
-reducer reports the scale it applied, so normal forms over Q stay exact.
+One reducer serves both coefficient fields: it reduces by monic basis
+entries, over Q on ints where the values are integral and Fractions
+otherwise, over F_p on residues modulo p.  Buchberger's algorithm, with the
+coprimality and chain criteria, runs on it, and so does every normal form.
 S-pairs wait in a heap ordered by lcm.  The published basis is reduced and
-monic.  A quotient presentation enumerates the standard monomials (those
-outside the leading monomial staircase), gives coordinates of residue
-classes over them, and carries the sparse matrices M_k of multiplication
-by x_k, read off the basis tails without normal forms.  The origin test
-and determinants of polynomial matrices in the quotient run through these
-matrices and need no normal forms either.  Over Q these kernels compute on
-Python ints wherever the values are integral, the matrix entries included:
-mixed int and Fraction arithmetic is exact, and the kernels never divide.
-Over F_p they compute on the field elements, unconverted.
+monic, so it is unique for the ideal and the order.  A quotient
+presentation enumerates the standard monomials (those outside the leading
+monomial staircase), gives coordinates of residue classes over them, and
+carries the sparse matrices M_k of multiplication by x_k, read off the
+basis tails without normal forms.  The origin test and determinants of
+polynomial matrices in the quotient run through these matrices and need no
+normal forms either.  Over Q these kernels compute on Python ints wherever
+the values are integral, the matrix entries included: mixed int and
+Fraction arithmetic is exact, and the kernels never divide.  Over F_p they
+compute on the field elements, unconverted.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -54,139 +52,89 @@ class InfiniteQuotientError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the integer reducer
+# the monic reducer
 
-_CONTENT_STRIP_PERIOD = 32
+class _MonicReducer:
+    """Monic reduction on coefficient dicts over Q (``p == 0``) or F_p.
 
-
-class _IntArith:
-    """Integer-dictionary arithmetic over Z (``p == 0``) or modulo a prime p.
-
-    Over Z each reduction step is fraction-free: the remainder picks up a
-    scale, reported by ``reduce``, and its content is stripped every
-    ``_CONTENT_STRIP_PERIOD`` steps.  Over F_p the coefficients lie in
-    [0, p) and every basis entry is monic, so the same step has
-    gcd(c, 1) = 1, never rescales, and only adds ``% p``.
+    Over Q the values are ints where integral and Fractions otherwise (see
+    ``_kernel``); over F_p they are residues in [0, p).  Every basis entry
+    ``(leading monomial, terms)`` is monic, so one step serves both fields
+    and only F_p adds ``% p``.
     """
 
-    def __init__(self, order: MonomialOrder, p: int):
+    def __init__(self, order: MonomialOrder, fld):
         self.key = order.key
-        self.p = p
+        self.p = fld.characteristic
+        self.field = fld
 
-    def from_poly(self, f: Polynomial) -> tuple[dict, int]:
-        """Integer coefficients of ``denom * f`` and the common denominator
-        ``denom`` of f's coefficients (1 over F_p)."""
+    def from_poly(self, f: Polynomial) -> dict:
         if self.p:
-            return {m: c.residue for m, c in f.terms.items()}, 1
-        denom = math.lcm(*(c.denominator for c in f.terms.values()))
-        return {m: c.numerator * (denom // c.denominator) for m, c in f.terms.items()}, denom
+            return {m: c.residue for m, c in f.terms.items()}
+        return _integral(f.terms)
 
-    def to_poly(self, d: dict, scale, ring, fld) -> Polynomial:
-        """The polynomial d / scale over ``fld``; over F_p the scale is always 1."""
-        if self.p:
-            return Polynomial(ring, fld, {m: fld.from_int(c) for m, c in d.items()})
-        inv = 1 / Fraction(scale)
-        return Polynomial(ring, fld, {m: c * inv for m, c in d.items()})
-
-    def entry(self, d: dict) -> tuple[Monomial, int, dict]:
-        lm = max(d, key=self.key)
-        return lm, d[lm], d
+    def to_poly(self, d: dict, ring) -> Polynomial:
+        fld = self.field
+        to_field = fld.from_int if self.p else Fraction
+        return Polynomial(ring, fld, {m: to_field(c) for m, c in d.items()})
 
     def normalize(self, d: dict) -> dict:
-        """The canonical multiple of d: monic over F_p; over Z primitive with
-        a positive leading coefficient."""
+        """The monic multiple of d."""
         if not d:
             return d
         lc = d[max(d, key=self.key)]
         p = self.p
-        if p:
-            if lc == 1:
-                return d
-            inv = pow(lc, p - 2, p)
-            return {m: c * inv % p for m, c in d.items()}
-        g = 0
-        for c in d.values():
-            g = math.gcd(g, c)
-        if lc < 0:
-            g = -g
-        if g != 1:
-            d = {m: c // g for m, c in d.items()}
-        return d
+        if not p:
+            if lc != 1:
+                inv = 1 / Fraction(lc)
+                d = {m: c * inv for m, c in d.items()}
+            return _integral(d)
+        if lc == 1:
+            return d
+        inv = pow(lc, p - 2, p)
+        return {m: c * inv % p for m, c in d.items()}
 
-    def spoly(self, f: dict, g: dict, f_lm: Monomial, g_lm: Monomial) -> dict:
+    def subtract(self, work: dict, c, shift: Monomial, lm: Monomial, terms: dict) -> None:
+        """work -= c * x^shift * (terms - x^lm), dropping the cancelled terms."""
         p = self.p
-        lcm_m = mono_lcm(f_lm, g_lm)
-        f_lc, g_lc = f[f_lm], g[g_lm]
-        l = math.lcm(f_lc, g_lc)
-        mf, mg = l // f_lc, l // g_lc
-        sf, sg = mono_div(lcm_m, f_lm), mono_div(lcm_m, g_lm)
-        s: dict = {}
-        for m, c in f.items():
-            s[mono_mul(sf, m)] = mf * c
-        for m, c in g.items():
-            t = mono_mul(sg, m)
-            nv = s.get(t, 0) - mg * c
+        for gm, gc in terms.items():
+            if gm == lm:
+                continue
+            t = mono_mul(shift, gm)
+            nv = work.get(t, 0) - c * gc
             if p:
                 nv %= p
             if nv:
-                s[t] = nv
-            elif t in s:
-                del s[t]
+                work[t] = nv
+            elif t in work:
+                del work[t]
+
+    def spoly(self, f: dict, g: dict, f_lm: Monomial, g_lm: Monomial) -> dict:
+        lcm_m = mono_lcm(f_lm, g_lm)
+        sf = mono_div(lcm_m, f_lm)
+        s = {mono_mul(sf, m): c for m, c in f.items() if m != f_lm}
+        self.subtract(s, 1, mono_div(lcm_m, g_lm), g_lm, g)
         return s
 
-    def reduce(self, work: dict, entries: Sequence[tuple]) -> tuple[dict, Fraction]:
-        """Remainder r of ``work`` by normalized ``entries`` and the scale s
-        with r = s * work modulo the entries.
+    def reduce(self, work: dict, entries: Sequence[tuple]) -> dict:
+        """Remainder of ``work`` by the monic ``entries``.
 
         Each term is reduced by the first entry whose leading monomial
         divides it; terms that no entry divides move to the remainder.
         """
-        key, p = self.key, self.p
+        key = self.key
         work = dict(work)
         out: dict = {}
-        scale = Fraction(1)
-        steps = 0
         while work:
             m = max(work, key=key)
             c = work.pop(m)
-            for lm, lc, terms in entries:
+            for lm, terms in entries:
                 if mono_divides(lm, m):
+                    self.subtract(work, c, mono_div(m, lm), lm, terms)
                     break
             else:
                 out[m] = c
-                continue
-            g = math.gcd(c, lc)  # lc > 0: the entries are normalized
-            mult_self, mult_red = lc // g, c // g
-            if mult_self != 1:
-                scale *= mult_self
-                for k in work:
-                    work[k] *= mult_self
-                for k in out:
-                    out[k] *= mult_self
-            shift = mono_div(m, lm)
-            for gm, gc in terms.items():
-                if gm == lm:
-                    continue
-                t = mono_mul(shift, gm)
-                nv = work.get(t, 0) - mult_red * gc
-                if p:
-                    nv %= p
-                if nv:
-                    work[t] = nv
-                elif t in work:
-                    del work[t]
-            steps += 1
-            if not p and steps % _CONTENT_STRIP_PERIOD == 0 and (work or out):
-                g_all = 0
-                for c2 in work.values():
-                    g_all = math.gcd(g_all, c2)
-                for c2 in out.values():
-                    g_all = math.gcd(g_all, c2)
-                if g_all > 1:
-                    scale /= g_all
-                    work = {k: v // g_all for k, v in work.items()}
-                    out = {k: v // g_all for k, v in out.items()}
-        return out, scale
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +144,14 @@ class _IntArith:
 class GroebnerBasis:
     """A reduced, monic Groebner basis with its monomial order.
 
-    ``entries`` holds the same generators as normalized integer
-    dictionaries ``(leading monomial, leading coefficient, terms)`` for the
-    integer reducer; it takes no part in equality.
+    The zero ideal has no generators.  The reduced monic basis of an ideal
+    is unique for its order, so equal ideals give equal bases.
     """
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
     ring: tuple[str, ...]
     field: object
-    entries: tuple = dataclass_field(compare=False, repr=False)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.generators)
@@ -218,8 +164,8 @@ class GroebnerBasis:
 def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal spanned by ``gens``.
 
-    Deterministic for a fixed input and order.  Raises UnitIdealError when
-    the ideal is the whole ring.
+    Deterministic for a fixed input and order.  The zero ideal has the
+    empty basis.  Raises UnitIdealError when the ideal is the whole ring.
     """
     gens = [g for g in gens if g is not None]
     if not gens:
@@ -230,28 +176,22 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
             raise ValueError("generators from different rings")
     if order is None:
         order = DEGREVLEX
-    arith = _IntArith(order, fld.characteristic)
+    arith = _MonicReducer(order, fld)
     key = order.key
 
     def remainder(d: dict, basis) -> dict:
-        return arith.normalize(arith.reduce(d, basis)[0])
+        return arith.normalize(arith.reduce(d, basis))
 
-    seeds = []
-    for g in gens:
-        d = arith.normalize(arith.from_poly(g)[0])
-        if d:
-            seeds.append(d)
-    if not seeds:
-        raise ValueError("all generators are zero")
+    seeds = [arith.normalize(arith.from_poly(g)) for g in gens if g.terms]
     seeds.sort(key=lambda d: (key(max(d, key=key)), sorted(d.items())))
 
-    entries: list[tuple[Monomial, int, dict]] = []
+    entries: list[tuple[Monomial, dict]] = []
 
     def push(d: dict) -> None:
-        e = arith.entry(d)
-        if sum(e[0]) == 0:
+        lm = max(d, key=key)
+        if sum(lm) == 0:
             raise UnitIdealError("the generators span the unit ideal")
-        entries.append(e)
+        entries.append((lm, d))
 
     for d in seeds:
         r = remainder(d, entries)
@@ -289,7 +229,7 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
                 break
         if skip:
             continue
-        r = remainder(arith.spoly(entries[i][2], entries[j][2], lmi, lmj), entries)
+        r = remainder(arith.spoly(entries[i][1], entries[j][1], lmi, lmj), entries)
         if r:
             push(r)
             t = len(entries) - 1
@@ -298,9 +238,9 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
 
     # minimalize: drop generators whose leading monomial is divisible by another's
     keep: list[int] = []
-    for i, (lm_i, _, _) in enumerate(entries):
+    for i, (lm_i, _) in enumerate(entries):
         redundant = False
-        for j, (lm_j, _, _) in enumerate(entries):
+        for j, (lm_j, _) in enumerate(entries):
             if i == j:
                 continue
             if mono_divides(lm_j, lm_i) and (lm_j != lm_i or j < i):
@@ -312,22 +252,20 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
     # tail-reduce each survivor against the others
     final = []
     for i in keep:
-        r = remainder(entries[i][2], [entries[j] for j in keep if j != i])
+        r = remainder(entries[i][1], [entries[j] for j in keep if j != i])
         if r:
-            final.append(arith.entry(r))
-    final.sort(key=lambda e: key(e[0]), reverse=True)
-    polys = tuple(arith.to_poly(d, lc, ring, fld) for _, lc, d in final)
-    return GroebnerBasis(polys, order, ring, fld, tuple(final))
+            final.append(r)
+    final.sort(key=lambda d: key(max(d, key=key)), reverse=True)
+    return GroebnerBasis(tuple(arith.to_poly(d, ring) for d in final), order, ring, fld)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of p supported on standard monomials (a linear projection)."""
     if p.ring != gb.ring or p.field != gb.field:
         raise ValueError("polynomial does not match the basis ring")
-    arith = _IntArith(gb.order, gb.field.characteristic)
-    work, denom = arith.from_poly(p)
-    out, scale = arith.reduce(work, gb.entries)
-    return arith.to_poly(out, scale * denom, gb.ring, gb.field)
+    arith = _MonicReducer(gb.order, gb.field)
+    entries = [(g.leading_monomial(gb.order), arith.from_poly(g)) for g in gb.generators]
+    return arith.to_poly(arith.reduce(arith.from_poly(p), entries), gb.ring)
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +417,12 @@ def _kernel(fld) -> tuple:
     the integral values of a dict ints, ``out`` a tuple of field elements."""
     if fld.characteristic:
         return fld.zero, fld.one, lambda values: values, tuple
+    return 0, 1, _integral, lambda values: tuple(map(Fraction, values))
 
-    def into(values: dict) -> dict:
-        return {k: c.numerator if c.denominator == 1 else c for k, c in values.items()}
 
-    return 0, 1, into, lambda values: tuple(map(Fraction, values))
+def _integral(values: dict) -> dict:
+    """values with its integral Fractions made ints."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in values.items()}
 
 
 def _add_multiple(out: dict, a, vector: dict, zero) -> None:

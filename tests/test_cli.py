@@ -261,6 +261,15 @@ def test_degree_exit_code_not_origin(tmp_path, capsys):
     assert "origin" in err
 
 
+@pytest.mark.parametrize("components, field", [(["0"], "q"), (["0"], "fp:3"), (["3*x"], "fp:3")])
+def test_degree_of_the_zero_map_is_not_supported_at_origin(tmp_path, capsys, components, field):
+    # the ideal is zero, its basis is empty and no power of x is a leading monomial
+    path = write(tmp_path, "m.json", json.dumps({"variables": ["x"], "components": components}))
+    code, out, err = run(capsys, "degree", path, "--field", field)
+    assert (code, out) == (3, "")
+    assert err.startswith("not supported at origin: no pure power of 'x' ")
+
+
 def test_degree_zero_denominator_in_prime_field(tmp_path, capsys):
     path = write(tmp_path, "m.json", json.dumps({"variables": ["x"], "components": ["1/3*x"]}))
     code, _, err = run(capsys, "degree", path, "--field", "fp:3")
@@ -647,6 +656,15 @@ def test_gw_classify_float_entry_is_its_decimal(tmp_path, capsys, field, diagona
     code, out, _ = run(capsys, "gw", "classify", path, "--field", field)
     assert code == 0
     assert f"diagonal: {diagonal}" in out
+
+
+@pytest.mark.parametrize("field", ["q", "fp:7"])
+@pytest.mark.parametrize("gram", ["[[true]]", "[[1, false], [false, 1]]"])
+def test_gw_classify_boolean_entry_is_a_parse_error(tmp_path, capsys, field, gram):
+    path = write(tmp_path, "g.json", gram)
+    code, out, err = run(capsys, "gw", "classify", path, "--field", field)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
 
 
 def test_gw_classify_denominator_divisible_by_p(tmp_path, capsys):

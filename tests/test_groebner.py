@@ -76,3 +76,18 @@ def test_buchberger_criterion_on_random_ideals(ring, fname, oname):
         for _ in range(3):
             rng.shuffle(gens)
             assert repr(groebner(gens, order)) == repr(gb)
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_zero_ideal_has_the_empty_basis(fname):
+    fld = FIELDS[fname]
+    ring = ("x", "y")
+    gb = groebner([Polynomial.zero(ring, fld), parse_poly("7*x - 7*x", ring, fld)])
+    assert gb.generators == ()
+    p = parse_poly("3*x^2*y - 1/2*y + 5", ring, fld)
+    assert normal_form(p, gb) == p
+
+
+def test_empty_generator_list_is_refused():
+    with pytest.raises(ValueError, match="empty generator list"):
+        groebner([])

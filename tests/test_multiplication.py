@@ -129,7 +129,7 @@ def test_border_tail_outside_the_standard_span_is_refused():
     # other generator, so the column of the border monomial x^2 would
     # leave the span of the standard monomials 1, x, y, x*y
     gens = tuple(parse_poly(t, XY, QQ) for t in ("x^2 + y^2", "y^2"))
-    gb = GroebnerBasis(gens, DEGREVLEX, XY, QQ, ())
+    gb = GroebnerBasis(gens, DEGREVLEX, XY, QQ)
     with pytest.raises(ArithmeticError, match="left the standard-monomial span"):
         quotient_presentation(gb)
 

@@ -1,10 +1,11 @@
-"""The integer reducer against a field-arithmetic reference.
+"""The monic reducer against a field-arithmetic reference.
 
 ``reference_normal_form`` reduces with the monic field generators of the
 basis, one term at a time in field arithmetic (``Fraction`` over Q,
-``PrimeFieldElement`` over F_p).  The library reduces with the basis's
-integer entries instead: fraction-free over Z with a tracked scale, and
-modulo p over F_p.  Both must give the same polynomial.
+``PrimeFieldElement`` over F_p).  The library reduces by the same monic
+generators on plain values instead: ints where integral and Fractions
+otherwise over Q, residues modulo p over F_p.  Both must give the same
+polynomial.
 """
 
 import random
@@ -19,8 +20,9 @@ from ekl.scalar import GF, QQ
 
 F = GF(32003)
 
-# Bases whose integer entries have leading coefficients other than 1 over Q
-# (2*x^2 - 3*y for x^2 - 3/2*y, and so on), so the reducer must rescale.
+# Generators with leading coefficients other than 1, whose monic bases over Q
+# have non-integral coefficients (x^2 - 3/2*y for 2*x^2 - 3*y, and so on), so
+# the reducer computes on Fractions as well as ints.
 IDEALS = {
     "xy1": (("x", "y"), ("2*x^2 - 3*y", "3*y^2 + 5*x")),
     "xy2": (("x", "y"), ("3*x^2 + 2*x*y - 7/2*y", "5*y^3 - x")),
@@ -110,7 +112,7 @@ def test_groebner_generators_pinned(name, fname, oname):
 def test_normal_form_matches_reference(name, fname, oname):
     gb = basis(name, fname, oname)
     if fname == "q":
-        assert any(lc != 1 for _, lc, _ in gb.entries)
+        assert any(c.denominator != 1 for g in gb.generators for c in g.terms.values())
     rng = random.Random(f"{name}-{fname}-{oname}")
     for _ in range(25):
         p = random_poly(rng, gb.ring, gb.field)
