@@ -17,10 +17,10 @@ and polynomial entries act on them through the M_k.  The Gram row for a
 standard monomial b is the functional r_b = phi(b * -): r_1 = phi, and
 r_{x_k m} = r_m M_k, so every row is one vector-matrix product away from
 the row of a divisor of b.  The same matrices give the origin test (every
-x_k is nilpotent).  Over Q these kernels compute on ints where the values
-are integral (``localg._kernel``); values become Fractions again at the
-boundaries: the coordinates of E and J, the Gram entries and every
-GramForm.  No ``/`` touches a kernel value, since int / int is a float.
+x_k is nilpotent).  These kernels compute on int residues over F_p and on
+ints where the values are integral over Q (see ``localg``); values become
+field elements again at the boundaries: the coordinates of E and J, the
+Gram entries and every GramForm.  No ``/`` touches a kernel value.
 
 Callers that need only the class and dim Q use ``degree_class``.  It
 first strips solved components c*x_k + h (``strip_solved``): the change
@@ -63,7 +63,6 @@ from .localg import (
     InfiniteQuotientError,
     QuotientPresentation,
     UnitIdealError,
-    _kernel,
     groebner,
     normal_form,  # noqa: F401  perfbench/tracer.py counts calls through this name
     origin_supported,
@@ -423,7 +422,7 @@ def _gram_rows(qp: QuotientPresentation, index: int, degree, slices: dict) -> li
     * phi), on Q graded by ``degree``, with the positions of each degree in
     ``slices``.  psi lives in degree D, so r_b is built only for 2 deg b <= D
     (None elsewhere) and only on its partner columns ``slices[D - deg b]``,
-    in their order.  Over Q the entries are ints where they are integral.
+    in their order.  The entries are kernel values, residues over F_p.
 
     r_1 = psi and r_b = r_m M_k, where x_k is the first variable dividing
     b and m = b / x_k.  Standard monomials are closed under division and a
@@ -431,25 +430,26 @@ def _gram_rows(qp: QuotientPresentation, index: int, degree, slices: dict) -> li
     already built when b comes up in the ascending basis, and M_k maps the
     partner columns of b onto those of m, where ``place`` finds r_m's entries.
     """
-    zero, one = _kernel(qp.field)[:2]
+    p = qp.field.characteristic
     position = qp.monomial_index()
     place = [0] * qp.dimension  # each position's index in its slice
     for part in slices.values():
-        for p, i in enumerate(part):
-            place[i] = p
+        for at, i in enumerate(part):
+            place[i] = at
     top = degree[index]
     rows: list = [None] * qp.dimension
-    rows[0] = [zero] * len(slices[top])  # the standard monomial 1 comes first
-    rows[0][place[index]] = one
+    rows[0] = [0] * len(slices[top])  # the standard monomial 1 comes first
+    rows[0][place[index]] = 1
     for i, b in enumerate(qp.standard_monomials[1:], 1):
         if 2 * degree[i] <= top:
             k = next(k for k, e in enumerate(b) if e)
             r = rows[position[b[:k] + (b[k] - 1,) + b[k + 1 :]]]
             matrix = qp.matrices[k]
-            rows[i] = [
-                sum((r[place[t]] * c for t, c in matrix[j].items() if r[place[t]]), zero)
+            row = [
+                sum(r[place[t]] * c for t, c in matrix[j].items() if r[place[t]])
                 for j in slices[top - degree[i]]
             ]
+            rows[i] = [a % p for a in row] if p else row
     return rows
 
 
@@ -483,9 +483,11 @@ def _split_form(qp: QuotientPresentation, socle: AlgebraElement, index: int, deg
                 raise DegenerateFormError(f"the pairing of degrees {d} and {top - d} is singular")
             hyperbolic += len(part)
     middle = slices.get(top // 2, []) if top % 2 == 0 else []
-    # the rows are of pivot * phi; scaling only the nonzero entries pays on a sparse block
+    # the rows are of pivot * phi; the zeros share one fld.zero, which pays on a sparse block
     inverse, zero = fld.one / socle.coordinates[index], fld.zero
-    return hyperbolic, [[inverse * a if a else zero for a in rows[i]] for i in middle]
+    if fld.characteristic:
+        inverse = inverse.residue
+    return hyperbolic, [[fld.from_int(inverse * a) if a else zero for a in rows[i]] for i in middle]
 
 
 #: Full rank modulo this prime certifies full rank over Q.
@@ -493,16 +495,15 @@ CERTIFICATE_PRIME = 2**61 - 1
 
 
 def _full_rank(block: list[list], fld) -> bool:
-    """Whether a square matrix over fld is invertible.
+    """Whether a square matrix of kernel values over fld is invertible.
 
-    Over F_p this is its rank.  Over Q the rank modulo CERTIFICATE_PRIME
-    of a matrix with no denominator divisible by it is at most the rank
-    over Q, so a full one certifies it; a short one, or a vanishing
-    denominator, falls back to the exact rank, on Fractions (no int / int).
+    Over F_p this is the rank of its residues.  Over Q the rank modulo
+    CERTIFICATE_PRIME, where no denominator vanishes, is at most the rank
+    over Q, so a full one certifies it; else the exact rank, on Fractions.
     """
     n = len(block)
     if fld.characteristic:
-        return _rank([[a.residue for a in row] for row in block], fld.characteristic) == n
+        return _rank(block, fld.characteristic) == n
     p = CERTIFICATE_PRIME
     if all(a.denominator % p for row in block for a in row):
         residues = [[a.numerator * pow(a.denominator, -1, p) % p for a in row] for row in block]

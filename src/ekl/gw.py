@@ -62,7 +62,7 @@ class GramForm:
         conv = (
             (lambda v: Fraction(v))
             if not isinstance(field, PrimeField)
-            else (lambda v: v if isinstance(v, PrimeFieldElement) else field.from_str(v))
+            else (lambda v: _element(v, field))
         )
         entries = tuple(tuple(conv(v) for v in row) for row in rows)
         return cls.from_field_entries(entries, field)
@@ -205,14 +205,10 @@ class GWClass:
 
 def classify_diagonal(entries: Iterable, field) -> GWClass:
     """GW class of the diagonal form <entries>."""
-    entries = list(entries)
     if isinstance(field, PrimeField):
-        residues = []
-        for e in entries:
-            r = e.residue if isinstance(e, PrimeFieldElement) else int(e) % field.p
-            if r == 0:
-                raise DegenerateFormError("zero diagonal entry over a prime field")
-            residues.append(r)
+        residues = [_element(e, field).residue for e in entries]
+        if 0 in residues:
+            raise DegenerateFormError("zero diagonal entry over a prime field")
         disc = 1
         for r in residues:
             disc = disc * r % field.p
@@ -229,6 +225,16 @@ def classify_diagonal(entries: Iterable, field) -> GWClass:
             raise DegenerateFormError("zero diagonal entry")
         classes.append(SquareClass.of(e))
     return _rational_class(classes, field)
+
+
+def _element(value, field: PrimeField) -> PrimeFieldElement:
+    """value itself, if an element of F_p, or a rational read by ``from_str``;
+    ValueError for an element of another prime field."""
+    if not isinstance(value, PrimeFieldElement):
+        return field.from_str(value)
+    if value.modulus != field.p:
+        raise ValueError(f"{value} is an element of F_{value.modulus}, not of F_{field.p}")
+    return value
 
 
 def _rational_class(classes: list, field) -> GWClass:

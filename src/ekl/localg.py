@@ -1,20 +1,19 @@
 """Groebner bases and finite-dimensional quotient presentations.
 
-One reducer serves both coefficient fields: it reduces by monic basis
-entries, over Q on ints where the values are integral and Fractions
-otherwise, over F_p on residues modulo p.  Buchberger's algorithm, with the
-coprimality and chain criteria, runs on it, and so does every normal form.
-S-pairs wait in a heap ordered by lcm.  The published basis is reduced and
-monic, so it is unique for the ideal and the order.  A quotient
-presentation enumerates the standard monomials (those outside the leading
-monomial staircase), gives coordinates of residue classes over them, and
-carries the sparse matrices M_k of multiplication by x_k, read off the
-basis tails without normal forms.  The origin test and determinants of
-polynomial matrices in the quotient run through these matrices and need no
-normal forms either.  Over Q these kernels compute on Python ints wherever
-the values are integral, the matrix entries included: mixed int and
-Fraction arithmetic is exact, and the kernels never divide.  Over F_p they
-compute on the field elements, unconverted.
+One reducer, by monic basis entries, serves both coefficient fields.
+Buchberger's algorithm, with the coprimality and chain criteria, runs on
+it, and so does every normal form.  S-pairs wait in a heap ordered by lcm.
+The published basis is reduced and monic, so it is unique for the ideal
+and the order.  A quotient presentation enumerates the standard monomials
+(those outside the leading monomial staircase), gives coordinates of
+residue classes over them, and carries the sparse matrices M_k of
+multiplication by x_k, read off the basis tails without normal forms.  The
+origin test and determinants of polynomial matrices in the quotient run
+through these matrices and need no normal forms either.  The reducer and
+these kernels compute on kernel values: int residues in [0, p) over F_p,
+reduced wherever a sum is formed, and over Q ints where the values are
+integral and Fractions otherwise (exact, as the kernels never divide).
+``_kernel_values`` converts field values into them, ``field.from_int`` back.
 """
 
 from __future__ import annotations
@@ -55,28 +54,15 @@ class InfiniteQuotientError(ValueError):
 # the monic reducer
 
 class _MonicReducer:
-    """Monic reduction on coefficient dicts over Q (``p == 0``) or F_p.
+    """Monic reduction on dicts of kernel values over Q (``p == 0``) or F_p.
 
-    Over Q the values are ints where integral and Fractions otherwise (see
-    ``_kernel``); over F_p they are residues in [0, p).  Every basis entry
-    ``(leading monomial, terms)`` is monic, so one step serves both fields
-    and only F_p adds ``% p``.
+    Every basis entry ``(leading monomial, terms)`` is monic, so one step
+    serves both fields and only F_p adds ``% p``.
     """
 
-    def __init__(self, order: MonomialOrder, fld):
+    def __init__(self, order: MonomialOrder, p: int):
         self.key = order.key
-        self.p = fld.characteristic
-        self.field = fld
-
-    def from_poly(self, f: Polynomial) -> dict:
-        if self.p:
-            return {m: c.residue for m, c in f.terms.items()}
-        return _integral(f.terms)
-
-    def to_poly(self, d: dict, ring) -> Polynomial:
-        fld = self.field
-        to_field = fld.from_int if self.p else Fraction
-        return Polynomial(ring, fld, {m: to_field(c) for m, c in d.items()})
+        self.p = p
 
     def normalize(self, d: dict) -> dict:
         """The monic multiple of d."""
@@ -88,7 +74,7 @@ class _MonicReducer:
             if lc != 1:
                 inv = 1 / Fraction(lc)
                 d = {m: c * inv for m, c in d.items()}
-            return _integral(d)
+            return _kernel_values(d, 0)
         if lc == 1:
             return d
         inv = pow(lc, p - 2, p)
@@ -176,13 +162,14 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
             raise ValueError("generators from different rings")
     if order is None:
         order = DEGREVLEX
-    arith = _MonicReducer(order, fld)
+    p = fld.characteristic
+    arith = _MonicReducer(order, p)
     key = order.key
 
     def remainder(d: dict, basis) -> dict:
         return arith.normalize(arith.reduce(d, basis))
 
-    seeds = [arith.normalize(arith.from_poly(g)) for g in gens if g.terms]
+    seeds = [arith.normalize(_kernel_values(g.terms, p)) for g in gens if g.terms]
     seeds.sort(key=lambda d: (key(max(d, key=key)), sorted(d.items())))
 
     entries: list[tuple[Monomial, dict]] = []
@@ -256,16 +243,18 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
         if r:
             final.append(r)
     final.sort(key=lambda d: key(max(d, key=key)), reverse=True)
-    return GroebnerBasis(tuple(arith.to_poly(d, ring) for d in final), order, ring, fld)
+    basis = tuple(Polynomial(ring, fld, {m: fld.from_int(c) for m, c in d.items()}) for d in final)
+    return GroebnerBasis(basis, order, ring, fld)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Unique remainder of p supported on standard monomials (a linear projection)."""
     if p.ring != gb.ring or p.field != gb.field:
         raise ValueError("polynomial does not match the basis ring")
-    arith = _MonicReducer(gb.order, gb.field)
-    entries = [(g.leading_monomial(gb.order), arith.from_poly(g)) for g in gb.generators]
-    return arith.to_poly(arith.reduce(arith.from_poly(p), entries), gb.ring)
+    fld, char = gb.field, gb.field.characteristic
+    entries = [(g.leading_monomial(gb.order), _kernel_values(g.terms, char)) for g in gb.generators]
+    remainder = _MonicReducer(gb.order, char).reduce(_kernel_values(p.terms, char), entries)
+    return Polynomial(gb.ring, fld, {m: fld.from_int(c) for m, c in remainder.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -378,25 +367,27 @@ def multiplication_matrices(qp: QuotientPresentation) -> tuple[tuple[dict, ...],
     """Sparse matrices M_1..M_n of multiplication by x_k on the standard monomials.
 
     ``matrices[k][j]`` is column j of M_k, the coordinates ``{i: c}`` of
-    x_k * b_j; over Q an integral c is an ``int`` (see ``_kernel``).  The
-    column is a unit vector when x_k * b_j is standard.  Otherwise x_k * b_j
-    is a border monomial m; these are taken in increasing order.  If m
-    leads a basis generator g, its column is that of m - g, the negated
-    tail of g.  Otherwise some m / x_j is a smaller border monomial, with
-    column {i: c_i}, and m has the column of sum c_i * x_j * b_i, where
-    every x_j * b_i is smaller than m.
+    x_k * b_j as kernel values: over F_p a residue c in [1, p), over Q an
+    ``int`` where c is integral.  The column is a unit vector when x_k * b_j
+    is standard.  Otherwise x_k * b_j is a border monomial m; these are
+    taken in increasing order.  If m leads a basis generator g, its column
+    is that of m - g, the negated tail of g.  Otherwise some m / x_j is a
+    smaller border monomial, with column {i: c_i}, and m has the column of
+    sum c_i * x_j * b_i, where every x_j * b_i is smaller than m.
     """
     index = qp.monomial_index()
-    zero, one, into, _ = _kernel(qp.field)
+    p = qp.field.characteristic
     lead = dict(zip(qp.basis.leading_monomials(), qp.basis.generators))
     std = qp.standard_monomials
     products = [[b[:k] + (b[k] + 1,) + b[k + 1 :] for b in std] for k in range(len(qp.ring))]
-    columns: dict[Monomial, dict] = {m: {i: one} for m, i in index.items()}
+    columns: dict[Monomial, dict] = {m: {i: 1} for m, i in index.items()}
     border = {m for row in products for m in row if m not in index}
     for m in sorted(border, key=qp.basis.order.key):
         if m in lead:
+            # c != 0, so p - c is -c over Q and the residue of -c over F_p
+            tail = _kernel_values(lead[m].terms, p)
             try:
-                column = {index[t]: -c for t, c in into(lead[m].terms).items() if t != m}
+                column = {index[t]: p - c for t, c in tail.items() if t != m}
             except KeyError:
                 raise ArithmeticError("normal form left the standard-monomial span") from None
         else:
@@ -406,51 +397,49 @@ def multiplication_matrices(qp: QuotientPresentation) -> tuple[tuple[dict, ...],
                     break
             column = {}
             for i, c in columns[below].items():
-                _add_multiple(column, c, columns[products[j][i]], zero)
-            column = into(column)
+                _add_multiple(column, c, columns[products[j][i]], p)
+            if not p:
+                column = _kernel_values(column, 0)
         columns[m] = column
     return tuple(tuple(columns[m] for m in row) for row in products)
 
 
-def _kernel(fld) -> tuple:
-    """``(zero, one, into, out)`` of the kernels over fld: ``into`` makes
-    the integral values of a dict ints, ``out`` a tuple of field elements."""
-    if fld.characteristic:
-        return fld.zero, fld.one, lambda values: values, tuple
-    return 0, 1, _integral, lambda values: tuple(map(Fraction, values))
-
-
-def _integral(values: dict) -> dict:
-    """values with its integral Fractions made ints."""
+def _kernel_values(values: dict, p: int) -> dict:
+    """The field values of a dict as kernel values: residues over F_p, and
+    over Q (``p == 0``) ints where integral and Fractions otherwise."""
+    if p:
+        return {k: c.residue for k, c in values.items()}
     return {k: c.numerator if c.denominator == 1 else c for k, c in values.items()}
 
 
-def _add_multiple(out: dict, a, vector: dict, zero) -> None:
-    """out += a * vector for sparse vectors, dropping entries that cancel."""
+def _add_multiple(out: dict, a, vector: dict, p: int) -> None:
+    """out += a * vector for sparse vectors, modulo p if p, dropping zeros."""
     for i, c in vector.items():
-        s = out.get(i, zero) + a * c
+        s = out.get(i, 0) + a * c
+        if p:
+            s %= p
         if s:
             out[i] = s
         else:
             out.pop(i, None)
 
 
-def matrix_times_vector(columns: Sequence[dict], vector: dict, zero) -> dict:
-    """M * v for a column-sparse matrix and a sparse vector ``{i: c}``."""
+def matrix_times_vector(columns: Sequence[dict], vector: dict, p: int) -> dict:
+    """M * v for a column-sparse matrix and a sparse vector ``{i: c}``, modulo p if p."""
     out: dict = {}
     for j, a in vector.items():
-        _add_multiple(out, a, columns[j], zero)
+        _add_multiple(out, a, columns[j], p)
     return out
 
 
-def _monomial_times(qp: QuotientPresentation, mono: Monomial, vector: dict, zero) -> dict:
+def _monomial_times(qp: QuotientPresentation, mono: Monomial, vector: dict, p: int) -> dict:
     """x^mono * v for a sparse coordinate vector v: mono[k] products with
     each M_k, stopping as soon as the vector is zero."""
     for columns, e in zip(qp.matrices, mono):
         for _ in range(e):
             if not vector:
                 return vector
-            vector = matrix_times_vector(columns, vector, zero)
+            vector = matrix_times_vector(columns, vector, p)
     return vector
 
 
@@ -461,10 +450,9 @@ def origin_supported(qp: QuotientPresentation) -> bool:
     index at most the dimension d, so x_i is nilpotent iff x_i^d * 1 = 0:
     at most d products with the sparse matrix M_i.
     """
-    n = len(qp.ring)
-    zero, one = _kernel(qp.field)[:2]  # the standard monomial 1 comes first
-    return not any(
-        _monomial_times(qp, (0,) * k + (qp.dimension,) + (0,) * (n - k - 1), {0: one}, zero)
+    n, p = len(qp.ring), qp.field.characteristic
+    return not any(  # the standard monomial 1 comes first
+        _monomial_times(qp, (0,) * k + (qp.dimension,) + (0,) * (n - k - 1), {0: 1}, p)
         for k in range(n)
     )
 
@@ -490,9 +478,10 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]], qp: QuotientPresentation) -
         for entry in row:
             if entry.ring != qp.ring or entry.field != qp.field:
                 raise ValueError("matrix entries do not match the quotient ring")
-    zero, one, into, out = _kernel(qp.field)
-    matrix = [[into(entry.terms) for entry in row] for row in matrix]
-    minors = {0: {qp.monomial_index()[(0,) * len(qp.ring)]: one}}
+    fld = qp.field
+    p = fld.characteristic
+    matrix = [[_kernel_values(entry.terms, p) for entry in row] for row in matrix]
+    minors = {0: {qp.monomial_index()[(0,) * len(qp.ring)]: 1}}
     for k in range(n - 1, -1, -1):
         wider: dict[int, dict] = {}
         for used, minor in minors.items():
@@ -503,8 +492,8 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]], qp: QuotientPresentation) -
                     continue
                 target = wider.setdefault(used | 1 << j, {})
                 for m, c in entry.items():
-                    shifted = _monomial_times(qp, m, minor, zero)
-                    _add_multiple(target, c if sign == 1 else -c, shifted, zero)
+                    shifted = _monomial_times(qp, m, minor, p)
+                    _add_multiple(target, c if sign == 1 else -c, shifted, p)
         minors = {cols: vector for cols, vector in wider.items() if vector}
     det = minors.get((1 << n) - 1, {})
-    return AlgebraElement(out(det.get(i, zero) for i in range(qp.dimension)), qp)
+    return AlgebraElement(tuple(fld.from_int(det.get(i, 0)) for i in range(qp.dimension)), qp)

@@ -281,10 +281,11 @@ class PrimeField:
         return PrimeFieldElement(n % self.p, self.p)
 
     def from_str(self, text: str) -> PrimeFieldElement:
+        """A rational num/den (text or number) as num * den^-1."""
         fr = Fraction(text)
-        num = self.from_int(fr.numerator)
-        den = self.from_int(fr.denominator)
-        return num / den
+        if fr.denominator % self.p == 0:
+            raise ValueError(f"{fr} has no residue modulo {self.p}")
+        return self.from_int(fr.numerator * pow(fr.denominator, -1, self.p))
 
     def __repr__(self) -> str:
         return f"GF({self.p})"

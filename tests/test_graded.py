@@ -206,8 +206,8 @@ def test_certificate_falls_back_to_the_exact_rank(monkeypatch):
     # singular over Q, and over F_p exactly by the rank modulo p
     assert not _full_rank([[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]], QQ)
     fp = GF(7)
-    assert not _full_rank([[fp.from_int(1), fp.from_int(3)], [fp.from_int(2), fp.from_int(6)]], fp)
-    assert _full_rank([[fp.from_int(1), fp.from_int(3)], [fp.from_int(2), fp.from_int(5)]], fp)
+    assert not _full_rank([[1, 3], [2, 6]], fp)  # the kernels' residues over F_p
+    assert _full_rank([[1, 3], [2, 5]], fp)
 
 
 def presentation(ring, generators, socle):

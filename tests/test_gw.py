@@ -308,6 +308,28 @@ def test_classify_fp():
         classify_diagonal([f5.zero], f5)
 
 
+def test_classify_diagonal_reads_rationals_over_fp():
+    f7 = GF(7)
+    c = classify_diagonal([Fraction(5, 2)], f7)  # 5/2 = 5 * 4 = 6, a non-square mod 7
+    assert c.diagonal == (6,) and c.disc_legendre == -1
+    assert classify_diagonal([Fraction(1, 2)], f7).diagonal == (4,)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda e, f: classify_diagonal([e], f), lambda e, f: GramForm.from_rows([[e]], f)],
+    ids=["classify_diagonal", "from_rows"],
+)
+@pytest.mark.parametrize(
+    "entry, message",
+    [(GF(5).from_int(3), "an element of F_5, not of F_7"), (Fraction(1, 7), "no residue modulo 7")],
+    ids=["another-prime-field", "denominator-divisible-by-p"],
+)
+def test_fp_entries_outside_the_field_are_refused(read, entry, message):
+    with pytest.raises(ValueError, match=message):
+        read(entry, GF(7))
+
+
 def test_gw_equal_examples():
     assert gw_equal(classify_diagonal([2, -2], QQ), classify_diagonal([1, -1], QQ))
     assert not gw_equal(classify_diagonal([1, 1], QQ), classify_diagonal([1, -1], QQ))

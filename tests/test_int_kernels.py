@@ -1,13 +1,14 @@
-"""The quotient algebra's kernels over Q compute on Python ints.
+"""The quotient algebra's kernels compute on Python ints.
 
-``multiplication_matrices`` stores an integral entry as an ``int``, and
-``poly_det``, the origin test and ``_gram_rows`` carry ints through their
-sums and products wherever the values are integral.  The oracles below are
-the same kernels on field elements throughout (``Fraction`` over Q), as
-the library computed them before: the values must be equal, and every
-value that leaves the kernels (``AlgebraElement`` coordinates, Gram
-entries, every ``GramForm`` entry) must still be a ``Fraction`` over Q and
-a ``PrimeFieldElement`` over F_p.
+Over F_p ``multiplication_matrices`` stores int residues in [1, p), and
+``poly_det``, the origin test and ``_gram_rows`` carry residues in [0, p)
+through their sums and products.  Over Q they carry ints wherever the
+values are integral.  The oracles below are the same kernels on field
+elements throughout (``Fraction`` over Q, ``PrimeFieldElement`` over F_p),
+as the library computed them before: the values must be equal (over F_p,
+the oracle's ``.residue`` values), and every value that leaves the kernels
+(``AlgebraElement`` coordinates, Gram entries, every ``GramForm`` entry)
+must still be a ``Fraction`` over Q and a ``PrimeFieldElement`` over F_p.
 """
 
 from fractions import Fraction
@@ -28,7 +29,6 @@ from ekl.degree import (
     linear_decompose,
     strip_solved,
 )
-from ekl.localg import _add_multiple, matrix_times_vector
 from ekl.poly import partial_derivative
 from ekl.scalar import GF, QQ, PrimeFieldElement
 from test_graded import LADDER, LARGE, P, family_spec
@@ -39,6 +39,31 @@ SN6_B4_D4 = LARGE[:3]
 
 # ---------------------------------------------------------------------------
 # the oracles: the kernels on field elements
+
+
+def add_multiple(out, a, vector, zero):
+    """out += a * vector on field elements, dropping entries that cancel."""
+    for i, c in vector.items():
+        s = out.get(i, zero) + a * c
+        if s:
+            out[i] = s
+        else:
+            out.pop(i, None)
+
+
+def times(columns, vector, zero):
+    """M * v on field elements."""
+    out: dict = {}
+    for j, a in vector.items():
+        add_multiple(out, a, columns[j], zero)
+    return out
+
+
+def kernel_matrices(matrices, fld):
+    """Field-element matrices as the kernels store them: residues over F_p."""
+    if not fld.characteristic:
+        return matrices
+    return tuple(tuple({i: c.residue for i, c in column.items()} for column in m) for m in matrices)
 
 
 def field_multiplication_matrices(qp):
@@ -58,7 +83,7 @@ def field_multiplication_matrices(qp):
             j = next(j for j in range(len(m)) if m[j] and m[:j] + (m[j] - 1,) + m[j + 1 :] not in index)
             column = {}
             for i, c in columns[m[:j] + (m[j] - 1,) + m[j + 1 :]].items():
-                _add_multiple(column, c, columns[products[j][i]], fld.zero)
+                add_multiple(column, c, columns[products[j][i]], fld.zero)
         columns[m] = column
     return tuple(tuple(columns[m] for m in row) for row in products)
 
@@ -80,8 +105,8 @@ def field_poly_det(matrix, qp, matrices):
                     shifted = minor
                     for columns, e in zip(matrices, m):
                         for _ in range(e):
-                            shifted = matrix_times_vector(columns, shifted, zero)
-                    _add_multiple(target, c if sign == 1 else -c, shifted, zero)
+                            shifted = times(columns, shifted, zero)
+                    add_multiple(target, c if sign == 1 else -c, shifted, zero)
         minors = {cols: vector for cols, vector in wider.items() if vector}
     det = minors.get((1 << len(matrix)) - 1, {})
     return tuple(det.get(i, zero) for i in range(qp.dimension))
@@ -111,13 +136,13 @@ def check_kernels(f: MapSpec) -> bool:
     result = ekl_degree(f)
     qp = result.quotient
     matrices = field_multiplication_matrices(qp)
-    assert qp.matrices == matrices
+    assert qp.matrices == kernel_matrices(matrices, fld)
     entries = [c for matrix in qp.matrices for column in matrix for c in column.values()]
     if fld == QQ:
         assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in entries)
         field_type = Fraction
     else:
-        assert all(type(c) is PrimeFieldElement for c in entries)
+        assert all(type(c) is int and 0 < c < fld.characteristic for c in entries)
         field_type = PrimeFieldElement
 
     n = len(f.ring)
@@ -134,7 +159,9 @@ def check_kernels(f: MapSpec) -> bool:
     # the rows start r_1 at the kernels' one and are scaled by 1/pivot later;
     # the zero degree is one dense slice
     unscaled = _gram_rows(qp, index, [0] * qp.dimension, {0: list(range(qp.dimension))})
-    assert [[c / pivot for c in row] for row in unscaled] == [list(row) for row in result.gram]
+    if fld != QQ:
+        assert all(type(c) is int and 0 <= c < fld.characteristic for row in unscaled for c in row)
+    assert [[fld.from_int(c) / pivot for c in row] for row in unscaled] == [list(row) for row in result.gram]
     return any(type(c) is Fraction for c in entries)
 
 
@@ -220,7 +247,7 @@ def test_gram_rows_equal_the_dense_oracle_on_their_partner_columns(args, field):
     for i, row in enumerate(rows):
         if row is not None:
             partner = slices[top - degree[i]]
-            assert [c / pivot for c in row] == [oracle[i][j] for j in partner]
+            assert [qp.field.from_int(c) / pivot for c in row] == [oracle[i][j] for j in partner]
             assert sum(1 for c in oracle[i] if c) == sum(1 for j in partner if oracle[i][j])
 
 
@@ -250,3 +277,8 @@ def test_full_rank_of_int_blocks(monkeypatch):
     ranks.clear()
     assert _full_rank([[2, Fraction(1, 3)], [3, 6]], QQ)
     assert ranks == [CERTIFICATE_PRIME]
+    # over F_p the residue rows are ranked as they are
+    ranks.clear()
+    assert not _full_rank([[1, 3], [2, 6]], GF(7))
+    assert _full_rank([[1, 3], [2, 5]], GF(7))
+    assert ranks == [7, 7]

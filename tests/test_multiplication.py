@@ -64,7 +64,10 @@ def normal_form_matrices(qp):
 
 
 def assert_matrices_match_oracle(qp) -> None:
-    assert qp.matrices == multiplication_matrices(qp) == normal_form_matrices(qp)
+    oracle = normal_form_matrices(qp)
+    if qp.field.characteristic:  # the kernels store residues over F_p
+        oracle = tuple(tuple({i: c.residue for i, c in col.items()} for col in m) for m in oracle)
+    assert qp.matrices == multiplication_matrices(qp) == oracle
 
 
 def pairwise_gram(qp, index, pivot):
@@ -136,13 +139,13 @@ def test_border_tail_outside_the_standard_span_is_refused():
 
 def test_matrices_commute():
     _, qp = prepare_quotient(build_typeA_partial([2, 2]).map)
-    zero = qp.field.zero
+    p = qp.field.characteristic
     for j in range(qp.dimension):
-        e_j = {j: qp.field.one}
+        e_j = {j: 1}
         for a in qp.matrices:
             for b in qp.matrices:
-                ab = matrix_times_vector(a, matrix_times_vector(b, e_j, zero), zero)
-                ba = matrix_times_vector(b, matrix_times_vector(a, e_j, zero), zero)
+                ab = matrix_times_vector(a, matrix_times_vector(b, e_j, p), p)
+                ba = matrix_times_vector(b, matrix_times_vector(a, e_j, p), p)
                 assert ab == ba
 
 
