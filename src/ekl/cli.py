@@ -318,10 +318,14 @@ def _parse_nodes(text: str) -> list[int]:
 
 
 def _root_system(text: str):
-    """The root system named by ``--type``, such as ``E6``."""
+    """The root system named by ``--type``: a letter and a rank in decimal
+    digits, such as ``E6``."""
+    letter, digits = text[:1], text[1:]
+    if not (letter.isalpha() and digits.isascii() and digits.isdigit()):
+        raise _InputError(f"error: invalid root system {text!r}")
     try:
-        return build_root_system(text[0].upper(), int(text[1:]))
-    except (ValueError, IndexError) as exc:
+        return build_root_system(letter.upper(), int(digits))
+    except ValueError as exc:
         raise _InputError(f"error: {exc}") from exc
 
 

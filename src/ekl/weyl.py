@@ -14,7 +14,11 @@ the work (Humphreys, *Reflection Groups and Coxeter Groups*):
   automorphism iota.
 * The stabilizer of the dominant weight lambda_P = sum of omega_i over the
   nodes removed from P is W_P, so the cosets w W_P match the orbit
-  W.lambda_P, which ``min_coset_reps`` walks as a tree.
+  W.lambda_P, which ``min_coset_reps`` walks as a tree: s_i.mu is a child
+  of mu iff mu_i > 0 and i is the first negative coordinate of s_i.mu.
+  So a weight's first negative coordinate is the node its parent reflected
+  at, and only the nodes before it and its upper neighbours can give a
+  child (the first-negative rule).
 * w^-1 w0 w lies in W_P iff w0 = -iota fixes mu = w.lambda_P, that is
   mu_k = -mu_iota(k) for every node k; ``compute_aP`` counts those weights.
 
@@ -285,26 +289,53 @@ def min_coset_reps(
     has one parent, so no hash set is needed, and the depth of a weight is
     the length of its minimal representative.  The budget caps the coset
     count |W| / |W_P|, checked up front.
+
+    Each weight carries its first negative coordinate f: n for lambda_P,
+    else the node its parent reflected at.  s_i raises only the neighbours
+    of i, so every i < f with mu_i > 0 gives a child, and an i > f must lift
+    mu_f, so only the neighbours of f above it are tried.  Such an i is kept
+    iff every negative mu_j in mu[f:i] is at a neighbour j of i with
+    mu_j - mu_i C[j][i] >= 0.  Children are appended in increasing i, so the
+    order is that of trying every i and scanning the prefix of s_i.mu.
     """
     p.validate(rs)
     cap = enum_budget(budget)
     if rs.order // parabolic_order_formula(rs, p) > cap:
         raise EnumerationBudgetError(f"coset enumeration exceeded the budget of {cap} elements")
     moves = _moves(rs.cartan)
-    level = [_parabolic_weight(rs, p)]
+    n = rs.rank
+    # upper[f]: the neighbours i > f of node f (none past the last node);
+    # lower[i]: j -> a for the neighbours j < i, which s_i moves by a * mu_i
+    upper = [[i for i, _ in moves[f] if i > f] for f in range(n)] + [[]]
+    lower = [{j: a for j, a in moves[i] if j < i} for i in range(n)]
+    level = [(_parabolic_weight(rs, p), n)]
     reps: list[list[int]] = []
     while level:
-        reps.extend(level)
         children = []
-        for mu in level:
-            for i, m in enumerate(mu):
+        for mu, f in level:
+            reps.append(mu)
+            for i in range(f):
+                m = mu[i]
                 if m > 0:
                     nu = mu.copy()
                     nu[i] = -m
                     for j, a in moves[i]:
                         nu[j] += a * m
-                    if min(nu[:i], default=0) >= 0:
-                        children.append(nu)
+                    children.append((nu, i))
+            for i in upper[f]:
+                m = mu[i]
+                if m > 0:
+                    low = lower[i]
+                    for j in range(f, i):
+                        x = mu[j]
+                        if x < 0 and x + low.get(j, 0) * m < 0:
+                            break
+                    else:
+                        nu = mu.copy()
+                        nu[i] = -m
+                        for j, a in moves[i]:
+                            nu[j] += a * m
+                        children.append((nu, i))
         level = children
     return reps
 
@@ -349,10 +380,8 @@ def compute_aP(
         raise ValueError("the parabolic must be proper")
     if method == "auto" and is_central_longest(rs):
         return 0
-    pairs = [(k, j - 1) for k, j in enumerate(rs.iota) if k < j]
-    return sum(
-        all(mu[k] == -mu[j] for k, j in pairs) for mu in min_coset_reps(rs, p, budget)
-    )
+    theta = [j - 1 for j in rs.iota]
+    return sum(mu == [-mu[j] for j in theta] for mu in min_coset_reps(rs, p, budget))
 
 
 def aP_formula_typeA(blocks: Sequence[int]) -> int:

@@ -532,6 +532,15 @@ def test_weyl_bad_type(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [("info",), ("ap", "--keep", "1")])
+@pytest.mark.parametrize("label", ["", "A", "3", "E6.0"])
+def test_weyl_malformed_type_label(capsys, command, label):
+    code, out, err = run(capsys, "weyl", command[0], "--type", label, *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid root system '{label}'\n"
+
+
 @pytest.mark.parametrize("label, rank", [("A", 16), ("B", 12), ("C", 12), ("D", 12)])
 def test_weyl_info_beyond_256_roots(capsys, label, rank):
     code, out, _ = run(capsys, "weyl", "info", "--type", f"{label}{rank}")

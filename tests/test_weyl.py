@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from weyl_perms import (
@@ -12,6 +14,7 @@ from weyl_perms import (
     reduced_word,
     reference_aP,
     reference_min_coset_reps,
+    tree_walk_reps,
     walked_weight,
     word_element,
 )
@@ -256,6 +259,30 @@ def test_orbit_walk_matches_reference(label, rank, kept, aP):
     depths = [length[tuple(mu)] for mu in reps]
     assert depths == sorted(depths)
     assert compute_aP(rs, p, method="enumerate") == reference_aP(oracle, p) == aP
+
+
+# every kept-node subset of these is walked both ways
+FIRST_NEGATIVE_TYPES = (
+    [("A", n) for n in range(1, 6)]
+    + [("B", n) for n in range(2, 6)]
+    + [("C", n) for n in range(3, 6)]
+    + [("D", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6)]
+)
+
+
+@pytest.mark.parametrize("label, rank", FIRST_NEGATIVE_TYPES)
+def test_first_negative_walk_equals_the_tree_walk(label, rank):
+    rs = build_root_system(label, rank)
+    for size in range(rank + 1):
+        for kept in itertools.combinations(rs.nodes, size):
+            p = ParabolicSpec.keep(kept)
+            reps = tree_walk_reps(rs, p)
+            assert min_coset_reps(rs, p) == reps
+            if p.is_proper(rs):
+                self_dual = sum(
+                    all(mu[k] == -mu[j - 1] for k, j in enumerate(rs.iota)) for mu in reps
+                )
+                assert compute_aP(rs, p, method="enumerate") == self_dual
 
 
 @pytest.mark.parametrize("label, rank, kept, aP", ORACLE_CASES)

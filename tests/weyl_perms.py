@@ -11,7 +11,9 @@ indexes at most 256 roots, so the oracle stops at A15, B/C11 and D11.
 ``reference_min_coset_reps`` finds the minimal coset representatives by a
 breadth-first search over the weak order, and ``reference_aP`` counts the
 self-dual cosets with the descent test of ``in_parabolic``; neither uses
-weights.
+weights.  ``tree_walk_reps`` is the weight walk that tries every positive
+coordinate and scans the prefix of each candidate, against which
+``ekl.weyl.min_coset_reps`` is checked list for list.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from ekl.weyl import (
     EnumerationBudgetError,
     ParabolicSpec,
     RootSystem,
+    _moves,
+    _parabolic_weight,
     build_root_system,
     enum_budget,
 )
@@ -290,6 +294,30 @@ def reference_aP(rs: PermRootSystem, p: ParabolicSpec) -> int:
     """#{w W_P : w^-1 w0 w in W_P} by the descent test of ``in_parabolic``."""
     w0 = longest_element(rs)
     return sum(in_parabolic(rep.inverse() * w0 * rep, p) for rep in reference_min_coset_reps(rs, p))
+
+
+def tree_walk_reps(rs: RootSystem, p: ParabolicSpec) -> list[list[int]]:
+    """The orbit W.lambda_P walked level by level as a tree, trying every
+    positive coordinate: s_i.mu is a child of mu iff mu_i > 0 and i is the
+    first negative coordinate of s_i.mu, found by copying mu, reflecting
+    and scanning the prefix."""
+    moves = _moves(rs.cartan)
+    level = [_parabolic_weight(rs, p)]
+    reps: list[list[int]] = []
+    while level:
+        reps.extend(level)
+        children = []
+        for mu in level:
+            for i, m in enumerate(mu):
+                if m > 0:
+                    nu = mu.copy()
+                    nu[i] = -m
+                    for j, a in moves[i]:
+                        nu[j] += a * m
+                    if min(nu[:i], default=0) >= 0:
+                        children.append(nu)
+        level = children
+    return reps
 
 
 def walked_weight(rs: PermRootSystem, perm: bytes, kept) -> list[int]:
