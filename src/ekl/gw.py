@@ -6,7 +6,9 @@ equality reduces to comparing that invariant quadruple.  Over an odd
 prime field, rank and discriminant square class suffice.
 
 Forms are diagonalized by exact symmetric congruence: one Schur-complement
-update of the upper triangle, mirrored below it, per pivot.  Over Q each
+update of the upper triangle, mirrored below it, per pivot, on kernel
+values (int residues over F_p; over Q ints and Fractions); field values
+appear only in ``GramForm`` and in the returned diagonal.  Over Q each
 distinct square class is factored once, for the places.  The Hasse symbol
 at v is the running product prod_{i<j} (a_i, a_j)_v = prod_j (d_j, a_j)_v
 over the prefixes d_j = a_1...a_{j-1}, kept squarefree by a*b/gcd(a,b)^2
@@ -90,42 +92,51 @@ def diagonalize(g: GramForm) -> list:
     m[i][t] -= (m[k][i] / m[k][k]) * m[k][t] for k < i <= t, over the
     nonzero entries of row k, mirrored into m[t][i].  A zero diagonal pivot
     with a nonzero off-diagonal partner is repaired by the basis change
-    b_k <- b_k +- b_partner."""
+    b_k <- b_k +- b_partner.  Runs on kernel values: over F_p residues,
+    reduced in every Schur update; over Q ints where an entry of ``g`` is
+    integral, Fractions otherwise.  The diagonal returns as field values."""
     n = g.dimension
-    m = [list(row) for row in g.entries]
-    zero, one = g.field.zero, g.field.one
+    p = g.field.characteristic
+    if p:
+        m = [[v.residue for v in row] for row in g.entries]
+    else:
+        m = [[v.numerator if v.denominator == 1 else v for v in row] for row in g.entries]
     diag = []
     for k in range(n):
-        if m[k][k] == zero:
+        if not m[k][k]:
             partner = None
             for j in range(k + 1, n):
-                if m[k][j] != zero:
+                if m[k][j]:
                     partner = j
                     break
             if partner is None:
                 raise DegenerateFormError("zero row in the remaining block")
-            for unit in (one, -one):
-                candidate = m[k][k] + m[partner][partner] + (m[k][partner] + m[k][partner]) * unit
-                if candidate != zero:
+            for unit in (1, -1):
+                candidate = m[k][k] + m[partner][partner] + 2 * m[k][partner] * unit
+                if candidate % p if p else candidate:
                     break
-            # b_k <- b_k + unit * b_partner  (char != 2 guarantees one sign works)
+            # b_k <- b_k + unit * b_partner  (char != 2 guarantees one sign works);
+            # row and column k are read only by this step's reduced updates
             for t in range(n):
-                m[k][t] = m[k][t] + m[partner][t] * unit
+                m[k][t] += m[partner][t] * unit
             for t in range(n):
-                m[t][k] = m[t][k] + m[t][partner] * unit
+                m[t][k] += m[t][partner] * unit
         pivot = m[k][k]
-        if pivot == zero:
+        if not pivot:
             raise DegenerateFormError("could not produce a nonzero pivot")
         diag.append(pivot)
+        inverse = pow(pivot, -1, p) if p else 1 / Fraction(pivot)
         row = m[k]
         support = [t for t in range(k + 1, n) if row[t]]
         for a, i in enumerate(support):
-            factor = row[i] / pivot
+            factor = row[i] * inverse
             row_i = m[i]
             for t in support[a:]:
-                row_i[t] = value = row_i[t] - factor * row[t]
-                m[t][i] = value
-    return diag
+                value = row_i[t] - factor * row[t]
+                if p:
+                    value %= p
+                row_i[t] = m[t][i] = value
+    return [g.field.from_int(d) for d in diag]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ operations are pure; polynomials are treated as immutable values.
 
 The module also provides the expression parser used by the CLI, builders
 for elementary symmetric polynomials, formal derivatives, and
-substitution.  Determinants of polynomial matrices are taken in the
-quotient algebra (``localg.poly_det``).
+substitution.  The parser computes on kernel values, as ``localg`` does
+(int residues in [0, p) over F_p; over Q ints, and Fractions for rational
+literals), and makes each term's field value once.  Determinants of
+polynomial matrices are taken in the quotient algebra (``localg.poly_det``).
 """
 
 from __future__ import annotations
@@ -274,8 +276,8 @@ def format_poly(p: Polynomial) -> str:
     """Canonical rendering: decreasing monomial order, '^' powers, no implicit products.
 
     The output re-parses to the same polynomial.  A leading coefficient of
-    minus one is printed as ``-1*`` because a bare leading minus would bind
-    to the whole first factor under the expression grammar.
+    minus one is printed as ``-1*``, which also reads right where unary
+    minus binds tighter than ``^``.
     """
     if not p.terms:
         return "0"
@@ -295,7 +297,7 @@ def format_poly(p: Polynomial) -> str:
             body = f"{mag_str}*{mstr}"
         if i == 0:
             if negative:
-                # "-x^2" would parse as (-x)^2; force an explicit coefficient
+                # "-1*x^2" reads the same whichever of '-' and '^' binds first
                 chunks.append(f"-{mag_str}*{mstr}" if mstr else f"-{mag_str}")
             else:
                 chunks.append(body)
@@ -360,9 +362,12 @@ class _Parser:
 
     expr   := term (('+'|'-') term)* ;
     term   := factor ('*' factor)* ;
-    factor := base ('^' nat)? ;
-    base   := rational | ident | '-' base | '(' expr ')' ;
+    factor := '-' factor | base ('^' nat)? ;
+    base   := rational | ident | '(' expr ')' ;
     rational := nat ('/' nat)? ;
+
+    Unary minus binds looser than '^', as in Python: ``-x^2`` is -(x^2).
+    Each rule returns a fresh ``{monomial: kernel value}`` dict.
     """
 
     def __init__(self, text: str, ring: Sequence[str], field: Field):
@@ -370,6 +375,8 @@ class _Parser:
         self.pos = 0
         self.ring = tuple(ring)
         self.field = field
+        self.p = field.characteristic
+        self.one = (0,) * len(self.ring)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -390,30 +397,41 @@ class _Parser:
         kind, value, position = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", position)
-        return result
+        from_int = self.field.from_int
+        return _raw(self.ring, self.field, {m: from_int(c) for m, c in result.items()})
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         result = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
+                _add_product(result, 1 if value == "+" else -1, None, self.term(), self.p)
             else:
                 return result
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         result = self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = result * self.factor()
+                result = self.product(result, self.factor())
             else:
                 return result
 
-    def factor(self) -> Polynomial:
+    def product(self, a: dict, b: dict) -> dict:
+        out: dict = {}
+        for m, c in a.items():
+            _add_product(out, c, m if any(m) else None, b, self.p)
+        return out
+
+    def factor(self) -> dict:
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            p = self.p  # p - c is -c over Q and the residue of -c over F_p
+            return {m: p - c for m, c in self.factor().items()}
         result = self.base()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
@@ -422,14 +440,20 @@ class _Parser:
             if k != "nat":
                 raise ParseError("expected a natural number exponent", position)
             self.advance()
-            result = result ** int(v)
+            n = int(v)
+            power = result if n else self.constant(1)
+            for _ in range(n - 1):
+                power = self.product(power, result)
+            result = power
         return result
 
-    def base(self) -> Polynomial:
+    def constant(self, value) -> dict:
+        if self.p:
+            value %= self.p
+        return {self.one: value} if value else {}
+
+    def base(self) -> dict:
         kind, value, position = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return -self.base()
         if kind == "op" and value == "(":
             self.advance()
             inner = self.expr()
@@ -450,20 +474,32 @@ class _Parser:
                 den = int(v2)
                 if den == 0:
                     raise ParseError("zero denominator", pos2)
-                value = Fraction(num, den)
-                char = self.field.characteristic
-                if char and value.denominator % char == 0:
+                value, p = Fraction(num, den), self.p
+                if p and value.denominator % p == 0:
                     raise ParseError(f"denominator {den} is zero in {self.field!r}", pos2)
-                return Polynomial.constant(
-                    _coerce(self.field, value), self.ring, self.field
-                )
-            return Polynomial.constant(num, self.ring, self.field)
+                return self.constant(value.numerator * pow(value.denominator, -1, p) if p else value)
+            return self.constant(num)
         if kind == "ident":
             if value not in self.ring:
                 raise ParseError(f"unknown variable {value!r}", position)
             self.advance()
-            return Polynomial.variable(value, self.ring, self.field)
+            return {tuple(1 if v == value else 0 for v in self.ring): 1}
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input", position)
+
+
+def _add_product(out: dict, c, shift: Monomial | None, terms: dict, p: int) -> None:
+    """out += c * x^shift * terms on kernel values (x^shift = 1 when
+    ``shift`` is None), modulo p if p, dropping the terms that cancel."""
+    for m, a in terms.items():
+        if shift is not None:
+            m = mono_mul(shift, m)
+        s = out.get(m, 0) + c * a
+        if p:
+            s %= p
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
 
 
 def parse_poly(text: str, ring: Sequence[str], field: Field = QQ) -> Polynomial:

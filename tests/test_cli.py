@@ -70,6 +70,18 @@ def test_degree_formats(tmp_path, capsys):
     assert report["named_form"] == "1<1> + 1<-1>"
 
 
+def test_degree_unary_minus_binds_looser_than_power(tmp_path, capsys):
+    # -x^2 is -(x^2), so both spellings are the same map
+    outs = []
+    for components in (["-x^2 + y^2", "x*y"], ["y^2 - x^2", "x*y"]):
+        path = write(tmp_path, "m.json", json.dumps({"variables": ["x", "y"], "components": components}))
+        code, out, _ = run(capsys, "degree", path, "--format", "invariants")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert "signature -2" in outs[0].splitlines()
+
+
 def test_degree_json_roundtrip(tmp_path, capsys):
     path = write(tmp_path, "m.json", MAP_S2)
     code, out, _ = run(capsys, "degree", path, "--format", "json")

@@ -31,7 +31,7 @@ from ekl.quotmap import (
     build_typeA_partial,
     build_typeBC_full,
 )
-from ekl.scalar import GF, QQ, SquareClass, factorize, squarefree_part
+from ekl.scalar import GF, QQ, PrimeFieldElement, SquareClass, factorize, squarefree_part
 
 F = GF(32003)
 
@@ -76,6 +76,50 @@ def reference_diagonalize(g: GramForm) -> list:
                 m[i][t] = m[i][t] - factor * m[k][t]
             for t in range(k, n):
                 m[t][i] = m[t][i] - factor * m[t][k]
+    return diag
+
+
+# ``diagonalize`` on field values, as it was before it ran on kernel values
+def field_element_diagonalize(g: GramForm) -> list:
+    """Diagonal of a congruent diagonal matrix, by symmetric elimination:
+    m[i][t] -= (m[k][i] / m[k][k]) * m[k][t] for k < i <= t, over the
+    nonzero entries of row k, mirrored into m[t][i].  A zero diagonal pivot
+    with a nonzero off-diagonal partner is repaired by the basis change
+    b_k <- b_k +- b_partner."""
+    n = g.dimension
+    m = [list(row) for row in g.entries]
+    zero, one = g.field.zero, g.field.one
+    diag = []
+    for k in range(n):
+        if m[k][k] == zero:
+            partner = None
+            for j in range(k + 1, n):
+                if m[k][j] != zero:
+                    partner = j
+                    break
+            if partner is None:
+                raise DegenerateFormError("zero row in the remaining block")
+            for unit in (one, -one):
+                candidate = m[k][k] + m[partner][partner] + (m[k][partner] + m[k][partner]) * unit
+                if candidate != zero:
+                    break
+            # b_k <- b_k + unit * b_partner  (char != 2 guarantees one sign works)
+            for t in range(n):
+                m[k][t] = m[k][t] + m[partner][t] * unit
+            for t in range(n):
+                m[t][k] = m[t][k] + m[t][partner] * unit
+        pivot = m[k][k]
+        if pivot == zero:
+            raise DegenerateFormError("could not produce a nonzero pivot")
+        diag.append(pivot)
+        row = m[k]
+        support = [t for t in range(k + 1, n) if row[t]]
+        for a, i in enumerate(support):
+            factor = row[i] / pivot
+            row_i = m[i]
+            for t in support[a:]:
+                row_i[t] = value = row_i[t] - factor * row[t]
+                m[t][i] = value
     return diag
 
 
@@ -520,13 +564,43 @@ def outcome(fn, g):
         return f"degenerate: {exc}"
 
 
-@pytest.mark.parametrize("field", [QQ, F], ids=["Q", "F32003"])
-def test_diagonalize_matches_two_pass_oracle(field):
+def random_rational_symmetric(rng: random.Random) -> GramForm:
+    """``random_symmetric`` over Q with non-integral entries mixed in."""
+    m = [list(row) for row in random_symmetric(rng, QQ).entries]
+    for i in range(len(m)):
+        for j in range(i, len(m)):
+            if m[i][j] and rng.random() < 0.5:
+                m[i][j] = m[j][i] = m[i][j] / rng.choice([2, 3, 7, 12])
+    return GramForm.from_rows(m, QQ)
+
+
+@pytest.mark.parametrize("kind", ["Q", "Q-rational", "F7", "F32003"])
+def test_diagonalize_matches_two_pass_oracle(kind):
+    """Against the two-pass oracle, and against the elimination on field
+    values list for list and type for type (Fractions over Q)."""
     rng = random.Random(406)
-    forms = [random_symmetric(rng, field) for _ in range(300)]
+    field = {"F7": GF(7), "F32003": F}.get(kind, QQ)
+    if kind == "Q-rational":
+        forms = [random_rational_symmetric(rng) for _ in range(300)]
+    else:
+        forms = [random_symmetric(rng, field) for _ in range(300)]
     forms += [g for n in (2, 4, 5, 6) for g in special_symmetric(n, field)]
+    # b_0 + b_1 repairs the hyperbolic plane; in [[0, 1], [1, -2]] it is
+    # isotropic and b_0 - b_1 is taken; the last two forms are degenerate
+    rows = ([[0, 1], [1, 0]], [[0, 1], [1, -2]], [[1, 0], [0, 0]], [[1, 1], [1, 1]])
+    forms += [GramForm.from_rows(r, field) for r in rows]
+    degenerate = 0
     for g in forms:
-        assert outcome(diagonalize, g) == outcome(reference_diagonalize, g)
+        got = outcome(diagonalize, g)
+        assert got == outcome(reference_diagonalize, g)
+        expected = outcome(field_element_diagonalize, g)
+        assert got == expected
+        if isinstance(expected, str):
+            degenerate += 1
+        else:
+            assert [type(d) for d in got] == [type(d) for d in expected]
+            assert all(type(d) is (Fraction if field is QQ else PrimeFieldElement) for d in got)
+    assert degenerate >= 2
     # both signs of the zero-pivot repair: b_0 + b_1, then b_0 - b_1
     assert diagonalize(gram([[0, 1], [1, 0]]))[0] == 2
     assert diagonalize(gram([[0, 1], [1, -2]]))[0] == -4

@@ -52,9 +52,11 @@ def test_parse_examples():
 
 
 def test_parse_unary_minus_and_power():
-    # the grammar binds '^' after the (possibly negated) base
-    assert P("-x^2") == P("x^2")
-    assert P("-(x^2)") == -P("x^2")
+    # unary minus binds looser than '^', as in Python
+    assert P("-x^2") == -P("x^2")
+    assert P("-x^2") == P("-(x^2)") == P("0-x^2") == P("-1*x^2")
+    assert P("(-x)^2") == P("x^2")
+    assert P("-2^2*x") == P("x").scale(-4)
     assert P("-3*x^2") == P("x^2").scale(-3)
     assert P("2^3") == Polynomial.constant(8, XY, QQ)
 
@@ -89,6 +91,100 @@ def test_parse_division_by_nonconstant():
 def test_parse_no_implicit_multiplication():
     with pytest.raises(ParseError):
         P("2x")
+
+
+# the parse oracle: random expression trees, rendered to text, against the
+# same tree evaluated with the Polynomial operators
+
+# binding levels of a rendered tree: sum, product, negation, power, atom
+SUM, PRODUCT, NEGATION, POWER, ATOM = range(5)
+
+
+def random_tree(rng, ring, p, depth):
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.choice(["int", "frac", "var", "var"])
+        if kind == "int":
+            return ("int", rng.randint(0, 40))
+        if kind == "frac":
+            while True:  # a denominator that is zero in F_p is tested separately
+                num, den = rng.randint(0, 30), rng.randint(1, 30)
+                if not p or Fraction(num, den).denominator % p:
+                    return ("frac", num, den)
+        return ("var", rng.choice(ring))
+    kind = rng.choice(["neg", "pow", "add", "sub", "mul", "mul"])
+    if kind == "neg":
+        return ("neg", random_tree(rng, ring, p, depth - 1))
+    if kind == "pow":
+        return ("pow", random_tree(rng, ring, p, min(depth - 1, 1)), rng.randint(0, 4))
+    return (kind, random_tree(rng, ring, p, depth - 1), random_tree(rng, ring, p, depth - 1))
+
+
+def render(rng, tree, level=SUM):
+    """Text of the tree that binds at least as tight as ``level``, with
+    parentheses where the grammar needs them and at random elsewhere."""
+    kind = tree[0]
+    if kind == "int":
+        text, own = str(tree[1]), ATOM
+    elif kind == "frac":
+        text, own = f"{tree[1]}/{tree[2]}", ATOM
+    elif kind == "var":
+        text, own = tree[1], ATOM
+    elif kind == "neg":
+        text, own = "-" + render(rng, tree[1], NEGATION), NEGATION
+    elif kind == "pow":
+        text, own = f"{render(rng, tree[1], ATOM)}^{tree[2]}", POWER
+    elif kind == "mul":
+        text, own = f"{render(rng, tree[1], PRODUCT)}*{render(rng, tree[2], NEGATION)}", PRODUCT
+    else:
+        op = " + " if kind == "add" else " - "
+        text, own = render(rng, tree[1], SUM) + op + render(rng, tree[2], PRODUCT), SUM
+    if own < level or rng.random() < 0.1:
+        return f"({text})"
+    return text
+
+
+def evaluate(tree, ring, field):
+    kind = tree[0]
+    if kind == "int":
+        return Polynomial.constant(tree[1], ring, field)
+    if kind == "frac":
+        return Polynomial.constant(Fraction(tree[1], tree[2]), ring, field)
+    if kind == "var":
+        return Polynomial.variable(tree[1], ring, field)
+    if kind == "neg":
+        return -evaluate(tree[1], ring, field)
+    if kind == "pow":
+        return evaluate(tree[1], ring, field) ** tree[2]
+    a, b = evaluate(tree[1], ring, field), evaluate(tree[2], ring, field)
+    return a + b if kind == "add" else a - b if kind == "sub" else a * b
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=["Q", "F7", "F32003"])
+def test_parse_matches_polynomial_operators_on_random_trees(field):
+    rng = random.Random(2112)
+    p = field.characteristic
+    for _ in range(300):
+        tree = random_tree(rng, XYZ, p, depth=4)
+        text = render(rng, tree)
+        parsed, expected = parse_poly(text, XYZ, field), evaluate(tree, XYZ, field)
+        assert parsed == expected, text
+        assert {m: type(c) for m, c in parsed.terms.items()} == {
+            m: type(c) for m, c in expected.terms.items()
+        }, text
+    if not p:
+        return
+    # a denominator divisible by p is refused where it is read
+    for _ in range(20):
+        body = render(rng, random_tree(rng, XYZ, p, depth=3))
+        den = p * rng.randint(1, 4)
+        with pytest.raises(ParseError) as info:
+            parse_poly(f"{body} + 5/{den}", XYZ, field)
+        assert str(info.value) == (
+            f"denominator {den} is zero in {field!r} (at position {len(body) + 5})"
+        )
+        assert info.value.position == len(body) + 5
+    # one that cancels in the fraction is not
+    assert parse_poly(f"{2 * p}/{p}*x", XYZ, field) == parse_poly("2*x", XYZ, field)
 
 
 @pytest.mark.parametrize(
