@@ -14,6 +14,24 @@ these kernels compute on kernel values: int residues in [0, p) over F_p,
 reduced wherever a sum is formed, and over Q ints where the values are
 integral and Fractions otherwise (exact, as the kernels never divide).
 ``_kernel_values`` converts field values into them, ``field.from_int`` back.
+
+Inside the kernels a monomial is one int (``_Packing``, the packed
+exponent vectors of Bachmann and Schoenemann): a field of W bits per
+variable whose top bit is a guard, packed so that plain int comparison is
+the monomial order.  Under DEGREVLEX the degree sits above the fields and
+each field holds the complemented exponent; under LEX x_0 takes the top
+field.  A product is one addition, a quotient one subtraction, and a
+divisor test one subtraction masked by the guard bits; an lcm unpacks the
+fields.  ``max``, ``sort`` and the S-pair heap need no key function.
+Exponent tuples appear only at the boundaries: the published generators,
+the standard monomials and the matrices, whose columns are indexed by
+position.  Carry rule: a field holds exponents up to 2^(W-1) - 1.  The
+first width is the narrowest that holds every input exponent, from 8
+bits up.  Each reduction step checks the product of its shift with the
+lcm of the entry's tail, which bounds every product that step forms; a
+set guard bit there raises ``_Carry`` and the whole call reruns at twice
+the width.  So no carry passes silently, in either order, and the width
+is never configured.
 """
 
 from __future__ import annotations
@@ -21,18 +39,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .poly import (
-    DEGREVLEX,
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial
 
 
 class UnitIdealError(ValueError):
@@ -51,24 +61,109 @@ class InfiniteQuotientError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+class _Carry(ArithmeticError):
+    """An exponent outgrew the fields of a packing; the call reruns wider."""
+
+
+class _Packing:
+    """Exponent tuples of one order on n variables as ints that compare like it.
+
+    Every variable has a field of ``width`` bits whose top bit is a guard,
+    so exponents run up to ``limit = 2^(width-1) - 1``.  Under DEGREVLEX a
+    monomial m packs as deg(m) << (n*width) plus (limit - m_i) in field i,
+    x_{n-1} in the top field; under LEX m_i sits in field n-1-i, x_0 in the
+    top field, with no degree field.  ``one`` packs the monomial 1 and
+    ``units[i]`` is R(x_i) - R(1), so that
+
+        R(a*b) = R(a) + R(b) - one,  R(b/a) = R(b) - R(a) + one,
+
+    and a | b iff every guard bit survives in (R(a) + offset) - R(b).
+    """
+
+    __slots__ = ("width", "limit", "shifts", "flip", "units", "one", "guard", "offset")
+
+    def __init__(self, order: MonomialOrder, n: int, width: int):
+        self.width = width
+        self.limit = limit = (1 << width - 1) - 1
+        graded = order.kind == "degrevlex"
+        if graded:
+            self.shifts = [i * width for i in range(n)]
+            self.units = [(1 << n * width) - (1 << s) for s in self.shifts]
+        else:
+            self.shifts = [(n - 1 - i) * width for i in range(n)]
+            self.units = [1 << s for s in self.shifts]
+        self.flip = limit if graded else 0
+        self.one = sum(self.flip << s for s in self.shifts)
+        self.guard = sum(limit + 1 << s for s in self.shifts)
+        # complemented fields borrow where a_i > b_i; plain ones, after the
+        # complement ~x = -1 - x, where b_i < a_i
+        self.offset = self.guard if graded else -1
+
+    def pack(self, m: Monomial) -> int:
+        if max(m, default=0) > self.limit:
+            raise _Carry
+        return self.one + sum(map(mul, m, self.units))
+
+    def unpack(self, r: int) -> Monomial:
+        flip, limit = self.flip, self.limit
+        return tuple((r >> s & limit) ^ flip for s in self.shifts)
+
+    def entry(self, d: dict) -> tuple:
+        """``(lm + offset, lm, bound, tail)`` for a monic dict: its leading
+        monomial, the lcm of its tail monomials and the tail."""
+        lm = max(d)
+        tail = {m: c for m, c in d.items() if m != lm}
+        bound = self.pack(tuple(map(max, zip((0,) * len(self.shifts), *map(self.unpack, tail)))))
+        return lm + self.offset, lm, bound, tail
+
+
+def _packing(order: MonomialOrder, n: int, top: int) -> _Packing:
+    """The narrowest packing, from 8-bit fields up, that holds the exponent ``top``."""
+    width = 8
+    while (1 << width - 1) <= top:
+        width *= 2
+    return _Packing(order, n, width)
+
+
+def _widening(order: MonomialOrder, n: int, top: int, run) -> tuple:
+    """``(run(packing), packing)`` from the narrowest packing that holds the
+    exponent ``top``, rerun at twice the width while it raises ``_Carry``."""
+    pk = _packing(order, n, top)
+    while True:
+        try:
+            return run(pk), pk
+        except _Carry:
+            pk = _Packing(order, n, 2 * pk.width)
+
+
+def _top_exponent(polys) -> int:
+    return max((max(m, default=0) for f in polys for m in f.terms), default=0)
+
+
+# ---------------------------------------------------------------------------
 # the monic reducer
 
 class _MonicReducer:
-    """Monic reduction on dicts of kernel values over Q (``p == 0``) or F_p.
+    """Monic reduction on dicts ``{packed monomial: kernel value}`` over Q
+    (``p == 0``) or F_p.
 
-    Every basis entry ``(leading monomial, terms)`` is monic, so one step
-    serves both fields and only F_p adds ``% p``.
+    Every basis entry (see ``_Packing.entry``) is monic, so one step serves
+    both fields and only F_p adds ``% p``.  Each step multiplies an entry's
+    tail by one monomial; the product with the lcm of the tail is checked
+    for a set guard bit first, so no product carries into the next field.
     """
 
-    def __init__(self, order: MonomialOrder, p: int):
-        self.key = order.key
+    def __init__(self, packing: _Packing, p: int):
+        self.guard = packing.guard
         self.p = p
 
     def normalize(self, d: dict) -> dict:
         """The monic multiple of d."""
         if not d:
             return d
-        lc = d[max(d, key=self.key)]
+        lc = d[max(d)]
         p = self.p
         if not p:
             if lc != 1:
@@ -80,13 +175,14 @@ class _MonicReducer:
         inv = pow(lc, p - 2, p)
         return {m: c * inv % p for m, c in d.items()}
 
-    def subtract(self, work: dict, c, shift: Monomial, lm: Monomial, terms: dict) -> None:
-        """work -= c * x^shift * (terms - x^lm), dropping the cancelled terms."""
+    def subtract(self, work: dict, c, shift: int, bound: int, tail: dict) -> None:
+        """work -= c * x^m * tail for ``shift = R(x^m) - one``, dropping the
+        cancelled terms."""
+        if (shift + bound) & self.guard:
+            raise _Carry
         p = self.p
-        for gm, gc in terms.items():
-            if gm == lm:
-                continue
-            t = mono_mul(shift, gm)
+        for gm, gc in tail.items():
+            t = shift + gm
             nv = work.get(t, 0) - c * gc
             if p:
                 nv %= p
@@ -95,11 +191,14 @@ class _MonicReducer:
             elif t in work:
                 del work[t]
 
-    def spoly(self, f: dict, g: dict, f_lm: Monomial, g_lm: Monomial) -> dict:
-        lcm_m = mono_lcm(f_lm, g_lm)
-        sf = mono_div(lcm_m, f_lm)
-        s = {mono_mul(sf, m): c for m, c in f.items() if m != f_lm}
-        self.subtract(s, 1, mono_div(lcm_m, g_lm), g_lm, g)
+    def spoly(self, f: tuple, g: tuple, lcm: int) -> dict:
+        """x^(lcm/lm f) * f - x^(lcm/lm g) * g for entries f and g, whose
+        leading terms cancel."""
+        _, f_lm, f_bound, f_tail = f
+        _, g_lm, g_bound, g_tail = g
+        s: dict = {}
+        self.subtract(s, -1, lcm - f_lm, f_bound, f_tail)
+        self.subtract(s, 1, lcm - g_lm, g_bound, g_tail)
         return s
 
     def reduce(self, work: dict, entries: Sequence[tuple]) -> dict:
@@ -108,15 +207,17 @@ class _MonicReducer:
         Each term is reduced by the first entry whose leading monomial
         divides it; terms that no entry divides move to the remainder.
         """
-        key = self.key
+        guard = self.guard
+        offsets = [e[0] for e in entries]
         work = dict(work)
         out: dict = {}
         while work:
-            m = max(work, key=key)
+            m = max(work)
             c = work.pop(m)
-            for lm, terms in entries:
-                if mono_divides(lm, m):
-                    self.subtract(work, c, mono_div(m, lm), lm, terms)
+            for k, lm_offset in enumerate(offsets):
+                if (lm_offset - m) & guard == guard:
+                    _, lm, bound, tail = entries[k]
+                    self.subtract(work, c, m - lm, bound, tail)
                     break
             else:
                 out[m] = c
@@ -163,22 +264,35 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
     if order is None:
         order = DEGREVLEX
     p = fld.characteristic
-    arith = _MonicReducer(order, p)
-    key = order.key
+    final, pk = _widening(order, len(ring), _top_exponent(gens), lambda pk: _buchberger(gens, pk, p))
+    basis = tuple(
+        Polynomial(ring, fld, {pk.unpack(m): fld.from_int(c) for m, c in d.items()}) for d in final
+    )
+    return GroebnerBasis(basis, order, ring, fld)
+
+
+def _buchberger(gens: Sequence[Polynomial], pk: _Packing, p: int) -> list[dict]:
+    """The reduced monic basis as packed dicts, by decreasing leading monomial."""
+    arith = _MonicReducer(pk, p)
+    guard = pk.guard
 
     def remainder(d: dict, basis) -> dict:
         return arith.normalize(arith.reduce(d, basis))
 
-    seeds = [arith.normalize(_kernel_values(g.terms, p)) for g in gens if g.terms]
-    seeds.sort(key=lambda d: (key(max(d, key=key)), sorted(d.items())))
+    seeds = [arith.normalize(d) for d in _packed_terms(gens, pk, p) if d]
+    seeds.sort(key=lambda d: (max(d), sorted(d.items())))
 
-    entries: list[tuple[Monomial, dict]] = []
+    entries: list[tuple] = []  # (lm + offset, lm, bound, tail), see _Packing.entry
+    offsets: list[int] = []  # lm + offset of each entry, for divisor tests
+    exponents: list[Monomial] = []  # the leading monomials unpacked, for lcms
 
     def push(d: dict) -> None:
-        lm = max(d, key=key)
-        if sum(lm) == 0:
+        e = pk.entry(d)
+        if e[1] == pk.one:
             raise UnitIdealError("the generators span the unit ideal")
-        entries.append((lm, d))
+        entries.append(e)
+        offsets.append(e[0])
+        exponents.append(pk.unpack(e[1]))
 
     for d in seeds:
         r = remainder(d, entries)
@@ -186,12 +300,12 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
             push(r)
 
     # ``pairs`` answers the chain criterion; ``queue`` pops smallest lcm, then index
-    pairs: dict[tuple[int, int], Monomial] = {}
+    pairs: dict[tuple[int, int], int] = {}
     queue: list[tuple] = []
 
     def add_pair(i: int, j: int) -> None:
-        pairs[(i, j)] = lcm_ij = mono_lcm(entries[i][0], entries[j][0])
-        heapq.heappush(queue, (key(lcm_ij), i, j))
+        pairs[(i, j)] = lcm_ij = pk.pack(tuple(map(max, exponents[i], exponents[j])))
+        heapq.heappush(queue, (lcm_ij, i, j))
 
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
@@ -200,15 +314,14 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
     while queue:
         _, i, j = heapq.heappop(queue)
         lcm_ij = pairs.pop((i, j))
-        lmi, lmj = entries[i][0], entries[j][0]
-        if mono_mul(lmi, lmj) == lcm_ij:
+        if entries[i][1] + entries[j][1] - pk.one == lcm_ij:
             continue  # coprime leading monomials
         skip = False
-        for k in range(len(entries)):
-            if k == i or k == j:
-                continue
+        for k, lm_offset in enumerate(offsets):
             if (
-                mono_divides(entries[k][0], lcm_ij)
+                (lm_offset - lcm_ij) & guard == guard
+                and k != i
+                and k != j
                 and (min(i, k), max(i, k)) not in pairs
                 and (min(j, k), max(j, k)) not in pairs
             ):
@@ -216,7 +329,7 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
                 break
         if skip:
             continue
-        r = remainder(arith.spoly(entries[i][1], entries[j][1], lmi, lmj), entries)
+        r = remainder(arith.spoly(entries[i], entries[j], lcm_ij), entries)
         if r:
             push(r)
             t = len(entries) - 1
@@ -225,12 +338,10 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
 
     # minimalize: drop generators whose leading monomial is divisible by another's
     keep: list[int] = []
-    for i, (lm_i, _) in enumerate(entries):
+    for i, (_, lm_i, _, _) in enumerate(entries):
         redundant = False
-        for j, (lm_j, _) in enumerate(entries):
-            if i == j:
-                continue
-            if mono_divides(lm_j, lm_i) and (lm_j != lm_i or j < i):
+        for j, lm_offset in enumerate(offsets):
+            if (lm_offset - lm_i) & guard == guard and j != i:
                 redundant = True
                 break
         if not redundant:
@@ -239,12 +350,12 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
     # tail-reduce each survivor against the others
     final = []
     for i in keep:
-        r = remainder(entries[i][1], [entries[j] for j in keep if j != i])
+        _, lm, _, tail = entries[i]
+        r = remainder({lm: 1, **tail}, [entries[j] for j in keep if j != i])
         if r:
             final.append(r)
-    final.sort(key=lambda d: key(max(d, key=key)), reverse=True)
-    basis = tuple(Polynomial(ring, fld, {m: fld.from_int(c) for m, c in d.items()}) for d in final)
-    return GroebnerBasis(basis, order, ring, fld)
+    final.sort(key=max, reverse=True)
+    return final
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -252,9 +363,27 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.ring != gb.ring or p.field != gb.field:
         raise ValueError("polynomial does not match the basis ring")
     fld, char = gb.field, gb.field.characteristic
-    entries = [(g.leading_monomial(gb.order), _kernel_values(g.terms, char)) for g in gb.generators]
-    remainder = _MonicReducer(gb.order, char).reduce(_kernel_values(p.terms, char), entries)
-    return Polynomial(gb.ring, fld, {m: fld.from_int(c) for m, c in remainder.items()})
+
+    def run(pk: _Packing) -> dict:
+        entries = [pk.entry(d) for d in _packed_terms(gb.generators, pk, char)]
+        work = {pk.pack(m): c for m, c in _kernel_values(p.terms, char).items()}
+        return _MonicReducer(pk, char).reduce(work, entries)
+
+    remainder, pk = _widening(gb.order, len(gb.ring), _top_exponent([p, *gb.generators]), run)
+    return Polynomial(gb.ring, fld, {pk.unpack(m): fld.from_int(c) for m, c in remainder.items()})
+
+
+def _packed_terms(polys: Sequence[Polynomial], pk: _Packing, p: int) -> list[dict]:
+    """Each polynomial as ``{packed monomial: kernel value}``."""
+    return [{pk.pack(m): c for m, c in _kernel_values(f.terms, p).items()} for f in polys]
+
+
+def _packed_basis(gb: GroebnerBasis) -> tuple[_Packing, dict]:
+    """The narrowest packing that holds the basis, and the packed basis keyed
+    by leading monomial.  No standard or border monomial has a larger
+    exponent than the basis, so the packing holds them too."""
+    pk = _packing(gb.order, len(gb.ring), _top_exponent(gb.generators))
+    return pk, {max(d): d for d in _packed_terms(gb.generators, pk, gb.field.characteristic)}
 
 
 # ---------------------------------------------------------------------------
@@ -315,37 +444,40 @@ class AlgebraElement:
 def quotient_presentation(gb: GroebnerBasis) -> QuotientPresentation:
     """Enumerate standard monomials and build the multiplication matrices;
     raises InfiniteQuotientError when the quotient is unbounded."""
-    lms = gb.leading_monomials()
     n = len(gb.ring)
+    pk, lead = _packed_basis(gb)
+    exponents = [pk.unpack(lm) for lm in lead]
     bounds = []
     for i in range(n):
         pure = [
             lm[i]
-            for lm in lms
+            for lm in exponents
             if lm[i] > 0 and all(e == 0 for k, e in enumerate(lm) if k != i)
         ]
         if not pure:
             raise InfiniteQuotientError(gb.ring[i])
         bounds.append(min(pure))
-    std: list[Monomial] = []
-    mono = [0] * n
+    guard, units = pk.guard, pk.units
+    lm_offsets = [lm + pk.offset for lm in lead]
+    std: list[int] = []
 
-    def walk(i: int) -> None:
+    def walk(i: int, r: int) -> None:
         if i == n:
-            m = tuple(mono)
-            if not any(mono_divides(lm, m) for lm in lms):
-                std.append(m)
+            std.append(r)
             return
-        for e in range(bounds[i]):
-            mono[i] = e
-            walk(i + 1)
-        mono[i] = 0
+        # r has exponents set up to x_i and zero after it; once a leading
+        # monomial divides r, it divides every larger e_i and every extension
+        for _ in range(bounds[i]):
+            for lm_offset in lm_offsets:
+                if (lm_offset - r) & guard == guard:
+                    return
+            walk(i + 1, r)
+            r += units[i]
 
-    walk(0)
-    std.sort(key=gb.order.key)
-    # the border recursion behind the matrices indexes columns by std
-    qp = QuotientPresentation(gb, tuple(std), len(std), ())
-    return replace(qp, matrices=multiplication_matrices(qp))
+    walk(0, pk.one)
+    std.sort()
+    qp = QuotientPresentation(gb, tuple(map(pk.unpack, std)), len(std), ())
+    return replace(qp, matrices=_matrices(pk, std, lead, gb.field.characteristic))
 
 
 def coordinates(p: Polynomial, qp: QuotientPresentation) -> AlgebraElement:
@@ -375,28 +507,34 @@ def multiplication_matrices(qp: QuotientPresentation) -> tuple[tuple[dict, ...],
     smaller border monomial, with column {i: c_i}, and m has the column of
     sum c_i * x_j * b_i, where every x_j * b_i is smaller than m.
     """
-    index = qp.monomial_index()
-    p = qp.field.characteristic
-    lead = dict(zip(qp.basis.leading_monomials(), qp.basis.generators))
-    std = qp.standard_monomials
-    products = [[b[:k] + (b[k] + 1,) + b[k + 1 :] for b in std] for k in range(len(qp.ring))]
-    columns: dict[Monomial, dict] = {m: {i: 1} for m, i in index.items()}
+    pk, lead = _packed_basis(qp.basis)
+    std = [pk.pack(b) for b in qp.standard_monomials]
+    return _matrices(pk, std, lead, qp.field.characteristic)
+
+
+def _matrices(pk: _Packing, std: Sequence[int], lead: dict, p: int) -> tuple[tuple[dict, ...], ...]:
+    """``multiplication_matrices`` on the packed standard monomials ``std``, in
+    increasing order, and the packed basis keyed by leading monomial."""
+    index = {b: i for i, b in enumerate(std)}
+    guard = pk.guard
+    products = [[b + u for b in std] for u in pk.units]
+    # x_j divides m iff (one + units[j] + offset - m) keeps every guard bit
+    variables = [(pk.one + u + pk.offset, u) for u in pk.units]
+    columns: dict[int, dict] = {b: {i: 1} for b, i in index.items()}
     border = {m for row in products for m in row if m not in index}
-    for m in sorted(border, key=qp.basis.order.key):
+    for m in sorted(border):
         if m in lead:
             # c != 0, so p - c is -c over Q and the residue of -c over F_p
-            tail = _kernel_values(lead[m].terms, p)
             try:
-                column = {index[t]: p - c for t, c in tail.items() if t != m}
+                column = {index[t]: p - c for t, c in lead[m].items() if t != m}
             except KeyError:
                 raise ArithmeticError("normal form left the standard-monomial span") from None
         else:
-            for j in range(len(m)):
-                below = m[:j] + (m[j] - 1,) + m[j + 1 :]
-                if m[j] and below not in index:
+            for j, (x_offset, u) in enumerate(variables):
+                if (x_offset - m) & guard == guard and m - u not in index:
                     break
             column = {}
-            for i, c in columns[below].items():
+            for i, c in columns[m - u].items():
                 _add_multiple(column, c, columns[products[j][i]], p)
             if not p:
                 column = _kernel_values(column, 0)

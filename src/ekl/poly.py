@@ -34,24 +34,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True iff a divides b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 class MonomialOrder:
     """A total monomial order compatible with multiplication.
 
@@ -191,24 +173,13 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(mono_degree(m) == 0 for m in self.terms)
-
     def constant_term(self):
         return self.terms.get((0,) * len(self.ring), self.field.zero)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(mono_degree(m) for m in self.terms)
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return order.max(self.terms)
-
-    def leading_coefficient(self, order: MonomialOrder = DEGREVLEX):
-        return self.terms[self.leading_monomial(order)]
 
     def variables(self) -> tuple[str, ...]:
         used = [False] * len(self.ring)

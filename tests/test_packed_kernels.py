@@ -1,0 +1,142 @@
+"""The packed-monomial kernels of ``ekl.localg`` against the tuple oracle.
+
+``groebner_oracle`` keeps the kernels on exponent tuples.  For every ideal
+below both must print the same reduced basis, find the same standard
+monomials and build the same multiplication matrices, or raise the same
+error.  The carry tests use exponents past the first field width (127
+for 8-bit fields): the library must rerun at a wider field and still
+return the oracle's basis.
+"""
+
+import random
+
+import pytest
+
+import ekl.localg as localg
+import groebner_oracle as oracle
+from conftest import random_origin_map
+from ekl.degree import strip_solved
+from ekl.localg import (
+    InfiniteQuotientError,
+    UnitIdealError,
+    groebner,
+    multiplication_matrices,
+    normal_form,
+    quotient_presentation,
+)
+from ekl.poly import DEGREVLEX, LEX, Polynomial, parse_poly
+from ekl.scalar import GF, QQ
+from test_graded import LADDER, family_spec
+
+FIELDS = {"q": QQ, "fp7": GF(7), "fp32003": GF(32003)}
+ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX}
+
+
+def assert_same_as_oracle(gens, order, presentation=True):
+    try:
+        expected = oracle.groebner(gens, order)
+    except UnitIdealError:
+        with pytest.raises(UnitIdealError):
+            groebner(gens, order)
+        return
+    gb = groebner(gens, order)
+    assert repr(gb) == repr(expected)
+    assert gb == expected
+    if not presentation:
+        return
+    try:
+        std = oracle.standard_monomials(expected)
+    except InfiniteQuotientError as e:
+        with pytest.raises(InfiniteQuotientError) as raised:
+            quotient_presentation(gb)
+        assert raised.value.variable == e.variable
+        return
+    qp = quotient_presentation(gb)
+    assert qp.standard_monomials == std
+    assert qp.matrices == multiplication_matrices(qp) == oracle.multiplication_matrices(expected, std)
+
+
+def random_generators(rng: random.Random, ring, fld, max_exp: int):
+    """Two to four terms each; a constant term now and then, so that some
+    ideals are the unit ideal and some are not zero-dimensional."""
+    gens = []
+    for _ in ring:
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            mono = tuple(rng.randint(0, max_exp) for _ in ring)
+            c = fld.from_int(rng.choice([-1, 1]) * rng.randint(1, 9))
+            terms[mono] = c / fld.from_int(rng.randint(1, 4))
+        gens.append(Polynomial(ring, fld, terms))
+    return gens
+
+
+@pytest.mark.parametrize("oname", sorted(ORDERS))
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_packed_kernels_match_the_oracle_on_seeded_ideals(fname, oname):
+    fld, order = FIELDS[fname], ORDERS[oname]
+    rng = random.Random(f"packed-{fname}-{oname}")
+    for ring, max_exp in ((("x", "y"), 4), (("x", "y", "z"), 1)):
+        for _ in range(12):
+            assert_same_as_oracle(random_generators(rng, ring, fld, max_exp), order)
+        for _ in range(8):
+            f = random_origin_map(rng, ring, max_exp=3)
+            assert_same_as_oracle([parse_poly(str(g), ring, fld) for g in f.components], order)
+
+
+@pytest.mark.parametrize("args", LADDER, ids=" ".join)
+def test_packed_kernels_match_the_oracle_on_ladder_members(args):
+    f = family_spec(args).map
+    assert_same_as_oracle(list(strip_solved(f)[0].components), DEGREVLEX)
+
+
+# ---------------------------------------------------------------------------
+# carries
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The field width of every packing the library builds, in order."""
+    built = []
+
+    class Recording(localg._Packing):
+        def __init__(self, order, n, width):
+            built.append(width)
+            super().__init__(order, n, width)
+
+    monkeypatch.setattr(localg, "_Packing", Recording)
+    return built
+
+
+def polys(ring, *texts, field=QQ):
+    return [parse_poly(t, ring, field) for t in texts]
+
+
+@pytest.mark.parametrize("oname", sorted(ORDERS))
+def test_exponents_past_the_first_width_give_the_oracle_basis(widths, oname):
+    gens = polys(("x", "y"), "x^40000 - y", "y^2 - x")
+    assert_same_as_oracle(gens, ORDERS[oname], presentation=False)
+    assert widths[0] == 32  # 40,000 needs more than 16-bit fields
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_lex_reductions_past_the_first_width_rerun_wider(widths, fname):
+    # x^50 reduces to y^150 under x -> y^3: past 127, the 8-bit limit
+    gens = polys(("x", "y"), "x^50 - y", "x - y^3", field=FIELDS[fname])
+    assert_same_as_oracle(gens, LEX)
+    assert widths[:2] == [8, 16]
+    assert str(groebner(gens, LEX).generators[-1]).startswith("y^150 ")
+
+
+def test_graded_remainders_past_the_first_width_rerun_wider(widths):
+    # no input exponent passes 127, the 8-bit limit, but the basis leads with y^199*z^101
+    gens = polys(("x", "y", "z"), "x^100*y - z^101", "x*y^100 - z^101")
+    assert_same_as_oracle(gens, DEGREVLEX)
+    assert widths[:2] == [8, 16]
+    assert str(groebner(gens).generators[0]).startswith("y^199*z^101 ")
+
+
+def test_normal_form_reruns_wider(widths):
+    ring = ("x", "y")
+    gb = groebner(polys(ring, "x - y^3"), LEX)
+    assert normal_form(polys(ring, "x^100 + x")[0], gb) == polys(ring, "y^300 + y^3")[0]
+    assert widths[-2:] == [8, 16]

@@ -75,8 +75,8 @@ def ambient_generators(spec):
         )
     else:
         source = xs
-    assert tuple(g.total_degree() for g in source) == spec.source_degrees
-    assert tuple(g.total_degree() for g in target) == spec.target_degrees
+    assert tuple(max(map(sum, g.terms), default=0) for g in source) == spec.source_degrees
+    assert tuple(max(map(sum, g.terms), default=0) for g in target) == spec.target_degrees
     return ring, source, target
 
 
