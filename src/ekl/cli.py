@@ -313,8 +313,11 @@ def cmd_quotient(args) -> int:
     return EXIT_OK if verdict == "MATCH" else EXIT_INTERNAL
 
 
-def _parse_nodes(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_nodes(flag: str, text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated node numbers, got {text!r}") from None
 
 
 def _root_system(text: str):
@@ -333,9 +336,9 @@ def cmd_weyl_ap(args) -> int:
     rs = _root_system(args.type)
     try:
         if args.keep is not None:
-            spec = ParabolicSpec.keep(_parse_nodes(args.keep))
+            spec = ParabolicSpec.keep(_parse_nodes("--keep", args.keep))
         else:
-            spec = ParabolicSpec.remove(rs, _parse_nodes(args.remove))
+            spec = ParabolicSpec.remove(rs, _parse_nodes("--remove", args.remove))
         spec.validate(rs)
         if not spec.is_proper(rs):
             raise ValueError("the parabolic must be proper")

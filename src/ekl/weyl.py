@@ -279,10 +279,17 @@ def _parabolic_weight(rs: RootSystem, p: ParabolicSpec) -> list[int]:
 
 
 def min_coset_reps(
-    rs: RootSystem, p: ParabolicSpec, budget: int | None = None
+    rs: RootSystem, p: ParabolicSpec, budget: int | None = None, length: int | None = None
 ) -> list[list[int]]:
     """The orbit W.lambda_P in omega-coordinates: one weight w.lambda_P for
     each coset w W_P, ordered by the length of the minimal representative w.
+    With ``length`` = k, only the weights whose minimal representative has
+    length k, in that order; the walk keeps one level and stops there.
+    w0 maps the representative of length l to one of length N - N_P - l,
+    for N and N_P the positive-root counts of W and W_P (Bjorner-Brenti,
+    *Combinatorics of Coxeter Groups*, section 2.5), so the lengths run
+    over 0 .. N - N_P: a k outside is a ValueError, and a walk that ends
+    before level k is an ArithmeticError.
 
     The orbit is walked as a tree: s_i.mu is a child of mu iff mu_i > 0 and
     i is the first negative coordinate of s_i.mu.  Each weight but lambda_P
@@ -299,6 +306,8 @@ def min_coset_reps(
     order is that of trying every i and scanning the prefix of s_i.mu.
     """
     p.validate(rs)
+    if length is not None and not 0 <= length <= rs.npos - _parabolic_npos(rs, p):
+        raise ValueError(f"no coset of length {length}")
     cap = enum_budget(budget)
     if rs.order // parabolic_order_formula(rs, p) > cap:
         raise EnumerationBudgetError(f"coset enumeration exceeded the budget of {cap} elements")
@@ -310,10 +319,14 @@ def min_coset_reps(
     lower = [{j: a for j, a in moves[i] if j < i} for i in range(n)]
     level = [(_parabolic_weight(rs, p), n)]
     reps: list[list[int]] = []
+    depth = 0
     while level:
+        if length is None:
+            reps.extend(mu for mu, _ in level)
+        elif depth == length:
+            return [mu for mu, _ in level]
         children = []
         for mu, f in level:
-            reps.append(mu)
             for i in range(f):
                 m = mu[i]
                 if m > 0:
@@ -337,6 +350,9 @@ def min_coset_reps(
                             nu[j] += a * m
                         children.append((nu, i))
         level = children
+        depth += 1
+    if length is not None:
+        raise ArithmeticError(f"the coset walk ended at length {depth - 1}, before {length}")
     return reps
 
 
@@ -369,9 +385,13 @@ def compute_aP(
     With a central longest word w0 every conjugate equals w0 itself, whose
     support is the full diagram, so the count is 0 for any proper
     parabolic; "auto" uses that shortcut when available and enumerates
-    the orbit of ``min_coset_reps`` otherwise; "enumerate" always
-    enumerates.  A coset counts iff w0 = -iota fixes its weight mu,
-    i.e. mu_k = -mu_iota(k) for every node k.
+    otherwise; "enumerate" always enumerates.  A coset counts iff
+    w0 = -iota fixes its weight mu, i.e. mu_k = -mu_iota(k) for every node
+    k.  w0 maps the minimal representative of length l to one of length
+    N - N_P - l (Bjorner-Brenti, *Combinatorics of Coxeter Groups*,
+    section 2.5), so only the middle level (N - N_P) // 2 of
+    ``min_coset_reps`` is walked to and tested; when N - N_P is odd, no
+    weight there is fixed.
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -381,7 +401,9 @@ def compute_aP(
     if method == "auto" and is_central_longest(rs):
         return 0
     theta = [j - 1 for j in rs.iota]
-    return sum(mu == [-mu[j] for j in theta] for mu in min_coset_reps(rs, p, budget))
+    middle = (rs.npos - _parabolic_npos(rs, p)) // 2
+    level = min_coset_reps(rs, p, budget, length=middle)
+    return sum(mu == [-mu[j] for j in theta] for mu in level)
 
 
 def aP_formula_typeA(blocks: Sequence[int]) -> int:
@@ -506,6 +528,12 @@ def parabolic_order_formula(rs: RootSystem, p: ParabolicSpec) -> int:
     for label, rank in classify_subdiagram(rs, p.kept_nodes):
         order *= weyl_order(label, rank)
     return order
+
+
+def _parabolic_npos(rs: RootSystem, p: ParabolicSpec) -> int:
+    """N_P, the positive-root count of W_P, summed over its components."""
+    components = classify_subdiagram(rs, p.kept_nodes)
+    return sum(_POSITIVE_ROOT_COUNT[label](rank) for label, rank in components)
 
 
 def parabolic_type_name(rs: RootSystem, p: ParabolicSpec) -> str:

@@ -490,8 +490,9 @@ def test_weyl_ap_improper(capsys):
     "flag, nodes, message",
     [
         ("--remove", "9", "error: nodes [9] are not in the diagram"),
-        ("--keep", "x", "error: invalid literal"),
-        ("--remove", "x", "error: invalid literal"),
+        ("--keep", "x", "error: --keep takes comma-separated node numbers, got 'x'"),
+        ("--remove", "x", "error: --remove takes comma-separated node numbers, got 'x'"),
+        ("--keep", "1,2.5", "error: --keep takes comma-separated node numbers, got '1,2.5'"),
     ],
 )
 def test_weyl_ap_bad_nodes(capsys, flag, nodes, message):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import ekl.weyl
 from weyl_perms import (
     WeylElement,
     _coroot_pairings,
@@ -259,6 +260,40 @@ def test_orbit_walk_matches_reference(label, rank, kept, aP):
     depths = [length[tuple(mu)] for mu in reps]
     assert depths == sorted(depths)
     assert compute_aP(rs, p, method="enumerate") == reference_aP(oracle, p) == aP
+
+
+@pytest.mark.parametrize("label, rank, kept, aP", ORACLE_CASES)
+def test_w0_reverses_the_coset_levels(label, rank, kept, aP):
+    # w0 sends the minimal representative of length l to one of length
+    # N - N_P - l, so the level sizes are palindromic and every fixed coset
+    # sits on the middle level
+    rs = build_root_system(label, rank)
+    oracle = perm_root_system(label, rank)
+    p = ParabolicSpec.keep(kept)
+    length = {
+        tuple(walked_weight(oracle, r.perm, kept)): r.length
+        for r in reference_min_coset_reps(oracle, p)
+    }
+    top = max(length.values())  # N - N_P
+    reps = min_coset_reps(rs, p)
+    levels = [min_coset_reps(rs, p, length=k) for k in range(top + 1)]
+    for k, level in enumerate(levels):
+        assert level == [mu for mu in reps if length[tuple(mu)] == k]
+    sizes = [len(level) for level in levels]
+    assert sizes == sizes[::-1]
+    fixed = [mu for mu in reps if all(mu[k] == -mu[j - 1] for k, j in enumerate(rs.iota))]
+    assert len(fixed) == aP
+    assert all(2 * length[tuple(mu)] == top for mu in fixed)
+    for k in (-1, top + 1):
+        with pytest.raises(ValueError, match=f"no coset of length {k}"):
+            min_coset_reps(rs, p, length=k)
+
+
+def test_a_walk_that_ends_before_its_level_is_an_arithmetic_error(monkeypatch):
+    # with N_P read as 0, A3 keep {1, 3} asks for level 6 of a walk of 0 .. 4
+    monkeypatch.setattr(ekl.weyl, "_parabolic_npos", lambda rs, p: 0)
+    with pytest.raises(ArithmeticError, match="ended at length 4, before 6"):
+        min_coset_reps(build_root_system("A", 3), ParabolicSpec.keep([1, 3]), length=6)
 
 
 # every kept-node subset of these is walked both ways
