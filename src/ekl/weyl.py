@@ -306,10 +306,11 @@ def min_coset_reps(
     order is that of trying every i and scanning the prefix of s_i.mu.
     """
     p.validate(rs)
-    if length is not None and not 0 <= length <= rs.npos - _parabolic_npos(rs, p):
+    order_p, npos_p = _parabolic_sizes(rs, p)
+    if length is not None and not 0 <= length <= rs.npos - npos_p:
         raise ValueError(f"no coset of length {length}")
     cap = enum_budget(budget)
-    if rs.order // parabolic_order_formula(rs, p) > cap:
+    if rs.order // order_p > cap:
         raise EnumerationBudgetError(f"coset enumeration exceeded the budget of {cap} elements")
     moves = _moves(rs.cartan)
     n = rs.rank
@@ -401,7 +402,7 @@ def compute_aP(
     if method == "auto" and is_central_longest(rs):
         return 0
     theta = [j - 1 for j in rs.iota]
-    middle = (rs.npos - _parabolic_npos(rs, p)) // 2
+    middle = (rs.npos - _parabolic_sizes(rs, p)[1]) // 2
     level = min_coset_reps(rs, p, budget, length=middle)
     return sum(mu == [-mu[j] for j in theta] for mu in level)
 
@@ -524,16 +525,17 @@ def _arm_lengths(center: int, adj, comp: list[int]) -> list[int]:
 
 def parabolic_order_formula(rs: RootSystem, p: ParabolicSpec) -> int:
     """|W_P| as the product of the component orders of the induced diagram."""
-    order = 1
+    return _parabolic_sizes(rs, p)[0]
+
+
+def _parabolic_sizes(rs: RootSystem, p: ParabolicSpec) -> tuple[int, int]:
+    """|W_P| and N_P, the positive-root count of W_P, from one
+    classification of the induced diagram."""
+    order, npos = 1, 0
     for label, rank in classify_subdiagram(rs, p.kept_nodes):
         order *= weyl_order(label, rank)
-    return order
-
-
-def _parabolic_npos(rs: RootSystem, p: ParabolicSpec) -> int:
-    """N_P, the positive-root count of W_P, summed over its components."""
-    components = classify_subdiagram(rs, p.kept_nodes)
-    return sum(_POSITIVE_ROOT_COUNT[label](rank) for label, rank in components)
+        npos += _POSITIVE_ROOT_COUNT[label](rank)
+    return order, npos
 
 
 def parabolic_type_name(rs: RootSystem, p: ParabolicSpec) -> str:

@@ -291,7 +291,7 @@ def test_w0_reverses_the_coset_levels(label, rank, kept, aP):
 
 def test_a_walk_that_ends_before_its_level_is_an_arithmetic_error(monkeypatch):
     # with N_P read as 0, A3 keep {1, 3} asks for level 6 of a walk of 0 .. 4
-    monkeypatch.setattr(ekl.weyl, "_parabolic_npos", lambda rs, p: 0)
+    monkeypatch.setattr(ekl.weyl, "_parabolic_sizes", lambda rs, p: (4, 0))
     with pytest.raises(ArithmeticError, match="ended at length 4, before 6"):
         min_coset_reps(build_root_system("A", 3), ParabolicSpec.keep([1, 3]), length=6)
 
