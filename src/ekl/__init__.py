@@ -36,7 +36,6 @@ from .localg import (
     UnitIdealError,
     coordinates,
     groebner,
-    multiplication_matrices,
     normal_form,
     origin_supported,
     poly_det,

@@ -229,7 +229,7 @@ def _build_quotient_spec(args) -> QuotientSpec:
             raise ValueError(f"--type {args.type} does not take --{flag}")
     if args.parabolic is not None and args.blocks is not None:
         raise ValueError("--parabolic and --blocks exclude each other")
-    blocks = [int(b) for b in args.blocks.split(",")] if args.blocks else None
+    blocks = _parse_nodes("--blocks", "block sizes", args.blocks) if args.blocks else None
     if args.type == "A":
         if blocks is None:
             raise ValueError("--type A requires --blocks")
@@ -313,11 +313,12 @@ def cmd_quotient(args) -> int:
     return EXIT_OK if verdict == "MATCH" else EXIT_INTERNAL
 
 
-def _parse_nodes(flag: str, text: str) -> list[int]:
+def _parse_nodes(flag: str, noun: str, text: str) -> list[int]:
+    """The comma-separated ints that ``flag`` takes, skipping empty tokens."""
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"{flag} takes comma-separated node numbers, got {text!r}") from None
+        raise ValueError(f"{flag} takes comma-separated {noun}, got {text!r}") from None
 
 
 def _root_system(text: str):
@@ -336,9 +337,9 @@ def cmd_weyl_ap(args) -> int:
     rs = _root_system(args.type)
     try:
         if args.keep is not None:
-            spec = ParabolicSpec.keep(_parse_nodes("--keep", args.keep))
+            spec = ParabolicSpec.keep(_parse_nodes("--keep", "node numbers", args.keep))
         else:
-            spec = ParabolicSpec.remove(rs, _parse_nodes("--remove", args.remove))
+            spec = ParabolicSpec.remove(rs, _parse_nodes("--remove", "node numbers", args.remove))
         spec.validate(rs)
         if not spec.is_proper(rs):
             raise ValueError("the parabolic must be proper")

@@ -295,9 +295,9 @@ def ekl_degree(
     this choice.
     """
     qp, socle, jac = _checked_socle(f, order)
-    if functional_monomial is None:
-        functional_monomial = _top_socle_monomial(qp, socle)
-    index = qp.standard_monomials.index(functional_monomial)
+    std = qp.standard_monomials
+    index = _top_socle_index(socle) if functional_monomial is None else std.index(functional_monomial)
+    functional_monomial = std[index]
     if not socle.coordinates[index]:
         raise ValueError("the functional monomial does not appear in the socle element")
     gram = tuple(map(tuple, _split_form(qp, socle, index, [0] * qp.dimension)[1]))
@@ -329,7 +329,7 @@ def _split_class(f: MapSpec) -> tuple[int, GWClass]:
     qp, socle, _ = _checked_socle(f)
     std = qp.standard_monomials  # no weights: the zero weight, one degree
     degree = [sum(w * e for w, e in zip(weights, b)) for b in std] if weights else [0] * len(std)
-    index = std.index(_top_socle_monomial(qp, socle))
+    index = _top_socle_index(socle)
     hyperbolic, block = _split_form(qp, socle, index, degree)
     cls = classify(GramForm.from_field_entries(block, qp.field), qp.field)
     if hyperbolic:
@@ -401,11 +401,10 @@ def _checked_socle(
     return qp, socle, jac
 
 
-def _top_socle_monomial(qp: QuotientPresentation, socle: AlgebraElement) -> tuple[int, ...]:
-    """The order-maximal standard monomial with a nonzero socle coordinate."""
-    return qp.basis.order.max(
-        [m for m, c in zip(qp.standard_monomials, socle.coordinates) if c]
-    )
+def _top_socle_index(socle: AlgebraElement) -> int:
+    """The index of the order-maximal standard monomial with a nonzero socle
+    coordinate: the last nonzero one, as the standard monomials ascend."""
+    return max(i for i, c in enumerate(socle.coordinates) if c)
 
 
 def _assert_jacobian_relation(f, qp, socle, jac) -> None:

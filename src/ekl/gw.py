@@ -57,6 +57,8 @@ class GramForm:
         from .scalar import QQ
 
         field = field if field is not None else QQ
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ValueError("a Gram matrix is an array of rows, each an array of entries")
         if any(isinstance(v, bool) for row in rows for v in row):
             raise ValueError("Gram entries are numbers or rational strings, not booleans")
         # entries are read with Fraction() as over Q ("1/3", 0.5, 0.1 as 1/10), then reduced mod p

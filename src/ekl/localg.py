@@ -25,19 +25,21 @@ divisor test one subtraction masked by the guard bits; an lcm unpacks the
 fields.  ``max``, ``sort`` and the S-pair heap need no key function.
 Exponent tuples appear only at the boundaries: the published generators,
 the standard monomials and the matrices, whose columns are indexed by
-position.  Carry rule: a field holds exponents up to 2^(W-1) - 1.  The
-first width is the narrowest that holds every input exponent, from 8
-bits up.  Each reduction step checks the product of its shift with the
-lcm of the entry's tail, which bounds every product that step forms; a
-set guard bit there raises ``_Carry`` and the whole call reruns at twice
-the width.  So no carry passes silently, in either order, and the width
-is never configured.
+position.  Buchberger hands its packed basis to the presentation through
+``GroebnerBasis.packed``; the staircase and the matrices read it, so no
+basis term is packed twice.  Carry rule: a field holds exponents up to
+2^(W-1) - 1.  The first width is the narrowest that holds every input
+exponent, from 8 bits up.  Each reduction step checks the product of its
+shift with the lcm of the entry's tail, which bounds every product that
+step forms; a set guard bit there raises ``_Carry`` and the whole call
+reruns at twice the width.  So no carry passes silently, in either order,
+and the width is never configured.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -232,13 +234,16 @@ class GroebnerBasis:
     """A reduced, monic Groebner basis with its monomial order.
 
     The zero ideal has no generators.  The reduced monic basis of an ideal
-    is unique for its order, so equal ideals give equal bases.
+    is unique for its order, so equal ideals give equal bases.  ``packed``
+    is ``(packing, {leading monomial: monic dict})``, the basis as
+    Buchberger finished it, in kernel values; it takes no part in equality.
     """
 
     generators: tuple[Polynomial, ...]
     order: MonomialOrder
     ring: tuple[str, ...]
     field: object
+    packed: tuple | None = dataclass_field(compare=False, repr=False)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.generators)
@@ -268,7 +273,7 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
     basis = tuple(
         Polynomial(ring, fld, {pk.unpack(m): fld.from_int(c) for m, c in d.items()}) for d in final
     )
-    return GroebnerBasis(basis, order, ring, fld)
+    return GroebnerBasis(basis, order, ring, fld, (pk, {max(d): d for d in final}))
 
 
 def _buchberger(gens: Sequence[Polynomial], pk: _Packing, p: int) -> list[dict]:
@@ -378,14 +383,6 @@ def _packed_terms(polys: Sequence[Polynomial], pk: _Packing, p: int) -> list[dic
     return [{pk.pack(m): c for m, c in _kernel_values(f.terms, p).items()} for f in polys]
 
 
-def _packed_basis(gb: GroebnerBasis) -> tuple[_Packing, dict]:
-    """The narrowest packing that holds the basis, and the packed basis keyed
-    by leading monomial.  No standard or border monomial has a larger
-    exponent than the basis, so the packing holds them too."""
-    pk = _packing(gb.order, len(gb.ring), _top_exponent(gb.generators))
-    return pk, {max(d): d for d in _packed_terms(gb.generators, pk, gb.field.characteristic)}
-
-
 # ---------------------------------------------------------------------------
 # quotient presentations
 
@@ -393,8 +390,9 @@ def _packed_basis(gb: GroebnerBasis) -> tuple[_Packing, dict]:
 class QuotientPresentation:
     """The algebra K[x]/I presented by a Groebner basis and its standard monomials.
 
-    ``matrices`` holds the multiplication matrices M_1..M_n on the
-    standard monomials (see ``multiplication_matrices``); it takes no part
+    The standard monomials ascend in the order, so 1 has index 0.
+    ``matrices`` holds the multiplication matrices M_1..M_n on them, built
+    once from the basis's packed form (see ``_matrices``); it takes no part
     in equality.
     """
 
@@ -445,7 +443,7 @@ def quotient_presentation(gb: GroebnerBasis) -> QuotientPresentation:
     """Enumerate standard monomials and build the multiplication matrices;
     raises InfiniteQuotientError when the quotient is unbounded."""
     n = len(gb.ring)
-    pk, lead = _packed_basis(gb)
+    pk, lead = gb.packed  # no standard or border exponent passes the basis's
     exponents = [pk.unpack(lm) for lm in lead]
     bounds = []
     for i in range(n):
@@ -476,8 +474,8 @@ def quotient_presentation(gb: GroebnerBasis) -> QuotientPresentation:
 
     walk(0, pk.one)
     std.sort()
-    qp = QuotientPresentation(gb, tuple(map(pk.unpack, std)), len(std), ())
-    return replace(qp, matrices=_matrices(pk, std, lead, gb.field.characteristic))
+    matrices = _matrices(pk, std, lead, gb.field.characteristic)
+    return QuotientPresentation(gb, tuple(map(pk.unpack, std)), len(std), matrices)
 
 
 def coordinates(p: Polynomial, qp: QuotientPresentation) -> AlgebraElement:
@@ -495,8 +493,10 @@ def coordinates(p: Polynomial, qp: QuotientPresentation) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # multiplication matrices
 
-def multiplication_matrices(qp: QuotientPresentation) -> tuple[tuple[dict, ...], ...]:
-    """Sparse matrices M_1..M_n of multiplication by x_k on the standard monomials.
+def _matrices(pk: _Packing, std: Sequence[int], lead: dict, p: int) -> tuple[tuple[dict, ...], ...]:
+    """Sparse matrices M_1..M_n of multiplication by x_k on the packed
+    standard monomials ``std``, in increasing order, for the packed basis
+    ``lead`` keyed by leading monomial.
 
     ``matrices[k][j]`` is column j of M_k, the coordinates ``{i: c}`` of
     x_k * b_j as kernel values: over F_p a residue c in [1, p), over Q an
@@ -507,14 +507,6 @@ def multiplication_matrices(qp: QuotientPresentation) -> tuple[tuple[dict, ...],
     smaller border monomial, with column {i: c_i}, and m has the column of
     sum c_i * x_j * b_i, where every x_j * b_i is smaller than m.
     """
-    pk, lead = _packed_basis(qp.basis)
-    std = [pk.pack(b) for b in qp.standard_monomials]
-    return _matrices(pk, std, lead, qp.field.characteristic)
-
-
-def _matrices(pk: _Packing, std: Sequence[int], lead: dict, p: int) -> tuple[tuple[dict, ...], ...]:
-    """``multiplication_matrices`` on the packed standard monomials ``std``, in
-    increasing order, and the packed basis keyed by leading monomial."""
     index = {b: i for i, b in enumerate(std)}
     guard = pk.guard
     products = [[b + u for b in std] for u in pk.units]
@@ -619,7 +611,7 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]], qp: QuotientPresentation) -
     fld = qp.field
     p = fld.characteristic
     matrix = [[_kernel_values(entry.terms, p) for entry in row] for row in matrix]
-    minors = {0: {qp.monomial_index()[(0,) * len(qp.ring)]: 1}}
+    minors = {0: {0: 1}}  # the standard monomial 1 comes first
     for k in range(n - 1, -1, -1):
         wider: dict[int, dict] = {}
         for used, minor in minors.items():

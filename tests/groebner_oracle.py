@@ -186,7 +186,7 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
             final.append(r)
     final.sort(key=lambda d: key(max(d, key=key)), reverse=True)
     basis = tuple(Polynomial(ring, fld, {m: fld.from_int(c) for m, c in d.items()}) for d in final)
-    return GroebnerBasis(basis, order, ring, fld)
+    return GroebnerBasis(basis, order, ring, fld, None)
 
 
 def standard_monomials(gb: GroebnerBasis) -> tuple[Monomial, ...]:

@@ -376,10 +376,19 @@ def test_quotient_bad_parameters(capsys):
         (("--type", "D", "--rank", "5", "--blocks", "4"), "error: blocks 4 do not fit type D5\n"),
         (("--type", "B", "--rank", "3", "--blocks", "2,2"), "error: blocks 2,2 do not fit type B3\n"),
         (("--type", "B", "--blocks", "2"), "error: --type B requires --rank\n"),
+        (("--type", "A", "--blocks", "2,x"), "error: --blocks takes comma-separated block sizes, got '2,x'\n"),
     ],
 )
 def test_quotient_refuses_flags_the_type_does_not_take(capsys, argv, message):
     assert run(capsys, "quotient", *argv) == (2, "", message)
+
+
+def test_quotient_blocks_skip_empty_tokens(capsys):
+    # --blocks parses like --keep and --remove: 2,,2 reads as 2,2
+    code, out, _ = run(capsys, "quotient", "--type", "A", "--blocks", "2,,2")
+    assert code == 0
+    assert "family: A-partial(2,2)\n" in out
+    assert "verdict: MATCH\n" in out
 
 
 def test_quotient_does_not_read_the_enumeration_budget():
@@ -687,6 +696,22 @@ def test_gw_classify_boolean_entry_is_a_parse_error(tmp_path, capsys, field, gra
     code, out, err = run(capsys, "gw", "classify", path, "--field", field)
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        '["12", "21"]',  # rows that are strings, not arrays
+        '{"1": 0}',  # an object, not an array
+        '"7"',  # a bare string
+        "[1]",  # a row that is a number
+    ],
+)
+def test_gw_classify_refuses_a_gram_file_that_is_not_an_array_of_arrays(tmp_path, capsys, gram):
+    path = write(tmp_path, "g.json", gram)
+    code, out, err = run(capsys, "gw", "classify", path)
+    assert (code, out) == (2, "")
+    assert err == "parse error: a Gram matrix is an array of rows, each an array of entries\n"
 
 
 def test_gw_classify_denominator_divisible_by_p(tmp_path, capsys):

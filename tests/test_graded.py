@@ -22,7 +22,7 @@ from ekl.degree import (
     MapSpec,
     _full_rank,
     _split_form,
-    _top_socle_monomial,
+    _top_socle_index,
     degree_class,
     homogeneous_weights,
     strip_solved,
@@ -219,7 +219,7 @@ def presentation(ring, generators, socle):
 def split_and_classify(qp, socle, weights):
     """``_split_form`` of Q graded by ``weights``, then ``classify`` of its middle block."""
     degree = [sum(w * e for w, e in zip(weights, b)) for b in qp.standard_monomials]
-    index = qp.standard_monomials.index(_top_socle_monomial(qp, socle))
+    index = _top_socle_index(socle)
     block = _split_form(qp, socle, index, degree)[1]
     return classify(GramForm.from_field_entries(block, qp.field), qp.field)
 

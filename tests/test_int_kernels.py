@@ -1,6 +1,6 @@
 """The quotient algebra's kernels compute on Python ints.
 
-Over F_p ``multiplication_matrices`` stores int residues in [1, p), and
+Over F_p ``QuotientPresentation.matrices`` stores int residues in [1, p), and
 ``poly_det``, the origin test and ``_gram_rows`` carry residues in [0, p)
 through their sums and products.  Over Q they carry ints wherever the
 values are integral.  The oracles below are the same kernels on field
@@ -22,7 +22,7 @@ from ekl.degree import (
     _checked_socle,
     _full_rank,
     _gram_rows,
-    _top_socle_monomial,
+    _top_socle_index,
     degree_class,
     ekl_degree,
     homogeneous_weights,
@@ -216,7 +216,7 @@ def graded_rows(args, field):
     weights = homogeneous_weights(g)
     qp, socle, _ = _checked_socle(g)
     degree = [sum(w * e for w, e in zip(weights, b)) for b in qp.standard_monomials]
-    index = qp.standard_monomials.index(_top_socle_monomial(qp, socle))
+    index = _top_socle_index(socle)
     slices: dict = {}
     for i, d in enumerate(degree):
         slices.setdefault(d, []).append(i)

@@ -3,12 +3,15 @@
 ``groebner_oracle`` keeps the kernels on exponent tuples.  For every ideal
 below both must print the same reduced basis, find the same standard
 monomials and build the same multiplication matrices, or raise the same
-error.  The carry tests use exponents past the first field width (127
-for 8-bit fields): the library must rerun at a wider field and still
-return the oracle's basis.
+error.  The packed basis that ``groebner`` hands to the presentation
+(``GroebnerBasis.packed``) must unpack to the published generators.  The
+carry tests use exponents past the first field width (127 for 8-bit
+fields): the library must rerun at a wider field and still return the
+oracle's basis.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +23,6 @@ from ekl.localg import (
     InfiniteQuotientError,
     UnitIdealError,
     groebner,
-    multiplication_matrices,
     normal_form,
     quotient_presentation,
 )
@@ -42,6 +44,7 @@ def assert_same_as_oracle(gens, order, presentation=True):
     gb = groebner(gens, order)
     assert repr(gb) == repr(expected)
     assert gb == expected
+    assert_packed_is_the_basis(gb)
     if not presentation:
         return
     try:
@@ -53,7 +56,22 @@ def assert_same_as_oracle(gens, order, presentation=True):
         return
     qp = quotient_presentation(gb)
     assert qp.standard_monomials == std
-    assert qp.matrices == multiplication_matrices(qp) == oracle.multiplication_matrices(expected, std)
+    assert qp.matrices == oracle.multiplication_matrices(expected, std)
+
+
+def assert_packed_is_the_basis(gb):
+    """``gb.packed`` holds the generators in order, keyed by leading monomial,
+    as kernel values: ints where integral over Q, residues in [1, p) over F_p."""
+    pk, lead = gb.packed
+    fld, p = gb.field, gb.field.characteristic
+    assert [pk.unpack(lm) for lm in lead] == list(gb.leading_monomials())
+    for (lm, d), g in zip(lead.items(), gb.generators):
+        assert max(d) == lm
+        assert {pk.unpack(m): fld.from_int(c) for m, c in d.items()} == g.terms
+        if p:
+            assert all(type(c) is int and 0 < c < p for c in d.values())
+        else:
+            assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in d.values())
 
 
 def random_generators(rng: random.Random, ring, fld, max_exp: int):
@@ -87,6 +105,18 @@ def test_packed_kernels_match_the_oracle_on_seeded_ideals(fname, oname):
 def test_packed_kernels_match_the_oracle_on_ladder_members(args):
     f = family_spec(args).map
     assert_same_as_oracle(list(strip_solved(f)[0].components), DEGREVLEX)
+
+
+@pytest.mark.parametrize("oname", sorted(ORDERS))
+@pytest.mark.parametrize("field", ["q", "fp:32003"])
+def test_the_packed_basis_is_the_basis_on_ladder_members(field, oname):
+    for args in LADDER:
+        gb = groebner(list(family_spec(args, field).map.components), ORDERS[oname])
+        assert_packed_is_the_basis(gb)
+        qp = quotient_presentation(gb)
+        std = oracle.standard_monomials(gb)
+        assert qp.standard_monomials == std
+        assert qp.matrices == oracle.multiplication_matrices(gb, std)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +154,9 @@ def test_lex_reductions_past_the_first_width_rerun_wider(widths, fname):
     gens = polys(("x", "y"), "x^50 - y", "x - y^3", field=FIELDS[fname])
     assert_same_as_oracle(gens, LEX)
     assert widths[:2] == [8, 16]
-    assert str(groebner(gens, LEX).generators[-1]).startswith("y^150 ")
+    gb = groebner(gens, LEX)
+    assert str(gb.generators[-1]).startswith("y^150 ")
+    assert gb.packed[0].width == 16  # the presentation above ran on the widened packing
 
 
 def test_graded_remainders_past_the_first_width_rerun_wider(widths):
@@ -133,6 +165,19 @@ def test_graded_remainders_past_the_first_width_rerun_wider(widths):
     assert_same_as_oracle(gens, DEGREVLEX)
     assert widths[:2] == [8, 16]
     assert str(groebner(gens).generators[0]).startswith("y^199*z^101 ")
+
+
+@pytest.mark.parametrize("fname", ["q", "fp32003"])
+def test_the_presentation_reads_the_widened_packing(widths, fname):
+    # every input exponent fits 8-bit fields, but Buchberger's run needs 16
+    gens = polys(("x", "y"), "x^100*y^2 - y^102", "x^101 - y^101", field=FIELDS[fname])
+    gb = groebner(gens)
+    assert widths == [8, 16]
+    assert gb.packed[0].width == 16
+    assert_packed_is_the_basis(gb)
+    with pytest.raises(InfiniteQuotientError, match="'y'"):
+        quotient_presentation(gb)
+    assert widths == [8, 16]  # the presentation packs nothing itself
 
 
 def test_normal_form_reruns_wider(widths):
