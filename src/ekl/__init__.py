@@ -6,7 +6,6 @@ from .degree import (
     MapSpec,
     NotSupportedAtOriginError,
     ZeroSocleError,
-    compose_maps,
     ekl_degree,
     jacobian_element,
     linear_decompose,

@@ -18,9 +18,13 @@ standard monomial b is the functional r_b = phi(b * -): r_1 = phi, and
 r_{x_k m} = r_m M_k, so every row is one vector-matrix product away from
 the row of a divisor of b.  The same matrices give the origin test (every
 x_k is nilpotent).  These kernels compute on int residues over F_p and on
-ints where the values are integral over Q (see ``localg``); values become
-field elements again at the boundaries: the coordinates of E and J, the
-Gram entries and every GramForm.  No ``/`` touches a kernel value.
+ints where the values are integral over Q (see ``localg``), and so does the
+front end that feeds the determinants: the substitution of
+``strip_solved`` and the split and Jacobian rows are ``{monomial: kernel
+value}`` dicts.  Values become field elements again at the boundaries: the
+stripped map and its unit, the coordinates of E and J, the Gram entries and
+every GramForm.  No ``/`` touches a kernel value but the exact -a/c of
+``strip_solved`` over Q.
 
 Callers that need only the class and dim Q use ``degree_class``.  It
 first strips solved components c*x_k + h (``strip_solved``): the change
@@ -73,11 +77,12 @@ from .poly import (
     DEGREVLEX,
     MonomialOrder,
     Polynomial,
+    _add_product,
+    _kernel_values,
+    _product,
+    from_kernel,
     is_identifier,
-    mono_mul,
     parse_poly,
-    partial_derivative,
-    substitute,
 )
 from .scalar import QQ, FactorBoundError
 
@@ -173,25 +178,23 @@ class EKLResult:
         return self.quotient.dimension
 
 
-def linear_decompose(f: MapSpec) -> list[list[Polynomial]]:
+def linear_decompose(f: MapSpec) -> list[list[dict]]:
     """Split f_i = sum_j a_ij * x_j by assigning each monomial to its
-    smallest-index variable.
+    smallest-index variable; each a_ij is a ``{monomial: kernel value}`` dict.
 
     det(a_ij) mod the ideal does not depend on the splitting; this rule
     just makes runs reproducible.
     """
-    n = len(f.ring)
-    fld = f.field
-    rows: list[list[Polynomial]] = []
+    n, p = len(f.ring), f.field.characteristic
+    rows: list[list[dict]] = []
     for comp in f.components:
         if comp.constant_term():
             raise ValueError("component has a nonzero constant term")
-        cols: list[dict] = [dict() for _ in range(n)]
-        for mono, coeff in comp.terms.items():
-            j = next(k for k, e in enumerate(mono) if e > 0)
-            reduced = mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
-            cols[j][reduced] = cols[j].get(reduced, fld.zero) + coeff
-        rows.append([Polynomial(f.ring, fld, d) for d in cols])
+        cols: list[dict] = [{} for _ in range(n)]
+        for m, c in _kernel_values(comp.terms, p).items():
+            j = next(k for k, e in enumerate(m) if e)
+            cols[j][m[:j] + (m[j] - 1,) + m[j + 1 :]] = c
+        rows.append(cols)
     return rows
 
 
@@ -205,21 +208,16 @@ def socle_element(f: MapSpec, qp: QuotientPresentation) -> AlgebraElement:
 
 def jacobian_element(f: MapSpec, qp: QuotientPresentation) -> AlgebraElement:
     """The Jacobian determinant det(d f_i / d x_j) in the quotient."""
-    n = len(f.ring)
-    jac = [
-        [partial_derivative(f.components[i], f.ring[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    return poly_det(jac, qp)
-
-
-def compose_maps(f: MapSpec, g: MapSpec) -> MapSpec:
-    """The composite map f o g, expanded in g's coordinates."""
-    if len(f.ring) != len(g.ring):
-        raise ValueError("maps have different numbers of variables")
-    assignment = {name: g.components[i] for i, name in enumerate(f.ring)}
-    comps = tuple(substitute(c, assignment, ring=g.ring) for c in f.components)
-    return MapSpec(g.ring, comps)
+    n, p = len(f.ring), f.field.characteristic
+    rows: list[list[dict]] = []
+    for comp in f.components:
+        row: list[dict] = [{} for _ in range(n)]
+        for m, c in _kernel_values(comp.terms, p).items():
+            for j, e in enumerate(m):
+                if e and (d := c * e % p if p else c * e):
+                    row[j][m[:j] + (e - 1,) + m[j + 1 :]] = d
+        rows.append(row)
+    return poly_det(rows, qp)
 
 
 def strip_solved(f: MapSpec) -> tuple[MapSpec, object]:
@@ -230,41 +228,44 @@ def strip_solved(f: MapSpec) -> tuple[MapSpec, object]:
     drop f_i and x_k, and multiply u by (-1)^(i+k) * c.  The pair whose f_i
     has the fewest terms goes first (ties by i, then k), as substitution
     densifies.  f comes back as is, with u = 1, if a component would vanish.
+    The substitution runs on kernel values: -a/c is an int over Q when c
+    divides a and a Fraction otherwise, and a * (p - 1/c) over F_p.
     """
-    g, u, zero = f, f.field.one, f.field.zero
-    while len(g.ring) > 1:
-        n = len(g.ring)
-        pairs = [
-            (len(p.terms), i, k, p.terms[e])
-            for i, p in enumerate(g.components)
-            for k, e in enumerate(tuple(int(j == k) for j in range(n)) for k in range(n))
-            if e in p.terms and sum(1 for m in p.terms if m[k]) == 1
+    fld = f.field
+    p = fld.characteristic
+    ring, comps, u = f.ring, [_kernel_values(c.terms, p) for c in f.components], 1
+    while len(ring) > 1:
+        pairs = [  # c*x_k is a term of f_i, and no other term holds x_k
+            (len(terms), i, m.index(1), c)
+            for i, terms in enumerate(comps)
+            for m, c in terms.items()
+            if sum(m) == 1 and sum(1 for t in terms if t[m.index(1)]) == 1
         ]
         if not pairs:
             break
         _, i, k, c = min(pairs)
-        ring = g.ring[:k] + g.ring[k + 1 :]
-        root = {m[:k] + m[k + 1 :]: -a / c for m, a in g.components[i].terms.items() if not m[k]}
-        powers = [None, Polynomial(ring, f.field, root)]  # powers[e] = (-h/c)^e
-        comps = []
-        for p in g.components[:i] + g.components[i + 1 :]:
-            terms: dict = {}
-            for m, a in p.terms.items():
-                rest = m[:k] + m[k + 1 :]
-                if not m[k]:  # free of x_k: copied
-                    terms[rest] = terms.get(rest, zero) + a
-                    continue
+        ring = ring[:k] + ring[k + 1 :]
+        h = {m[:k] + m[k + 1 :]: a for m, a in comps[i].items() if not m[k]}
+        if p:
+            scale = p - pow(c, -1, p)
+            root = {m: a * scale % p for m, a in h.items()}
+        else:
+            root = _kernel_values({m: Fraction(-a, c) for m, a in h.items()}, 0)
+        powers = [{(0,) * len(ring): 1}, root]  # powers[e] = (-h/c)^e
+        rest = []
+        for terms in comps[:i] + comps[i + 1 :]:
+            out: dict = {}
+            for m, a in terms.items():
                 while len(powers) <= m[k]:
-                    powers.append(powers[-1] * powers[1])
-                for pm, pa in powers[m[k]].terms.items():
-                    key = mono_mul(rest, pm)
-                    terms[key] = terms.get(key, zero) + a * pa
-            comps.append(Polynomial(ring, f.field, terms))
-        if any(p.is_zero() for p in comps):
-            return f, f.field.one
-        u *= c if (i + k) % 2 == 0 else -c
-        g = MapSpec(ring, tuple(comps))
-    return g, u
+                    powers.append(_product(powers[-1], root, p))
+                _add_product(out, a, m[:k] + m[k + 1 :], powers[m[k]], p)
+            rest.append(out)
+        if not all(rest):
+            return f, fld.one
+        u, comps = u * (c if (i + k) % 2 == 0 else p - c), rest  # from_int reduces u over F_p
+    if ring == f.ring:
+        return f, fld.one
+    return MapSpec(ring, tuple(from_kernel(ring, fld, terms) for terms in comps)), fld.from_int(u)
 
 
 def prepare_quotient(

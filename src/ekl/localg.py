@@ -13,7 +13,8 @@ through these matrices and need no normal forms either.  The reducer and
 these kernels compute on kernel values: int residues in [0, p) over F_p,
 reduced wherever a sum is formed, and over Q ints where the values are
 integral and Fractions otherwise (exact, as the kernels never divide).
-``_kernel_values`` converts field values into them, ``field.from_int`` back.
+``poly._kernel_values`` converts field values into them, ``field.from_int``
+back.
 
 Inside the kernels a monomial is one int (``_Packing``, the packed
 exponent vectors of Bachmann and Schoenemann): a field of W bits per
@@ -44,7 +45,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial
+from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, _kernel_values
 
 
 class UnitIdealError(ValueError):
@@ -534,14 +535,6 @@ def _matrices(pk: _Packing, std: Sequence[int], lead: dict, p: int) -> tuple[tup
     return tuple(tuple(columns[m] for m in row) for row in products)
 
 
-def _kernel_values(values: dict, p: int) -> dict:
-    """The field values of a dict as kernel values: residues over F_p, and
-    over Q (``p == 0``) ints where integral and Fractions otherwise."""
-    if p:
-        return {k: c.residue for k, c in values.items()}
-    return {k: c.numerator if c.denominator == 1 else c for k, c in values.items()}
-
-
 def _add_multiple(out: dict, a, vector: dict, p: int) -> None:
     """out += a * vector for sparse vectors, modulo p if p, dropping zeros."""
     for i, c in vector.items():
@@ -587,12 +580,13 @@ def origin_supported(qp: QuotientPresentation) -> bool:
     )
 
 
-def poly_det(matrix: Sequence[Sequence[Polynomial]], qp: QuotientPresentation) -> AlgebraElement:
+def poly_det(matrix: Sequence[Sequence[dict]], qp: QuotientPresentation) -> AlgebraElement:
     """The determinant of a square polynomial matrix, as an element of the quotient.
 
-    Expansion in minors over column subsets, from the last row up: the
-    minor on rows k..n-1 and column set S is the sum over j in S of
-    (-1)^t * a_kj * minor(k+1, S - {j}), where t counts the columns of S
+    The entries are ``{monomial: kernel value}`` dicts over the ring and
+    field of ``qp``.  Expansion in minors over column subsets, from the last
+    row up: the minor on rows k..n-1 and column set S is the sum over j in S
+    of (-1)^t * a_kj * minor(k+1, S - {j}), where t counts the columns of S
     before j.  Each minor is a sparse coordinate vector and an entry acts
     on it term by term through the multiplication matrices, so no
     polynomial leaves the standard-monomial span and no normal form is
@@ -602,15 +596,10 @@ def poly_det(matrix: Sequence[Sequence[Polynomial]], qp: QuotientPresentation) -
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        for entry in row:
-            if entry.ring != qp.ring or entry.field != qp.field:
-                raise ValueError("matrix entries do not match the quotient ring")
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
     fld = qp.field
     p = fld.characteristic
-    matrix = [[_kernel_values(entry.terms, p) for entry in row] for row in matrix]
     minors = {0: {0: 1}}  # the standard monomial 1 comes first
     for k in range(n - 1, -1, -1):
         wider: dict[int, dict] = {}

@@ -9,14 +9,20 @@ The module also provides the expression parser used by the CLI, builders
 for elementary symmetric polynomials, formal derivatives, and
 substitution.  The parser computes on kernel values, as ``localg`` does
 (int residues in [0, p) over F_p; over Q ints, and Fractions for rational
-literals), and makes each term's field value once.  Determinants of
-polynomial matrices are taken in the quotient algebra (``localg.poly_det``).
+literals), and makes each term's field value once.  ``_kernel_values``
+and ``from_kernel`` convert between field values and kernel values, for
+this module and the others.  The same sparse term kernel
+(``_add_product``, ``_product``) serves the quotient-map builders and the
+solved-coordinate substitution of ``degree.strip_solved``.  Determinants of
+polynomial matrices are taken in the quotient algebra
+(``localg.poly_det``), on kernel values too.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .scalar import QQ, PrimeField, RationalField
@@ -31,7 +37,7 @@ Field = RationalField | PrimeField
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class MonomialOrder:
@@ -368,8 +374,7 @@ class _Parser:
         kind, value, position = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", position)
-        from_int = self.field.from_int
-        return _raw(self.ring, self.field, {m: from_int(c) for m, c in result.items()})
+        return from_kernel(self.ring, self.field, result)
 
     def expr(self) -> dict:
         result = self.term()
@@ -387,15 +392,9 @@ class _Parser:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                result = self.product(result, self.factor())
+                result = _product(result, self.factor(), self.p)
             else:
                 return result
-
-    def product(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        for m, c in a.items():
-            _add_product(out, c, m if any(m) else None, b, self.p)
-        return out
 
     def factor(self) -> dict:
         kind, value, _ = self.peek()
@@ -414,7 +413,7 @@ class _Parser:
             n = int(v)
             power = result if n else self.constant(1)
             for _ in range(n - 1):
-                power = self.product(power, result)
+                power = _product(power, result, self.p)
             result = power
         return result
 
@@ -471,6 +470,28 @@ def _add_product(out: dict, c, shift: Monomial | None, terms: dict, p: int) -> N
             out[m] = s
         else:
             out.pop(m, None)
+
+
+def _product(a: dict, b: dict, p: int) -> dict:
+    """a * b on kernel values, modulo p if p."""
+    out: dict = {}
+    for m, c in a.items():
+        _add_product(out, c, m if any(m) else None, b, p)
+    return out
+
+
+def _kernel_values(values: dict, p: int) -> dict:
+    """The field values of a dict as kernel values: residues over F_p, and
+    over Q (``p == 0``) ints where integral and Fractions otherwise."""
+    if p:
+        return {k: c.residue for k, c in values.items()}
+    return {k: c.numerator if c.denominator == 1 else c for k, c in values.items()}
+
+
+def from_kernel(ring: Sequence[str], field: Field, terms: dict) -> Polynomial:
+    """The polynomial of a ``{monomial: kernel value}`` dict without zeros."""
+    from_int = field.from_int
+    return _raw(tuple(ring), field, {m: from_int(c) for m, c in terms.items()})
 
 
 def parse_poly(text: str, ring: Sequence[str], field: Field = QQ) -> Polynomial:

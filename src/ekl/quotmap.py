@@ -17,6 +17,10 @@ writes the target's basic invariants in the source's:
     v_j s^j is the tail's; for D the same for k < n, with q^2 as V's top
     coefficient, and last x_1 ... x_n = prod_i y_{i,k_i} q.
 
+The series are multiplied out on ``{monomial: kernel value}`` dicts (int
+residues over F_p, ints over Q, as in ``localg``), and each component
+becomes a Polynomial once, at the end.
+
 Component i is weighted-homogeneous of degree ``target_degrees[i]`` when the
 variables weigh ``source_degrees``, so the covering degree |W/W_P| is the
 ratio of the degree products.  The named families are members: A-partial is
@@ -34,7 +38,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .degree import MapSpec
-from .poly import Polynomial
+from .poly import _add_product, _product, from_kernel
 from .scalar import QQ
 from .weyl import block_parabolic, build_root_system, compute_aP, parabolic_order_formula
 
@@ -72,13 +76,21 @@ def _block_names(blocks: Sequence[int]) -> list[str]:
     return [f"b{i + 1}x{j}" for i, b in enumerate(blocks) for j in range(1, b + 1)]
 
 
-def _times(p: list[Polynomial], q: list[Polynomial]) -> list[Polynomial]:
-    """The product of two polynomials in one variable, as coefficient lists."""
-    out = [Polynomial.zero(p[0].ring, p[0].field)] * (len(p) + len(q) - 1)
-    for a, x in enumerate(p):
-        for b, y in enumerate(q):
-            out[a + b] = out[a + b] + x * y
+def _times(a: list[dict], b: list[dict], p: int) -> list[dict]:
+    """The product of two polynomials in one variable, as lists of
+    ``{monomial: kernel value}`` coefficients, modulo p if p."""
+    out: list[dict] = [{} for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            for m, c in x.items():
+                _add_product(out[i + j], c, m, y, p)
     return out
+
+
+def _alternated(coeffs: list[dict], p: int) -> list[dict]:
+    """The coefficients of P(-t) from those of P(t): p - c is -c over Q and
+    the residue of -c over F_p."""
+    return [{m: p - c for m, c in y.items()} if j % 2 else y for j, y in enumerate(coeffs)]
 
 
 def build_quotient(
@@ -104,31 +116,32 @@ def build_quotient(
     if type_label == "D" and tail:
         tail_degrees[-1], tail_names[-1] = tail, "q"
     ring = tuple(_block_names(blocks) + tail_names if ring is None else ring)
-    xs = [Polynomial.variable(v, ring, field) for v in ring]
-    one = Polynomial.constant(1, ring, field)
+    p = field.characteristic
+    one = (0,) * n
+    xs = [{one[:i] + (1,) + one[i + 1 :]: 1} for i in range(n)]
     cuts = [0, *accumulate(blocks)]
-    series = [[one] + xs[i:j] for i, j in zip(cuts, cuts[1:])]  # the coefficients of A_i(t)
+    series = [[{one: 1}] + xs[i:j] for i, j in zip(cuts, cuts[1:])]  # the coefficients of A_i(t)
     if type_label == "A":
         factors = series
     else:
         factors = []
         for a in series:
-            even = _times(a, [-y if j % 2 else y for j, y in enumerate(a)])[::2]
-            factors.append([-c if j % 2 else c for j, c in enumerate(even)])
+            factors.append(_alternated(_times(a, _alternated(a, p), p)[::2], p))
         tail_coeffs = xs[cuts[-1] :]
         if type_label == "D" and tail:
-            tail_coeffs[-1] = tail_coeffs[-1] * tail_coeffs[-1]
-        factors.append([one] + tail_coeffs)
-    coeffs = reduce(_times, factors)
+            tail_coeffs[-1] = _product(tail_coeffs[-1], tail_coeffs[-1], p)
+        factors.append([{one: 1}] + tail_coeffs)
+    coeffs = reduce(lambda a, b: _times(a, b, p), factors)
     components = coeffs[1 : n + 1]
     target_degrees = [k * (1 if type_label == "A" else 2) for k in range(1, n + 1)]
     if type_label == "D":
-        components[-1] = reduce(Polynomial.__mul__, [a[-1] for a in series] + xs[cuts[-1] :][-1:])
+        last = [a[-1] for a in series] + xs[cuts[-1] :][-1:]
+        components[-1] = reduce(lambda a, b: _product(a, b, p), last)
         target_degrees[-1] = n
     return QuotientSpec(
         family,
         blocks if parameters is None else tuple(parameters),
-        MapSpec(ring, tuple(components)),
+        MapSpec(ring, tuple(from_kernel(ring, field, c) for c in components)),
         tuple(j for b in blocks for j in range(1, b + 1)) + tuple(tail_degrees),
         tuple(target_degrees),
         type_label,

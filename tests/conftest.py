@@ -6,17 +6,46 @@ diagonal monomial maps composed with invertible (unipotent) linear maps.
 
 ``reference_poly_det`` is the fraction-free Bareiss determinant over
 K[x]; the library takes determinants inside the quotient algebra
-(``ekl.localg.poly_det``), and the tests compare the two.
+(``ekl.localg.poly_det``), and the tests compare the two.  That one takes
+``{monomial: kernel value}`` dicts, as ``ekl.degree.linear_decompose``
+returns them: ``kernel_matrix`` and ``polynomial_matrix`` convert between
+them and Polynomials.  ``compose_maps`` expands f o g; no library code
+composes maps.
 """
 
 from __future__ import annotations
 
 import random
 
-from ekl.degree import MapSpec, compose_maps
-from ekl.poly import DEGREVLEX, Polynomial, mono_mul
+from ekl.degree import MapSpec
+from ekl.poly import DEGREVLEX, Polynomial, _kernel_values, from_kernel, mono_mul, substitute
 from ekl.scalar import QQ
 from groebner_oracle import mono_div, mono_divides
+
+
+def compose_maps(f: MapSpec, g: MapSpec) -> MapSpec:
+    """The composite map f o g, expanded in g's coordinates."""
+    if len(f.ring) != len(g.ring):
+        raise ValueError("maps have different numbers of variables")
+    assignment = {name: g.components[i] for i, name in enumerate(f.ring)}
+    comps = tuple(substitute(c, assignment, ring=g.ring) for c in f.components)
+    return MapSpec(g.ring, comps)
+
+
+def kernel_matrix(matrix, qp):
+    """A matrix of Polynomials over qp's ring and field as the
+    ``{monomial: kernel value}`` dicts that ``ekl.localg.poly_det`` takes."""
+    for row in matrix:
+        for entry in row:
+            if entry.ring != qp.ring or entry.field != qp.field:
+                raise ValueError("matrix entries do not match the quotient ring")
+    return [[_kernel_values(entry.terms, qp.field.characteristic) for entry in row] for row in matrix]
+
+
+def polynomial_matrix(rows, f: MapSpec):
+    """Rows of ``{monomial: kernel value}`` dicts, as ``ekl.degree.linear_decompose``
+    returns them for f, as Polynomials over f's ring and field."""
+    return [[from_kernel(f.ring, f.field, entry) for entry in row] for row in rows]
 
 
 def linear_map(matrix, ring=("x", "y"), field=QQ) -> MapSpec:

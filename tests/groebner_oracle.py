@@ -16,8 +16,8 @@ import heapq
 from fractions import Fraction
 from typing import Sequence
 
-from ekl.localg import GroebnerBasis, InfiniteQuotientError, UnitIdealError, _add_multiple, _kernel_values
-from ekl.poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, mono_mul
+from ekl.localg import GroebnerBasis, InfiniteQuotientError, UnitIdealError, _add_multiple
+from ekl.poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, _kernel_values, mono_mul
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:

@@ -8,9 +8,9 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import linear_map, random_origin_map, random_unipotent
+from conftest import compose_maps, linear_map, random_origin_map, random_unipotent
 
-from ekl.degree import MapSpec, compose_maps, ekl_degree
+from ekl.degree import MapSpec, ekl_degree
 from ekl.gw import (
     classify_diagonal,
     gw_equal,

@@ -1,23 +1,33 @@
-"""The quotient algebra's kernels compute on Python ints.
+"""The quotient algebra's kernels and the class path's front end compute
+on Python ints.
 
 Over F_p ``QuotientPresentation.matrices`` stores int residues in [1, p), and
 ``poly_det``, the origin test and ``_gram_rows`` carry residues in [0, p)
 through their sums and products.  Over Q they carry ints wherever the
-values are integral.  The oracles below are the same kernels on field
-elements throughout (``Fraction`` over Q, ``PrimeFieldElement`` over F_p),
-as the library computed them before: the values must be equal (over F_p,
-the oracle's ``.residue`` values), and every value that leaves the kernels
-(``AlgebraElement`` coordinates, Gram entries, every ``GramForm`` entry)
-must still be a ``Fraction`` over Q and a ``PrimeFieldElement`` over F_p.
+values are integral.  The polynomials that feed the determinants are
+``{monomial: kernel value}`` dicts too: the quotient-map builders'
+products, ``strip_solved``'s substitution, the split rows of
+``linear_decompose`` and the Jacobian rows.  The oracles below are the same
+code on field elements throughout (``Fraction`` over Q, ``PrimeFieldElement``
+over F_p), as the library computed them before: the values must be equal
+(over F_p, the oracle's ``.residue`` values), and every value that leaves the
+kernels (``AlgebraElement`` coordinates, Gram entries, every ``GramForm``
+entry, the stripped map, its unit and the builders' components) must still
+be a ``Fraction`` over Q and a ``PrimeFieldElement`` over F_p.
 """
 
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
 
 import pytest
+
+from conftest import kernel_matrix
 
 import ekl.degree
 from ekl.degree import (
     CERTIFICATE_PRIME,
+    MAP_FAILURES,
     MapSpec,
     _checked_socle,
     _full_rank,
@@ -26,10 +36,9 @@ from ekl.degree import (
     degree_class,
     ekl_degree,
     homogeneous_weights,
-    linear_decompose,
     strip_solved,
 )
-from ekl.poly import partial_derivative
+from ekl.poly import Polynomial, mono_mul, partial_derivative
 from ekl.scalar import GF, QQ, PrimeFieldElement
 from test_graded import LADDER, LARGE, P, family_spec
 from test_strip import load_workloads
@@ -125,14 +134,158 @@ def field_gram_rows(qp, matrices, index, pivot):
     return rows
 
 
+def field_linear_decompose(f):
+    """Rows a_ij with f_i = sum_j a_ij * x_j, each monomial in the column of
+    its first variable, as Polynomials."""
+    n = len(f.ring)
+    fld = f.field
+    rows = []
+    for comp in f.components:
+        cols = [dict() for _ in range(n)]
+        for mono, coeff in comp.terms.items():
+            j = next(k for k, e in enumerate(mono) if e > 0)
+            reduced = mono[:j] + (mono[j] - 1,) + mono[j + 1 :]
+            cols[j][reduced] = cols[j].get(reduced, fld.zero) + coeff
+        rows.append([Polynomial(f.ring, fld, d) for d in cols])
+    return rows
+
+
+def field_jacobian(f):
+    """The Jacobian rows d f_i / d x_j as Polynomials."""
+    return [[partial_derivative(c, v) for v in f.ring] for c in f.components]
+
+
+def field_strip_solved(f):
+    """``strip_solved`` on Polynomials: substitute x_k = -h/c for the solved
+    component c*x_k + h with the fewest terms, while more than one variable
+    is left; f and 1 when a component would vanish."""
+    g, u, zero = f, f.field.one, f.field.zero
+    while len(g.ring) > 1:
+        n = len(g.ring)
+        pairs = [
+            (len(p.terms), i, k, p.terms[e])
+            for i, p in enumerate(g.components)
+            for k, e in enumerate(tuple(int(j == k) for j in range(n)) for k in range(n))
+            if e in p.terms and sum(1 for m in p.terms if m[k]) == 1
+        ]
+        if not pairs:
+            break
+        _, i, k, c = min(pairs)
+        ring = g.ring[:k] + g.ring[k + 1 :]
+        root = {m[:k] + m[k + 1 :]: -a / c for m, a in g.components[i].terms.items() if not m[k]}
+        powers = [None, Polynomial(ring, f.field, root)]  # powers[e] = (-h/c)^e
+        comps = []
+        for p in g.components[:i] + g.components[i + 1 :]:
+            terms: dict = {}
+            for m, a in p.terms.items():
+                rest = m[:k] + m[k + 1 :]
+                if not m[k]:  # free of x_k: copied
+                    terms[rest] = terms.get(rest, zero) + a
+                    continue
+                while len(powers) <= m[k]:
+                    powers.append(powers[-1] * powers[1])
+                for pm, pa in powers[m[k]].terms.items():
+                    key = mono_mul(rest, pm)
+                    terms[key] = terms.get(key, zero) + a * pa
+            comps.append(Polynomial(ring, f.field, terms))
+        if any(p.is_zero() for p in comps):
+            return f, f.field.one
+        u *= c if (i + k) % 2 == 0 else -c
+        g = MapSpec(ring, tuple(comps))
+    return g, u
+
+
+def field_times(p, q):
+    """The product of two polynomials in one variable, as lists of Polynomials."""
+    out = [Polynomial.zero(p[0].ring, p[0].field)] * (len(p) + len(q) - 1)
+    for a, x in enumerate(p):
+        for b, y in enumerate(q):
+            out[a + b] = out[a + b] + x * y
+    return out
+
+
+def field_components(spec):
+    """The components of ``quotmap.build_quotient`` for the spec's type,
+    blocks and ring, multiplied out on Polynomials."""
+    ring, field, blocks, label = spec.map.ring, spec.map.field, spec.blocks, spec.weyl_type
+    xs = [Polynomial.variable(v, ring, field) for v in ring]
+    one = Polynomial.constant(1, ring, field)
+    cuts = [0, *accumulate(blocks)]
+    series = [[one] + xs[i:j] for i, j in zip(cuts, cuts[1:])]
+    if label == "A":
+        factors = series
+    else:
+        factors = []
+        for a in series:
+            even = field_times(a, [-y if j % 2 else y for j, y in enumerate(a)])[::2]
+            factors.append([-c if j % 2 else c for j, c in enumerate(even)])
+        tail_coeffs = xs[cuts[-1] :]
+        if label == "D" and tail_coeffs:
+            tail_coeffs[-1] = tail_coeffs[-1] * tail_coeffs[-1]
+        factors.append([one] + tail_coeffs)
+    components = reduce(field_times, factors)[1 : len(ring) + 1]
+    if label == "D":
+        components[-1] = reduce(Polynomial.__mul__, [a[-1] for a in series] + xs[cuts[-1] :][-1:])
+    return components
+
+
 # ---------------------------------------------------------------------------
 # the kernels against the oracles
 
 
-def check_kernels(f: MapSpec) -> bool:
-    """Compare one map's kernels with the oracles; True when some matrix
-    entry over Q is not integral."""
+def is_kernel_value(c, fld) -> bool:
+    """A nonzero int residue over F_p; a nonzero int or Fraction over Q."""
+    if fld.characteristic:
+        return type(c) is int and 0 < c < fld.characteristic
+    return type(c) in (int, Fraction) and c != 0
+
+
+def is_field_polynomial(f: Polynomial) -> bool:
+    return all(type(c) is type(f.field.one) for c in f.terms.values())
+
+
+def recorded_dets(monkeypatch):
+    """(matrix, qp, element) of every ``ekl.degree.poly_det`` call."""
+    calls = []
+    real = ekl.degree.poly_det
+
+    def recording(matrix, qp):
+        element = real(matrix, qp)
+        calls.append((matrix, qp, element))
+        return element
+
+    monkeypatch.setattr(ekl.degree, "poly_det", recording)
+    return calls
+
+
+def check_determinants(f: MapSpec, calls, matrices=None):
+    """f's two recorded ``poly_det`` calls, E and then J: the split and the
+    Jacobian rows equal the oracles' and the coordinates their determinants."""
+    (_, qp, _), _ = calls
+    matrices = matrices or field_multiplication_matrices(qp)
+    for (rows, _, element), oracle in zip(calls, [field_linear_decompose(f), field_jacobian(f)]):
+        assert rows == kernel_matrix(oracle, qp)
+        assert all(is_kernel_value(c, f.field) for row in rows for entry in row for c in entry.values())
+        assert element.coordinates == field_poly_det(oracle, qp, matrices)
+
+
+def check_strip(f: MapSpec):
+    """``strip_solved`` against the oracle: the same ring, terms and unit,
+    in field values."""
+    g, u = strip_solved(f)
+    g0, u0 = field_strip_solved(f)
+    assert (g is f) == (g0 is f)
+    assert g.ring == g0.ring and [c.terms for c in g.components] == [c.terms for c in g0.components]
+    assert u == u0 and type(u) is type(u0)
+    assert all(is_field_polynomial(c) for c in g.components)
+    return g, u
+
+
+def check_kernels(f: MapSpec, calls) -> bool:
+    """Compare one map's kernels with the oracles, with ``calls`` recording
+    ``poly_det``; True when some matrix entry over Q is not integral."""
     fld = f.field
+    calls.clear()
     result = ekl_degree(f)
     qp = result.quotient
     matrices = field_multiplication_matrices(qp)
@@ -145,10 +298,8 @@ def check_kernels(f: MapSpec) -> bool:
         assert all(type(c) is int and 0 < c < fld.characteristic for c in entries)
         field_type = PrimeFieldElement
 
-    n = len(f.ring)
-    jacobian = [[partial_derivative(f.components[i], f.ring[j]) for j in range(n)] for i in range(n)]
-    assert result.socle.coordinates == field_poly_det(linear_decompose(f), qp, matrices)
-    assert result.jacobian.coordinates == field_poly_det(jacobian, qp, matrices)
+    check_determinants(f, calls, matrices)
+    assert [element for _, _, element in calls] == [result.socle, result.jacobian]
     values = [*result.socle.coordinates, *result.jacobian.coordinates]
     values += [c for row in result.gram for c in row]
     assert all(type(c) is field_type for c in values)
@@ -185,24 +336,78 @@ def recorded_forms(monkeypatch):
 )
 def test_family_kernels_equal_the_field_oracles(monkeypatch, args, field):
     f = family_spec(args, field).map
-    assert not check_kernels(f)  # the family matrices are integral over Q
+    calls = recorded_dets(monkeypatch)
+    assert not check_kernels(f, calls)  # the family matrices are integral over Q
+    g, _ = check_strip(f)
+    if g is not f:
+        calls.clear()
+        _checked_socle(g)
+        check_determinants(g, calls)
     forms = recorded_forms(monkeypatch)
     degree_class(f)
     field_type = Fraction if field == "q" else PrimeFieldElement
     assert forms and all(type(c) is field_type for form in forms for row in form.entries for c in row)
 
 
-@pytest.mark.parametrize("fld", [QQ, GF(P)], ids=["q", f"fp{P}"])
+#: B/C/D members over blocks of 2 and more, where A_i(t) A_i(-t) has more than two terms
+BLOCK_MEMBERS = [
+    ("--type", "B", "--rank", "3", "--blocks", "2"),
+    ("--type", "C", "--rank", "4", "--blocks", "3"),
+    ("--type", "D", "--rank", "6", "--blocks", "2,2"),
+    ("--type", "D", "--rank", "7", "--blocks", "5"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [(a, f) for f in ("q", f"fp:{P}") for a in LADDER + LARGE + BLOCK_MEMBERS],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_family_builders_and_strip_equal_the_field_oracles(args, field):
+    spec = family_spec(args, field)
+    assert spec.map.components == tuple(field_components(spec))
+    assert all(is_field_polynomial(c) for c in spec.map.components)
+    check_strip(spec.map)
+
+
+#: Scales for the components of the random maps: the ideal, the quotient
+#: and the zero set stay, and solved components get coefficients c != +-1
+#: whose -a/c is not integral.
+SCALES = (Fraction(2, 3), Fraction(-5, 4), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(P), GF(7)], ids=["q", f"fp{P}", "fp7"])
 def test_random_map_kernels_equal_the_field_oracles(monkeypatch, fld):
     maps = [MapSpec.from_json(m.to_json(), fld) for m in load_workloads().random_maps(1)]
-    mixed = sum(check_kernels(f) for f in maps)
+    maps += [MapSpec(f.ring, tuple(c.scale(a) for c, a in zip(f.components, SCALES))) for f in maps]
+    calls = recorded_dets(monkeypatch)
+    mixed = answered = units = fractional = 0
+    for f in maps:
+        g, u = check_strip(f)
+        units += u not in (fld.one, -fld.one)
+        fractional += any(c.denominator != 1 for p in g.components for c in p.terms.values()) if fld == QQ else 0
+        try:
+            mixed += check_kernels(f, calls)
+            if g is not f:
+                calls.clear()
+                _checked_socle(g)
+                check_determinants(g, calls)
+        except MAP_FAILURES:
+            assert fld == GF(7)  # the unit 7 of some maps vanishes there
+            continue
+        answered += 1
+    assert units > 0 and (fractional > 0 if fld == QQ else True)
+    assert answered > len(maps) // 2 if fld == GF(7) else answered == len(maps)
     # some basis tails over Q are not integral, so the mixed int/Fraction path runs
     assert mixed > 0 if fld == QQ else mixed == 0
     forms = recorded_forms(monkeypatch)
     for f in maps:
-        degree_class(f)
+        try:
+            degree_class(f)
+        except MAP_FAILURES:
+            assert fld == GF(7)
     field_type = Fraction if fld == QQ else PrimeFieldElement
-    assert all(type(c) is field_type for form in forms for row in form.entries for c in row)
+    assert forms and all(type(c) is field_type for form in forms for row in form.entries for c in row)
 
 
 # ---------------------------------------------------------------------------
