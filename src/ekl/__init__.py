@@ -46,11 +46,8 @@ from .poly import (
     MonomialOrder,
     ParseError,
     Polynomial,
-    elementary_symmetric,
     format_monomial,
     parse_poly,
-    partial_derivative,
-    substitute,
 )
 from .quotmap import (
     QuotientSpec,

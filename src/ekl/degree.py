@@ -21,10 +21,12 @@ x_k is nilpotent).  These kernels compute on int residues over F_p and on
 ints where the values are integral over Q (see ``localg``), and so does the
 front end that feeds the determinants: the substitution of
 ``strip_solved`` and the split and Jacobian rows are ``{monomial: kernel
-value}`` dicts.  Values become field elements again at the boundaries: the
-stripped map and its unit, the coordinates of E and J, the Gram entries and
-every GramForm.  No ``/`` touches a kernel value but the exact -a/c of
-``strip_solved`` over Q.
+value}`` dicts, and so is the Gram block handed to ``classify`` (a
+``GramForm`` of kernel values, with the 1/pivot of phi as its scale).
+Values become field elements again at the boundaries: the stripped map and
+its unit, the coordinates of E and J, the diagonal and ``EKLResult.gram``.
+No ``/`` touches a kernel value but the exact -a/c of ``strip_solved`` and
+the pivots D_{k+1}/(D_k L) of ``gw.diagonalize`` over Q.
 
 Callers that need only the class and dim Q use ``degree_class``.  It
 first strips solved components c*x_k + h (``strip_solved``): the change
@@ -301,9 +303,9 @@ def ekl_degree(
     functional_monomial = std[index]
     if not socle.coordinates[index]:
         raise ValueError("the functional monomial does not appear in the socle element")
-    gram = tuple(map(tuple, _split_form(qp, socle, index, [0] * qp.dimension)[1]))
-    gw_class = classify(GramForm.from_field_entries(gram, qp.field), qp.field)
-    return EKLResult(qp, gram, gw_class, socle, jac, functional_monomial)
+    form = _split_form(qp, socle, index, [0] * qp.dimension)[1]
+    gw_class = classify(form, qp.field)
+    return EKLResult(qp, form.field_entries(), gw_class, socle, jac, functional_monomial)
 
 
 def degree_class(f: MapSpec) -> tuple[int, GWClass]:
@@ -332,7 +334,7 @@ def _split_class(f: MapSpec) -> tuple[int, GWClass]:
     degree = [sum(w * e for w, e in zip(weights, b)) for b in std] if weights else [0] * len(std)
     index = _top_socle_index(socle)
     hyperbolic, block = _split_form(qp, socle, index, degree)
-    cls = classify(GramForm.from_field_entries(block, qp.field), qp.field)
+    cls = classify(block, qp.field)
     if hyperbolic:
         cls = gw_add(units_class(hyperbolic, hyperbolic, (), qp.field), cls)
     return qp.dimension, cls
@@ -461,8 +463,9 @@ def _split_form(qp: QuotientPresentation, socle: AlgebraElement, index: int, deg
     and ``_gram_rows`` builds r_b only there and only for deg b <= D/2.
     Each pairing Q_k x Q_{D-k} with k < D/2 must be perfect (``_full_rank``)
     and adds dim Q_k hyperbolic planes to h.  The middle block Q_{D/2}, the
-    whole Gram matrix under the zero degree, is left to ``classify``, which
-    refuses it if it is degenerate.
+    whole Gram matrix under the zero degree, is a ``GramForm`` of kernel
+    values: the rows of pivot * phi, scaled by 1/pivot.  It is left to
+    ``classify``, which refuses it if it is degenerate.
     """
     fld = qp.field
     top = degree[index]
@@ -483,11 +486,10 @@ def _split_form(qp: QuotientPresentation, socle: AlgebraElement, index: int, deg
                 raise DegenerateFormError(f"the pairing of degrees {d} and {top - d} is singular")
             hyperbolic += len(part)
     middle = slices.get(top // 2, []) if top % 2 == 0 else []
-    # the rows are of pivot * phi; the zeros share one fld.zero, which pays on a sparse block
-    inverse, zero = fld.one / socle.coordinates[index], fld.zero
+    inverse = fld.one / socle.coordinates[index]
     if fld.characteristic:
         inverse = inverse.residue
-    return hyperbolic, [[fld.from_int(inverse * a) if a else zero for a in rows[i]] for i in middle]
+    return hyperbolic, GramForm([rows[i] for i in middle], fld, inverse)
 
 
 #: Full rank modulo this prime certifies full rank over Q.

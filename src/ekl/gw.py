@@ -5,11 +5,18 @@ Hasse symbol at every place (Hasse-Minkowski), so Grothendieck-Witt
 equality reduces to comparing that invariant quadruple.  Over an odd
 prime field, rank and discriminant square class suffice.
 
-Forms are diagonalized by exact symmetric congruence: one Schur-complement
-update of the upper triangle, mirrored below it, per pivot, on kernel
-values (int residues over F_p; over Q ints and Fractions); field values
-appear only in ``GramForm`` and in the returned diagonal.  Over Q each
-distinct square class is factored once, for the places.  The Hasse symbol
+A ``GramForm`` holds kernel values (int residues over F_p; over Q ints
+and Fractions) and a scale, and field values appear only in the returned
+diagonal.  Forms are diagonalized by exact symmetric congruence, pivot by
+pivot in index order.  No step joins two connected components of the
+support graph of the entries, so the form is the orthogonal sum of its
+components, and each is eliminated alone: over F_p by Schur-complement
+updates of residues, over Q by Bareiss's fraction-free elimination of the
+component with its denominators cleared, whose pivots are the ratios
+D_{k+1}/D_k of leading minors.  The diagonal is the same, entry for
+entry, as that of one elimination of the whole form on field values.  Each
+entry is multiplied by the scale once at the end.  Over Q each distinct
+square class is factored once, for the places.  The Hasse symbol
 at v is the running product prod_{i<j} (a_i, a_j)_v = prod_j (d_j, a_j)_v
 over the prefixes d_j = a_1...a_{j-1}, kept squarefree by a*b/gcd(a,b)^2
 without factoring; the last prefix is the discriminant.  A run of m equal
@@ -23,6 +30,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .scalar import (
@@ -47,13 +55,27 @@ class DegenerateFormError(ValueError):
 
 @dataclass(frozen=True)
 class GramForm:
-    """A symmetric matrix over Q or F_p."""
+    """The symmetric form scale * entries over Q or F_p.
+
+    The entries and the scale are kernel values: ints and Fractions over
+    Q, int residues over F_p.
+    """
 
     entries: tuple[tuple, ...]
     field: object
+    scale: object = 1
+
+    def __post_init__(self) -> None:
+        entries = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "entries", entries)
+        if any(len(row) != len(entries) for row in entries):
+            raise ValueError("Gram matrix is not square")
+        if any(row != column for row, column in zip(entries, zip(*entries))):
+            raise ValueError("Gram matrix is not symmetric")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], field=None) -> "GramForm":
+        """A form read from numbers, rational strings or field values."""
         from .scalar import QQ
 
         field = field if field is not None else QQ
@@ -63,82 +85,136 @@ class GramForm:
             raise ValueError("Gram entries are numbers or rational strings, not booleans")
         # entries are read with Fraction() as over Q ("1/3", 0.5, 0.1 as 1/10), then reduced mod p
         rows = [[str(v) if isinstance(v, float) else v for v in row] for row in rows]
-        conv = (
-            (lambda v: Fraction(v))
-            if not isinstance(field, PrimeField)
-            else (lambda v: _element(v, field))
-        )
-        entries = tuple(tuple(conv(v) for v in row) for row in rows)
-        return cls.from_field_entries(entries, field)
-
-    @classmethod
-    def from_field_entries(cls, entries, field) -> "GramForm":
-        entries = tuple(tuple(row) for row in entries)
-        n = len(entries)
-        for row in entries:
-            if len(row) != n:
-                raise ValueError("Gram matrix is not square")
-        for i in range(n):
-            for j in range(i):
-                if entries[i][j] != entries[j][i]:
-                    raise ValueError("Gram matrix is not symmetric")
-        return cls(entries, field)
+        if isinstance(field, PrimeField):
+            return cls([[_element(v, field).residue for v in row] for row in rows], field)
+        return cls([[Fraction(v) for v in row] for row in rows], field)
 
     @property
     def dimension(self) -> int:
         return len(self.entries)
 
+    def field_entries(self) -> tuple[tuple, ...]:
+        """The entries of the form, scale included, as field values."""
+        fld, scale, zero = self.field, self.scale, self.field.zero
+        return tuple(tuple(fld.from_int(scale * a) if a else zero for a in row) for row in self.entries)
+
 
 def diagonalize(g: GramForm) -> list:
-    """Diagonal of a congruent diagonal matrix, by symmetric elimination:
-    m[i][t] -= (m[k][i] / m[k][k]) * m[k][t] for k < i <= t, over the
-    nonzero entries of row k, mirrored into m[t][i].  A zero diagonal pivot
-    with a nonzero off-diagonal partner is repaired by the basis change
-    b_k <- b_k +- b_partner.  Runs on kernel values: over F_p residues,
-    reduced in every Schur update; over Q ints where an entry of ``g`` is
-    integral, Fractions otherwise.  The diagonal returns as field values."""
-    n = g.dimension
-    p = g.field.characteristic
-    if p:
-        m = [[v.residue for v in row] for row in g.entries]
+    """Diagonal of a congruent diagonal form, in index order, as field
+    values: the pivots of symmetric elimination of ``g.entries`` in index
+    order, each times ``g.scale`` (scaling a form scales its pivots).
+
+    No step of the elimination joins two connected components of the
+    support graph of the entries, so each component is eliminated alone,
+    its indices in order.  A zero pivot with a nonzero partner is repaired
+    by b_k <- b_k +- b_partner (``_repair``).  Over F_p the elimination
+    runs on residues (``_residue_pivots``), over Q on ints by Bareiss's
+    fraction-free elimination (``_bareiss_pivots``)."""
+    p, m = g.field.characteristic, g.entries
+    diag: list = [None] * g.dimension
+    for part in _components(m):
+        block = [[m[i][j] for j in part] for i in part]
+        for i, d in zip(part, _residue_pivots(block, p) if p else _bareiss_pivots(block)):
+            diag[i] = d
+    return [g.field.from_int(d * g.scale) for d in diag]
+
+
+def _components(m) -> list[list[int]]:
+    """The connected components of the support graph of the symmetric
+    matrix m (i ~ j when m[i][j] != 0), each ascending, by a union-find
+    over the nonzero entries above the diagonal."""
+    n = len(m)
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, row in enumerate(m):
+        for j in compress(range(i + 1, n), row[i + 1 :]):
+            a, b = root(i), root(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    parts: dict[int, list[int]] = {}
+    for i in range(n):
+        parts.setdefault(root(i), []).append(i)
+    return list(parts.values())
+
+
+def _repair(m: list[list], k: int, p: int) -> None:
+    """b_k <- b_k + unit * b_partner for a zero pivot m[k][k], with the
+    partner the first j > k with m[k][j] != 0 and the unit 1 or -1, the
+    first that gives a nonzero pivot (char != 2 guarantees one does).  Only
+    rows and columns from k on are kept up to date."""
+    row, n = m[k], len(m)
+    partner = next((j for j in range(k + 1, n) if row[j]), None)
+    if partner is None:
+        raise DegenerateFormError("zero row in the remaining block")
+    other = m[partner]
+    for unit in (1, -1):
+        candidate = row[k] + other[partner] + 2 * row[partner] * unit
+        if candidate % p if p else candidate:
+            break
     else:
-        m = [[v.numerator if v.denominator == 1 else v for v in row] for row in g.entries]
+        raise DegenerateFormError("could not produce a nonzero pivot")
+    for t in range(k, n):
+        row[t] += other[t] * unit
+    for t in range(k, n):
+        m[t][k] += m[t][partner] * unit
+
+
+def _residue_pivots(m: list[list[int]], p: int) -> list[int]:
+    """Pivots of symmetric elimination of residues modulo p: m[i][t] -=
+    (m[k][i] / m[k][k]) * m[k][t] for k < i <= t, over the nonzero entries
+    of row k, mirrored into m[t][i] and reduced."""
+    n = len(m)
     diag = []
     for k in range(n):
-        if not m[k][k]:
-            partner = None
-            for j in range(k + 1, n):
-                if m[k][j]:
-                    partner = j
-                    break
-            if partner is None:
-                raise DegenerateFormError("zero row in the remaining block")
-            for unit in (1, -1):
-                candidate = m[k][k] + m[partner][partner] + 2 * m[k][partner] * unit
-                if candidate % p if p else candidate:
-                    break
-            # b_k <- b_k + unit * b_partner  (char != 2 guarantees one sign works);
-            # row and column k are read only by this step's reduced updates
-            for t in range(n):
-                m[k][t] += m[partner][t] * unit
-            for t in range(n):
-                m[t][k] += m[t][partner] * unit
-        pivot = m[k][k]
-        if not pivot:
-            raise DegenerateFormError("could not produce a nonzero pivot")
-        diag.append(pivot)
-        inverse = pow(pivot, -1, p) if p else 1 / Fraction(pivot)
         row = m[k]
+        if not row[k]:
+            _repair(m, k, p)
+        pivot = row[k]
+        diag.append(pivot)
+        inverse = pow(pivot, -1, p)
         support = [t for t in range(k + 1, n) if row[t]]
         for a, i in enumerate(support):
             factor = row[i] * inverse
             row_i = m[i]
             for t in support[a:]:
-                value = row_i[t] - factor * row[t]
-                if p:
-                    value %= p
-                row_i[t] = m[t][i] = value
-    return [g.field.from_int(d) for d in diag]
+                row_i[t] = m[t][i] = (row_i[t] - factor * row[t]) % p
+    return diag
+
+
+def _bareiss_pivots(m: list[list]) -> list[Fraction]:
+    """Pivots of symmetric elimination of a block of ints and Fractions,
+    by Bareiss's fraction-free elimination of L * m, for L the lcm of the
+    denominators.  After step k the remaining entries are D_{k+1} times
+    those of the Schur complement, D_k being the k-th leading minor of L * m,
+    so each update (D_{k+1} a - b c) / D_k divides exactly and the pivot is
+    D_{k+1} / (D_k L).  A repair is a unimodular congruence of the rows and
+    columns not yet eliminated, so it leaves D_1 ... D_k as they are."""
+    scale = math.lcm(*(a.denominator for row in m for a in row))
+    if scale > 1:
+        m = [[a.numerator * (scale // a.denominator) for a in row] for row in m]
+    n = len(m)
+    diag = []
+    previous = 1
+    for k in range(n):
+        row = m[k]
+        if not row[k]:
+            _repair(m, k, 0)
+        pivot = row[k]
+        diag.append(Fraction(pivot, previous * scale))
+        tail = row[k + 1 :]
+        for i in range(k + 1, n):
+            row_i, a = m[i], row[i]
+            if a:
+                row_i[k + 1 :] = [(pivot * x - a * y) // previous for x, y in zip(row_i[k + 1 :], tail)]
+            elif pivot != previous:
+                row_i[k + 1 :] = [pivot * x // previous for x in row_i[k + 1 :]]
+        previous = pivot
+    return diag
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,10 @@ stores its ring (an ordered tuple of variable names), its coefficient
 field, and a term map from exponent tuple to nonzero coefficient.  All
 operations are pure; polynomials are treated as immutable values.
 
-The module also provides the expression parser used by the CLI, builders
-for elementary symmetric polynomials, formal derivatives, and
-substitution.  The parser computes on kernel values, as ``localg`` does
-(int residues in [0, p) over F_p; over Q ints, and Fractions for rational
-literals), and makes each term's field value once.  ``_kernel_values``
+The module also provides the expression parser used by the CLI.  It
+computes on kernel values, as ``localg`` does (int residues in [0, p) over
+F_p; over Q ints, and Fractions for rational literals), and makes each
+term's field value once.  ``_kernel_values``
 and ``from_kernel`` convert between field values and kernel values, for
 this module and the others.  The same sparse term kernel
 (``_add_product``, ``_product``) serves the quotient-map builders and the
@@ -186,14 +185,6 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return order.max(self.terms)
-
-    def variables(self) -> tuple[str, ...]:
-        used = [False] * len(self.ring)
-        for mono in self.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.ring, used) if u)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -506,81 +497,3 @@ def is_identifier(name: str) -> bool:
         return [tok[:2] for tok in _tokenize(name)] == [("ident", name), ("end", "")]
     except ParseError:
         return False
-
-
-# ---------------------------------------------------------------------------
-# builders and calculus
-
-def elementary_symmetric(
-    k: int, variables: Sequence[str], ring: Sequence[str], field: Field = QQ
-) -> Polynomial:
-    """e_k of the chosen variables inside ``ring``; e_0 = 1."""
-    if k < 0 or k > len(variables):
-        raise ValueError(f"e_{k} undefined for {len(variables)} variables")
-    layers = [Polynomial.constant(1, ring, field)] + [
-        Polynomial.zero(ring, field) for _ in range(k)
-    ]
-    for name in variables:
-        v = Polynomial.variable(name, ring, field)
-        for j in range(min(k, len(layers) - 1), 0, -1):
-            layers[j] = layers[j] + layers[j - 1] * v
-    return layers[k]
-
-
-def partial_derivative(f: Polynomial, var: str) -> Polynomial:
-    if var not in f.ring:
-        raise ValueError(f"unknown variable {var!r}")
-    i = f.ring.index(var)
-    terms: dict[Monomial, object] = {}
-    for mono, coeff in f.terms.items():
-        e = mono[i]
-        if e == 0:
-            continue
-        new = mono[:i] + (e - 1,) + mono[i + 1 :]
-        c = coeff * _coerce(f.field, e)
-        if c:
-            terms[new] = terms.get(new, f.field.zero) + c
-            if not terms[new]:
-                del terms[new]
-    return _raw(f.ring, f.field, terms)
-
-
-def substitute(
-    f: Polynomial,
-    assignment: Mapping[str, Polynomial],
-    ring: Sequence[str] | None = None,
-) -> Polynomial:
-    """Full composition: replace each variable of f by its image, expanded.
-
-    Every variable occurring in f must have an image; all images must share
-    one target ring and f's field.
-    """
-    needed = f.variables()
-    for name in needed:
-        if name not in assignment:
-            raise ValueError(f"no assignment for variable {name!r}")
-    images = [assignment[name] for name in needed]
-    if images:
-        target_ring = images[0].ring
-        for img in images:
-            if img.ring != target_ring or img.field != f.field:
-                raise ValueError("assignment images must share one ring and field")
-    else:
-        target_ring = tuple(ring) if ring is not None else f.ring
-    idx = {name: f.ring.index(name) for name in needed}
-    powers: dict[str, list[Polynomial]] = {
-        name: [Polynomial.constant(1, target_ring, f.field)] for name in needed
-    }
-    result = Polynomial.zero(target_ring, f.field)
-    for mono, coeff in f.terms.items():
-        piece = Polynomial.constant(coeff, target_ring, f.field)
-        for name in needed:
-            e = mono[idx[name]]
-            if e == 0:
-                continue
-            cache = powers[name]
-            while len(cache) <= e:
-                cache.append(cache[-1] * assignment[name])
-            piece = piece * cache[e]
-        result = result + piece
-    return result

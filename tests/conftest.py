@@ -18,9 +18,10 @@ from __future__ import annotations
 import random
 
 from ekl.degree import MapSpec
-from ekl.poly import DEGREVLEX, Polynomial, _kernel_values, from_kernel, mono_mul, substitute
+from ekl.poly import DEGREVLEX, Polynomial, _kernel_values, from_kernel, mono_mul
 from ekl.scalar import QQ
 from groebner_oracle import mono_div, mono_divides
+from poly_oracle import substitute
 
 
 def compose_maps(f: MapSpec, g: MapSpec) -> MapSpec:

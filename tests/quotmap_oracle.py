@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ekl.degree import MapSpec
-from ekl.poly import Polynomial, elementary_symmetric, substitute
+from ekl.poly import Polynomial
 from ekl.quotmap import ExpectedShape
 from ekl.scalar import QQ
 from ekl.weyl import aP_formula_typeA
+from poly_oracle import elementary_symmetric, substitute
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from ekl.degree import (
     homogeneous_weights,
     strip_solved,
 )
-from ekl.gw import DegenerateFormError, GramForm, classify, gw_equal
+from ekl.gw import DegenerateFormError, classify, gw_equal
 from ekl.localg import coordinates, groebner, quotient_presentation
 from ekl.poly import parse_poly
 from ekl.scalar import GF, QQ
@@ -220,8 +220,7 @@ def split_and_classify(qp, socle, weights):
     """``_split_form`` of Q graded by ``weights``, then ``classify`` of its middle block."""
     degree = [sum(w * e for w, e in zip(weights, b)) for b in qp.standard_monomials]
     index = _top_socle_index(socle)
-    block = _split_form(qp, socle, index, degree)[1]
-    return classify(GramForm.from_field_entries(block, qp.field), qp.field)
+    return classify(_split_form(qp, socle, index, degree)[1], qp.field)
 
 
 def test_a_singular_pairing_is_degenerate():

@@ -47,7 +47,7 @@ def reference_diagonalize(g: GramForm) -> list:
     """Symmetric elimination with a full row pass and a full column pass
     per pivot."""
     n = g.dimension
-    m = [list(row) for row in g.entries]
+    m = [list(row) for row in g.field_entries()]
     zero = m[0][0] - m[0][0] if n else 0
     one = g.field.one
     diag = []
@@ -79,7 +79,8 @@ def reference_diagonalize(g: GramForm) -> list:
     return diag
 
 
-# ``diagonalize`` on field values, as it was before it ran on kernel values
+# ``diagonalize`` on field values, as it was before it ran on kernel values,
+# on the whole matrix at once
 def field_element_diagonalize(g: GramForm) -> list:
     """Diagonal of a congruent diagonal matrix, by symmetric elimination:
     m[i][t] -= (m[k][i] / m[k][k]) * m[k][t] for k < i <= t, over the
@@ -87,7 +88,7 @@ def field_element_diagonalize(g: GramForm) -> list:
     with a nonzero off-diagonal partner is repaired by the basis change
     b_k <- b_k +- b_partner."""
     n = g.dimension
-    m = [list(row) for row in g.entries]
+    m = [list(row) for row in g.field_entries()]
     zero, one = g.field.zero, g.field.one
     diag = []
     for k in range(n):
@@ -570,7 +571,7 @@ def random_rational_symmetric(rng: random.Random) -> GramForm:
     for i in range(len(m)):
         for j in range(i, len(m)):
             if m[i][j] and rng.random() < 0.5:
-                m[i][j] = m[j][i] = m[i][j] / rng.choice([2, 3, 7, 12])
+                m[i][j] = m[j][i] = Fraction(m[i][j], rng.choice([2, 3, 7, 12]))
     return GramForm.from_rows(m, QQ)
 
 
@@ -606,6 +607,87 @@ def test_diagonalize_matches_two_pass_oracle(kind):
     assert diagonalize(gram([[0, 1], [1, -2]]))[0] == -4
 
 
+#: Denominators prime to 7 and 32003, up to about 2^92
+DENOMINATORS = (1, 1, 2, 12, 10**9 + 7, (2**31 - 1) * (10**9 + 9), 2**61 - 1)
+
+
+def random_block(rng: random.Random, n: int) -> list:
+    """A symmetric block of rationals with large denominators, most diagonal
+    entries zero (so the repair runs) and about half the others."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < (0.3 if i == j else 0.6):
+                a = Fraction(rng.choice([1, -1, 2, -3, 5, 2**40 + 15]), rng.choice(DENOMINATORS))
+                m[i][j] = m[j][i] = a
+    return m
+
+
+def permuted_block_sum(rng: random.Random, blocks: list) -> list:
+    """The orthogonal sum of the blocks, its indices permuted at random."""
+    n = sum(len(b) for b in blocks)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[at + i][at : at + len(b)] = row
+        at += len(b)
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[m[i][j] for j in order] for i in order]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), F], ids=["Q", "F7", "F32003"])
+def test_diagonalize_by_components_matches_the_oracles(field):
+    """The component split and the elimination (Bareiss over Q) against both
+    oracles, which eliminate the whole matrix on field values: the same
+    diagonal in index order, or the same DegenerateFormError."""
+    rng = random.Random(26)
+    forms = []
+    for _ in range(150):
+        blocks = [random_block(rng, rng.randint(1, 6)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:  # a degenerate component
+            blocks.append(rng.choice([[[1, 1], [1, 1]], [[0, 0], [0, 0]], [[0]], [[0, 3, 0], [3, 0, 0], [0, 0, 0]]]))
+            rng.shuffle(blocks)
+        forms.append(GramForm.from_rows(permuted_block_sum(rng, blocks), field))
+    # a kernel block with a scale, as ``degree._split_form`` hands it over
+    scale = Fraction(-3, 10**9 + 7) if field is QQ else 5
+    rows = ([[0, 2, 0], [2, 0, 0], [0, 0, 3]], [[3, 0], [0, 0]], [[0, 4, 1], [4, 0, 0], [1, 0, 0]])
+    forms += [GramForm(r, field, scale) for r in rows]
+    degenerate = repaired = split = 0
+    for g in forms:
+        got = outcome(diagonalize, g)
+        assert got == outcome(field_element_diagonalize, g)
+        assert got == outcome(reference_diagonalize, g)
+        degenerate += isinstance(got, str)
+        repaired += any(not g.entries[i][i] for i in range(g.dimension))
+        split += len(ekl.gw._components(g.entries)) > 1
+        if not isinstance(got, str):
+            assert all(type(d) is (Fraction if field is QQ else PrimeFieldElement) for d in got)
+    assert degenerate >= 10 and repaired >= 100 and split >= 80
+
+
+def test_components_are_the_permuted_blocks():
+    rng = random.Random(5)
+    blocks = [[[Fraction(1), Fraction(1)], [Fraction(1), Fraction(0)]], [[Fraction(2)]], [[Fraction(0), Fraction(1, 3)], [Fraction(1, 3), Fraction(0)]]]
+    m = permuted_block_sum(rng, blocks)
+    parts = ekl.gw._components(m)
+    assert sorted(map(len, parts)) == [1, 2, 2]
+    assert sorted(i for part in parts for i in part) == list(range(5))
+    assert all(part == sorted(part) for part in parts)
+    # a path through the indices joins everything
+    path = [[1 if abs(i - j) == 1 else 0 for j in range(4)] for i in range(4)]
+    assert ekl.gw._components(path) == [[0, 1, 2, 3]]
+
+
+def test_bareiss_pivots_are_ratios_of_leading_minors():
+    # [[2/3, 1], [1, 5]]: L = 3, L * m = [[2, 3], [3, 15]], D_1 = 2, D_2 = 21,
+    # so the pivots are 2/3 and 21 / (2 * 3) = 7/2
+    assert ekl.gw._bareiss_pivots([[Fraction(2, 3), 1], [1, 5]]) == [Fraction(2, 3), Fraction(7, 2)]
+    # the repair b_0 <- b_0 + b_1 of [[0, 1], [1, 0]] gives [[2, 1], [1, 0]]
+    assert ekl.gw._bareiss_pivots([[0, 1], [1, 0]]) == [2, Fraction(-1, 2)]
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -621,7 +703,7 @@ def test_diagonalize_matches_two_pass_oracle(kind):
 )
 def test_ladder_gram_diagonal_matches_oracles(build):
     res = ekl_degree(build().map)
-    g = GramForm.from_field_entries(res.gram, res.quotient.field)
+    g = GramForm.from_rows(res.gram, res.quotient.field)
     diag = diagonalize(g)
     assert diag == reference_diagonalize(g)
     assert repr(res.gw_class) == repr(reference_classify_diagonal(diag, QQ))

@@ -11,9 +11,12 @@ products, ``strip_solved``'s substitution, the split rows of
 code on field elements throughout (``Fraction`` over Q, ``PrimeFieldElement``
 over F_p), as the library computed them before: the values must be equal
 (over F_p, the oracle's ``.residue`` values), and every value that leaves the
-kernels (``AlgebraElement`` coordinates, Gram entries, every ``GramForm``
-entry, the stripped map, its unit and the builders' components) must still
-be a ``Fraction`` over Q and a ``PrimeFieldElement`` over F_p.
+kernels (``AlgebraElement`` coordinates, ``EKLResult.gram``, the stripped
+map, its unit and the builders' components) must still be a ``Fraction``
+over Q and a ``PrimeFieldElement`` over F_p.  The Gram block that
+``ekl.degree`` hands to ``classify`` stays on kernel values: every
+``GramForm`` entry and scale is an int or a Fraction over Q and a residue
+over F_p.
 """
 
 from fractions import Fraction
@@ -23,6 +26,7 @@ from itertools import accumulate
 import pytest
 
 from conftest import kernel_matrix
+from poly_oracle import partial_derivative
 
 import ekl.degree
 from ekl.degree import (
@@ -38,7 +42,7 @@ from ekl.degree import (
     homogeneous_weights,
     strip_solved,
 )
-from ekl.poly import Polynomial, mono_mul, partial_derivative
+from ekl.poly import Polynomial, mono_mul
 from ekl.scalar import GF, QQ, PrimeFieldElement
 from test_graded import LADDER, LARGE, P, family_spec
 from test_strip import load_workloads
@@ -316,6 +320,16 @@ def check_kernels(f: MapSpec, calls) -> bool:
     return any(type(c) is Fraction for c in entries)
 
 
+def is_kernel_form(form) -> bool:
+    """Whether every entry and the scale of ``form`` is a kernel value: an
+    int or a Fraction over Q, an int residue over F_p."""
+    p = form.field.characteristic
+    values = [form.scale, *(c for row in form.entries for c in row)]
+    if p:
+        return all(type(c) is int and 0 <= c < p for c in values)
+    return all(type(c) in (int, Fraction) for c in values)
+
+
 def recorded_forms(monkeypatch):
     """The GramForms that ``ekl.degree`` classifies, recorded as they go by."""
     forms = []
@@ -345,8 +359,7 @@ def test_family_kernels_equal_the_field_oracles(monkeypatch, args, field):
         check_determinants(g, calls)
     forms = recorded_forms(monkeypatch)
     degree_class(f)
-    field_type = Fraction if field == "q" else PrimeFieldElement
-    assert forms and all(type(c) is field_type for form in forms for row in form.entries for c in row)
+    assert forms and all(is_kernel_form(form) for form in forms)
 
 
 #: B/C/D members over blocks of 2 and more, where A_i(t) A_i(-t) has more than two terms
@@ -406,8 +419,7 @@ def test_random_map_kernels_equal_the_field_oracles(monkeypatch, fld):
             degree_class(f)
         except MAP_FAILURES:
             assert fld == GF(7)
-    field_type = Fraction if fld == QQ else PrimeFieldElement
-    assert forms and all(type(c) is field_type for form in forms for row in form.entries for c in row)
+    assert forms and all(is_kernel_form(form) for form in forms)
 
 
 # ---------------------------------------------------------------------------

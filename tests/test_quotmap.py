@@ -5,16 +5,11 @@ import pytest
 
 import quotmap_oracle as oracle
 from conftest import reference_poly_det
+from poly_oracle import elementary_symmetric, partial_derivative, substitute
 
 from ekl.degree import ekl_degree
 from ekl.localg import groebner, quotient_presentation
-from ekl.poly import (
-    Polynomial,
-    elementary_symmetric,
-    parse_poly,
-    partial_derivative,
-    substitute,
-)
+from ekl.poly import Polynomial, parse_poly
 from ekl.quotmap import (
     ExpectedShape,
     build_D_full,

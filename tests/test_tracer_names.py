@@ -15,6 +15,7 @@ from pathlib import Path
 
 import ekl.cli
 import ekl.degree
+import ekl.gw
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -59,6 +60,18 @@ def test_degree_class_calls_the_traced_determinant_names(monkeypatch):
     assert g.ring == ("y",)
     assert ekl.degree.degree_class(f)[0] == 3
     assert calls == {"poly_det": 2, "socle_element": 1, "jacobian_element": 1}  # E and J of g
+
+
+def test_degree_class_calls_the_traced_class_names(monkeypatch):
+    # a bypass of these bindings would read as zero gw.invariants and gw.diagonalize time
+    calls: dict = {}
+    counted(monkeypatch, ekl.degree, "classify", calls)
+    counted(monkeypatch, ekl.gw, "diagonalize", calls)
+    f = ekl.degree.MapSpec.from_strings(("x", "y"), ["3*x + y^2", "y^3"])
+    # g = y^3 is graded with Q = <1, y, y^2> and D = 2: 1 pairs with y^2, and
+    # the middle block is the one of y
+    assert ekl.degree.degree_class(f)[0] == 3
+    assert calls == {"classify": 1, "diagonalize": 1}
 
 
 QUOTIENT_ARGV = {
