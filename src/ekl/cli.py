@@ -166,7 +166,7 @@ def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float) -> dict:
     return {
         "input": {
             "variables": list(spec.ring),
-            "components": [str(f) for f in spec.components],
+            "components": spec.component_texts(),
         },
         "dimension": str(qp.dimension),
         "standard_monomials": [

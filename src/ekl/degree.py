@@ -18,15 +18,17 @@ standard monomial b is the functional r_b = phi(b * -): r_1 = phi, and
 r_{x_k m} = r_m M_k, so every row is one vector-matrix product away from
 the row of a divisor of b.  The same matrices give the origin test (every
 x_k is nilpotent).  These kernels compute on int residues over F_p and on
-ints where the values are integral over Q (see ``localg``), and so does the
-front end that feeds the determinants: the substitution of
-``strip_solved`` and the split and Jacobian rows are ``{monomial: kernel
-value}`` dicts, and so is the Gram block handed to ``classify`` (a
-``GramForm`` of kernel values, with the 1/pivot of phi as its scale).
-Values become field elements again at the boundaries: the stripped map and
-its unit, the coordinates of E and J, the diagonal and ``EKLResult.gram``.
-No ``/`` touches a kernel value but the exact -a/c of ``strip_solved`` and
-the pivots D_{k+1}/(D_k L) of ``gw.diagonalize`` over Q.
+ints where the values are integral over Q (see ``localg``), and so does
+everything that feeds or reads them: a ``MapSpec`` holds one ``{monomial:
+kernel value}`` dict per component, from the parser or the quotient-map
+builders through ``strip_solved``, the split and Jacobian rows, the
+coordinates of E and J with their check J = dim * E, and the Gram block
+handed to ``classify`` (a ``GramForm`` of kernel values, with the 1/pivot
+of phi as its scale).  Field values are made only where a map is printed
+(``MapSpec.component_texts``), for ``EKLResult`` in ``ekl_degree`` and by
+``classify`` for the diagonal.  No ``/`` touches a kernel value but the
+exact -a/c of ``strip_solved``, 1/pivot over Q and the pivots
+D_{k+1}/(D_k L) of ``gw.diagonalize`` over Q.
 
 Callers that need only the class and dim Q use ``degree_class``.  It
 first strips solved components c*x_k + h (``strip_solved``): the change
@@ -77,11 +79,12 @@ from .localg import (
 )
 from .poly import (
     DEGREVLEX,
+    Field,
     MonomialOrder,
-    Polynomial,
     _add_product,
-    _kernel_values,
+    _canonical,
     _product,
+    format_poly,
     from_kernel,
     is_identifier,
     parse_poly,
@@ -110,13 +113,18 @@ MAP_FAILURES = (
 
 @dataclass(frozen=True)
 class MapSpec:
-    """An ordered list of polynomial components, one per ring variable.
+    """An ordered list of polynomial components over one field, one per ring
+    variable.
 
-    Every component must vanish at the origin.
+    Each component is a ``{monomial: kernel value}`` dict, treated as
+    immutable: int residues in [1, p) over F_p, and over Q nonzero ints where
+    integral and Fractions otherwise.  Every component must vanish at the
+    origin.
     """
 
     ring: tuple[str, ...]
-    components: tuple[Polynomial, ...]
+    field: Field
+    components: tuple[dict, ...]
 
     def __post_init__(self) -> None:
         if not self.ring:
@@ -128,20 +136,22 @@ class MapSpec:
                 raise ValueError(f"variable {name!r} is repeated")
         if len(self.components) != len(self.ring):
             raise ValueError("a map spec needs one component per variable")
+        n, p = len(self.ring), self.field.characteristic
         for f in self.components:
-            if f.ring != self.ring:
+            if any(len(m) != n for m in f):
                 raise ValueError("component ring mismatch")
-            if f.constant_term():
+            if (0,) * n in f:
                 raise ValueError("components must vanish at the origin")
-
-    @property
-    def field(self):
-        return self.components[0].field
+            if not all(
+                type(c) is int and 0 < c < p if p else type(c) in (int, Fraction) and c
+                for c in f.values()
+            ):
+                raise ValueError(f"component coefficients are not kernel values of {self.field!r}")
 
     @classmethod
     def from_strings(cls, ring: Sequence[str], texts: Sequence[str], field=QQ) -> "MapSpec":
         ring = tuple(ring)
-        return cls(ring, tuple(parse_poly(t, ring, field) for t in texts))
+        return cls(ring, field, tuple(parse_poly(t, ring, field) for t in texts))
 
     @classmethod
     def from_json(cls, text: str, field=QQ) -> "MapSpec":
@@ -160,8 +170,12 @@ class MapSpec:
         if comment is not None:
             data["comment"] = comment
         data["variables"] = list(self.ring)
-        data["components"] = [str(f) for f in self.components]
+        data["components"] = self.component_texts()
         return json.dumps(data, indent=2)
+
+    def component_texts(self) -> list[str]:
+        """The components as printed (``poly.format_poly``), in field values."""
+        return [format_poly(from_kernel(self.ring, self.field, f)) for f in self.components]
 
 
 @dataclass(frozen=True)
@@ -187,34 +201,36 @@ def linear_decompose(f: MapSpec) -> list[list[dict]]:
     det(a_ij) mod the ideal does not depend on the splitting; this rule
     just makes runs reproducible.
     """
-    n, p = len(f.ring), f.field.characteristic
+    n = len(f.ring)
     rows: list[list[dict]] = []
     for comp in f.components:
-        if comp.constant_term():
+        if (0,) * n in comp:
             raise ValueError("component has a nonzero constant term")
         cols: list[dict] = [{} for _ in range(n)]
-        for m, c in _kernel_values(comp.terms, p).items():
+        for m, c in comp.items():
             j = next(k for k, e in enumerate(m) if e)
             cols[j][m[:j] + (m[j] - 1,) + m[j + 1 :]] = c
         rows.append(cols)
     return rows
 
 
-def socle_element(f: MapSpec, qp: QuotientPresentation) -> AlgebraElement:
-    """det(a_ij) in the quotient; nonzero whenever the zero is isolated."""
+def socle_element(f: MapSpec, qp: QuotientPresentation) -> tuple:
+    """The coordinates of det(a_ij) in the quotient, as kernel values;
+    nonzero whenever the zero is isolated."""
     element = poly_det(linear_decompose(f), qp)
-    if element.is_zero():
+    if not any(element):
         raise ZeroSocleError("the distinguished socle element vanished")
     return element
 
 
-def jacobian_element(f: MapSpec, qp: QuotientPresentation) -> AlgebraElement:
-    """The Jacobian determinant det(d f_i / d x_j) in the quotient."""
+def jacobian_element(f: MapSpec, qp: QuotientPresentation) -> tuple:
+    """The coordinates of the Jacobian determinant det(d f_i / d x_j) in the
+    quotient, as kernel values."""
     n, p = len(f.ring), f.field.characteristic
     rows: list[list[dict]] = []
     for comp in f.components:
         row: list[dict] = [{} for _ in range(n)]
-        for m, c in _kernel_values(comp.terms, p).items():
+        for m, c in comp.items():
             for j, e in enumerate(m):
                 if e and (d := c * e % p if p else c * e):
                     row[j][m[:j] + (e - 1,) + m[j + 1 :]] = d
@@ -235,7 +251,7 @@ def strip_solved(f: MapSpec) -> tuple[MapSpec, object]:
     """
     fld = f.field
     p = fld.characteristic
-    ring, comps, u = f.ring, [_kernel_values(c.terms, p) for c in f.components], 1
+    ring, comps, u = f.ring, list(f.components), 1
     while len(ring) > 1:
         pairs = [  # c*x_k is a term of f_i, and no other term holds x_k
             (len(terms), i, m.index(1), c)
@@ -252,7 +268,7 @@ def strip_solved(f: MapSpec) -> tuple[MapSpec, object]:
             scale = p - pow(c, -1, p)
             root = {m: a * scale % p for m, a in h.items()}
         else:
-            root = _kernel_values({m: Fraction(-a, c) for m, a in h.items()}, 0)
+            root = _canonical({m: Fraction(-a, c) for m, a in h.items()})
         powers = [{(0,) * len(ring): 1}, root]  # powers[e] = (-h/c)^e
         rest = []
         for terms in comps[:i] + comps[i + 1 :]:
@@ -267,7 +283,7 @@ def strip_solved(f: MapSpec) -> tuple[MapSpec, object]:
         u, comps = u * (c if (i + k) % 2 == 0 else p - c), rest  # from_int reduces u over F_p
     if ring == f.ring:
         return f, fld.one
-    return MapSpec(ring, tuple(from_kernel(ring, fld, terms) for terms in comps)), fld.from_int(u)
+    return MapSpec(ring, fld, tuple(comps if p else map(_canonical, comps))), fld.from_int(u)
 
 
 def prepare_quotient(
@@ -276,7 +292,7 @@ def prepare_quotient(
     """Groebner basis and presentation of K[x]/(f_1, ..., f_n), with the
     supported-at-origin check that justifies using the global quotient for
     the local algebra."""
-    gb = groebner(f.components, order or DEGREVLEX)
+    gb = groebner(f.components, f.ring, f.field, order or DEGREVLEX)
     qp = quotient_presentation(gb)
     if not origin_supported(qp):
         raise NotSupportedAtOriginError(
@@ -301,10 +317,11 @@ def ekl_degree(
     std = qp.standard_monomials
     index = _top_socle_index(socle) if functional_monomial is None else std.index(functional_monomial)
     functional_monomial = std[index]
-    if not socle.coordinates[index]:
+    if not socle[index]:
         raise ValueError("the functional monomial does not appear in the socle element")
     form = _split_form(qp, socle, index, [0] * qp.dimension)[1]
     gw_class = classify(form, qp.field)
+    socle, jac = (AlgebraElement(tuple(map(qp.field.from_int, e)), qp) for e in (socle, jac))
     return EKLResult(qp, form.field_entries(), gw_class, socle, jac, functional_monomial)
 
 
@@ -354,7 +371,7 @@ def homogeneous_weights(f: MapSpec) -> tuple[int, ...] | None:
     n = len(f.ring)
     rows: dict[int, list[int]] = {}  # pivot column -> row, 0 in the other pivots
     for comp in f.components:
-        terms = list(comp.terms)
+        terms = list(comp)
         for m in terms[1:]:
             v = [a - b for a, b in zip(m, terms[0])]
             for c, row in rows.items():
@@ -380,7 +397,7 @@ def homogeneous_weights(f: MapSpec) -> tuple[int, ...] | None:
     divisor = math.gcd(*ints)
     weights = tuple(a // divisor for a in ints)
     for comp in f.components:
-        if len({sum(a * e for a, e in zip(weights, m)) for m in comp.terms}) > 1:
+        if len({sum(a * e for a, e in zip(weights, m)) for m in comp}) > 1:
             raise ArithmeticError("the weights leave a component inhomogeneous")
     return weights
 
@@ -395,27 +412,28 @@ def _clear(v: list[int], row: list[int], c: int) -> list[int]:
 
 def _checked_socle(
     f: MapSpec, order: MonomialOrder | None = None
-) -> tuple[QuotientPresentation, AlgebraElement, AlgebraElement]:
-    """The presentation of Q, E and J, with J = dim * E asserted."""
+) -> tuple[QuotientPresentation, tuple, tuple]:
+    """The presentation of Q and the kernel coordinates of E and J, with
+    J = dim * E asserted."""
     _, qp = prepare_quotient(f, order)
     socle = socle_element(f, qp)
     jac = jacobian_element(f, qp)
-    _assert_jacobian_relation(f, qp, socle, jac)
+    _assert_jacobian_relation(qp, socle, jac)
     return qp, socle, jac
 
 
-def _top_socle_index(socle: AlgebraElement) -> int:
+def _top_socle_index(socle: tuple) -> int:
     """The index of the order-maximal standard monomial with a nonzero socle
     coordinate: the last nonzero one, as the standard monomials ascend."""
-    return max(i for i, c in enumerate(socle.coordinates) if c)
+    return max(i for i, c in enumerate(socle) if c)
 
 
-def _assert_jacobian_relation(f, qp, socle, jac) -> None:
-    fld = qp.field
-    char = fld.characteristic
-    if char and qp.dimension % char == 0:
+def _assert_jacobian_relation(qp: QuotientPresentation, socle: tuple, jac: tuple) -> None:
+    """J = dim * E on kernel coordinates, residues over F_p."""
+    p, dim = qp.field.characteristic, qp.dimension
+    if p and dim % p == 0:
         return  # the relation J = dim * E carries no information here
-    if socle.scaled(fld.from_int(qp.dimension)).coordinates != jac.coordinates:
+    if tuple(dim * e % p if p else dim * e for e in socle) != jac:
         raise ArithmeticError("Jacobian element differs from dimension * socle element")
 
 
@@ -455,9 +473,10 @@ def _gram_rows(qp: QuotientPresentation, index: int, degree, slices: dict) -> li
     return rows
 
 
-def _split_form(qp: QuotientPresentation, socle: AlgebraElement, index: int, degree) -> tuple:
+def _split_form(qp: QuotientPresentation, socle: tuple, index: int, degree) -> tuple:
     """(h, middle block) of beta_phi on Q graded by ``degree`` (one integer
-    per standard monomial), for phi dual to the coordinate ``index``.
+    per standard monomial), for phi dual to the coordinate ``index`` of the
+    socle element's kernel coordinates ``socle``.
 
     E and phi live in one degree D, so b pairs only with degree D - deg b,
     and ``_gram_rows`` builds r_b only there and only for deg b <= D/2.
@@ -469,7 +488,7 @@ def _split_form(qp: QuotientPresentation, socle: AlgebraElement, index: int, deg
     """
     fld = qp.field
     top = degree[index]
-    if any(c and d != top for c, d in zip(socle.coordinates, degree)):
+    if any(c and d != top for c, d in zip(socle, degree)):
         raise ArithmeticError("the socle element is not homogeneous")
     slices: dict[int, list[int]] = {}
     for i, d in enumerate(degree):
@@ -486,9 +505,8 @@ def _split_form(qp: QuotientPresentation, socle: AlgebraElement, index: int, deg
                 raise DegenerateFormError(f"the pairing of degrees {d} and {top - d} is singular")
             hyperbolic += len(part)
     middle = slices.get(top // 2, []) if top % 2 == 0 else []
-    inverse = fld.one / socle.coordinates[index]
-    if fld.characteristic:
-        inverse = inverse.residue
+    p, pivot = fld.characteristic, socle[index]
+    inverse = pow(pivot, -1, p) if p else Fraction(1, pivot)
     return hyperbolic, GramForm([rows[i] for i in middle], fld, inverse)
 
 

@@ -13,8 +13,11 @@ through these matrices and need no normal forms either.  The reducer and
 these kernels compute on kernel values: int residues in [0, p) over F_p,
 reduced wherever a sum is formed, and over Q ints where the values are
 integral and Fractions otherwise (exact, as the kernels never divide).
-``poly._kernel_values`` converts field values into them, ``field.from_int``
-back.
+``groebner`` takes its generators as ``{monomial: kernel value}`` dicts,
+and ``poly_det`` returns the coordinates of a determinant as kernel values.
+Field values are made only for the published generators, for
+``normal_form`` and ``coordinates``, which take and give ``Polynomial``s,
+and by ``degree.ekl_degree`` for the elements it reports.
 
 Inside the kernels a monomial is one int (``_Packing``, the packed
 exponent vectors of Bachmann and Schoenemann): a field of W bits per
@@ -45,7 +48,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, _kernel_values
+from .poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, _canonical, _kernel_values
 
 
 class UnitIdealError(ValueError):
@@ -141,8 +144,8 @@ def _widening(order: MonomialOrder, n: int, top: int, run) -> tuple:
             pk = _Packing(order, n, 2 * pk.width)
 
 
-def _top_exponent(polys) -> int:
-    return max((max(m, default=0) for f in polys for m in f.terms), default=0)
+def _top_exponent(dicts) -> int:
+    return max((max(m, default=0) for d in dicts for m in d), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,7 @@ class _MonicReducer:
             if lc != 1:
                 inv = 1 / Fraction(lc)
                 d = {m: c * inv for m, c in d.items()}
-            return _kernel_values(d, 0)
+            return _canonical(d)
         if lc == 1:
             return d
         inv = pow(lc, p - 2, p)
@@ -254,30 +257,31 @@ class GroebnerBasis:
         return f"<groebner [{gens}]>"
 
 
-def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal spanned by ``gens``.
+def groebner(
+    gens: Sequence[dict], ring: Sequence[str], field, order: MonomialOrder | None = None
+) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal spanned by ``gens``, which are
+    ``{monomial: kernel value}`` dicts over ``ring`` and ``field``.
 
     Deterministic for a fixed input and order.  The zero ideal has the
     empty basis.  Raises UnitIdealError when the ideal is the whole ring.
     """
-    gens = [g for g in gens if g is not None]
     if not gens:
         raise ValueError("empty generator list")
-    ring, fld = gens[0].ring, gens[0].field
-    for g in gens:
-        if g.ring != ring or g.field != fld:
-            raise ValueError("generators from different rings")
+    ring = tuple(ring)
+    if any(len(m) != len(ring) for g in gens for m in g):
+        raise ValueError("monomial length does not match ring")
     if order is None:
         order = DEGREVLEX
-    p = fld.characteristic
+    p = field.characteristic
     final, pk = _widening(order, len(ring), _top_exponent(gens), lambda pk: _buchberger(gens, pk, p))
     basis = tuple(
-        Polynomial(ring, fld, {pk.unpack(m): fld.from_int(c) for m, c in d.items()}) for d in final
+        Polynomial(ring, field, {pk.unpack(m): field.from_int(c) for m, c in d.items()}) for d in final
     )
-    return GroebnerBasis(basis, order, ring, fld, (pk, {max(d): d for d in final}))
+    return GroebnerBasis(basis, order, ring, field, (pk, {max(d): d for d in final}))
 
 
-def _buchberger(gens: Sequence[Polynomial], pk: _Packing, p: int) -> list[dict]:
+def _buchberger(gens: Sequence[dict], pk: _Packing, p: int) -> list[dict]:
     """The reduced monic basis as packed dicts, by decreasing leading monomial."""
     arith = _MonicReducer(pk, p)
     guard = pk.guard
@@ -285,7 +289,7 @@ def _buchberger(gens: Sequence[Polynomial], pk: _Packing, p: int) -> list[dict]:
     def remainder(d: dict, basis) -> dict:
         return arith.normalize(arith.reduce(d, basis))
 
-    seeds = [arith.normalize(d) for d in _packed_terms(gens, pk, p) if d]
+    seeds = [arith.normalize(d) for d in _packed_terms(gens, pk) if d]
     seeds.sort(key=lambda d: (max(d), sorted(d.items())))
 
     entries: list[tuple] = []  # (lm + offset, lm, bound, tail), see _Packing.entry
@@ -369,19 +373,19 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if p.ring != gb.ring or p.field != gb.field:
         raise ValueError("polynomial does not match the basis ring")
     fld, char = gb.field, gb.field.characteristic
+    work, basis = _kernel_values(p.terms, char), [_kernel_values(g.terms, char) for g in gb.generators]
 
     def run(pk: _Packing) -> dict:
-        entries = [pk.entry(d) for d in _packed_terms(gb.generators, pk, char)]
-        work = {pk.pack(m): c for m, c in _kernel_values(p.terms, char).items()}
-        return _MonicReducer(pk, char).reduce(work, entries)
+        entries = [pk.entry(d) for d in _packed_terms(basis, pk)]
+        return _MonicReducer(pk, char).reduce(*_packed_terms([work], pk), entries)
 
-    remainder, pk = _widening(gb.order, len(gb.ring), _top_exponent([p, *gb.generators]), run)
+    remainder, pk = _widening(gb.order, len(gb.ring), _top_exponent([work, *basis]), run)
     return Polynomial(gb.ring, fld, {pk.unpack(m): fld.from_int(c) for m, c in remainder.items()})
 
 
-def _packed_terms(polys: Sequence[Polynomial], pk: _Packing, p: int) -> list[dict]:
-    """Each polynomial as ``{packed monomial: kernel value}``."""
-    return [{pk.pack(m): c for m, c in _kernel_values(f.terms, p).items()} for f in polys]
+def _packed_terms(dicts: Sequence[dict], pk: _Packing) -> list[dict]:
+    """Each ``{monomial: kernel value}`` dict as ``{packed monomial: kernel value}``."""
+    return [{pk.pack(m): c for m, c in d.items()} for d in dicts]
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +427,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not any(self.coordinates)
-
-    def scaled(self, factor) -> "AlgebraElement":
-        return AlgebraElement(tuple(c * factor for c in self.coordinates), self.presentation)
 
     def to_polynomial(self) -> Polynomial:
         qp = self.presentation
@@ -530,7 +531,7 @@ def _matrices(pk: _Packing, std: Sequence[int], lead: dict, p: int) -> tuple[tup
             for i, c in columns[m - u].items():
                 _add_multiple(column, c, columns[products[j][i]], p)
             if not p:
-                column = _kernel_values(column, 0)
+                column = _canonical(column)
         columns[m] = column
     return tuple(tuple(columns[m] for m in row) for row in products)
 
@@ -580,8 +581,9 @@ def origin_supported(qp: QuotientPresentation) -> bool:
     )
 
 
-def poly_det(matrix: Sequence[Sequence[dict]], qp: QuotientPresentation) -> AlgebraElement:
-    """The determinant of a square polynomial matrix, as an element of the quotient.
+def poly_det(matrix: Sequence[Sequence[dict]], qp: QuotientPresentation) -> tuple:
+    """The determinant of a square polynomial matrix in the quotient, as its
+    coordinates over the standard monomials, in kernel values.
 
     The entries are ``{monomial: kernel value}`` dicts over the ring and
     field of ``qp``.  Expansion in minors over column subsets, from the last
@@ -598,8 +600,7 @@ def poly_det(matrix: Sequence[Sequence[dict]], qp: QuotientPresentation) -> Alge
         raise ValueError("empty matrix")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    fld = qp.field
-    p = fld.characteristic
+    p = qp.field.characteristic
     minors = {0: {0: 1}}  # the standard monomial 1 comes first
     for k in range(n - 1, -1, -1):
         wider: dict[int, dict] = {}
@@ -615,4 +616,4 @@ def poly_det(matrix: Sequence[Sequence[dict]], qp: QuotientPresentation) -> Alge
                     _add_multiple(target, c if sign == 1 else -c, shifted, p)
         minors = {cols: vector for cols, vector in wider.items() if vector}
     det = minors.get((1 << n) - 1, {})
-    return AlgebraElement(tuple(fld.from_int(det.get(i, 0)) for i in range(qp.dimension)), qp)
+    return tuple(det.get(i, 0) for i in range(qp.dimension))

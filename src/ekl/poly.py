@@ -1,20 +1,19 @@
 """Sparse multivariate polynomials over a pluggable exact field.
 
-Monomials are exponent tuples (one slot per ring variable).  A polynomial
-stores its ring (an ordered tuple of variable names), its coefficient
-field, and a term map from exponent tuple to nonzero coefficient.  All
-operations are pure; polynomials are treated as immutable values.
-
-The module also provides the expression parser used by the CLI.  It
-computes on kernel values, as ``localg`` does (int residues in [0, p) over
-F_p; over Q ints, and Fractions for rational literals), and makes each
-term's field value once.  ``_kernel_values``
-and ``from_kernel`` convert between field values and kernel values, for
-this module and the others.  The same sparse term kernel
-(``_add_product``, ``_product``) serves the quotient-map builders and the
-solved-coordinate substitution of ``degree.strip_solved``.  Determinants of
-polynomial matrices are taken in the quotient algebra
+Monomials are exponent tuples (one slot per ring variable).  Inside the
+library a polynomial is a ``{monomial: kernel value}`` dict over a ring and
+field held beside it: int residues in [1, p) over F_p; over Q ints where
+integral and Fractions otherwise (see ``localg``).  The expression parser
+(``parse_poly``) returns such a dict, and the same sparse term kernel
+(``_add_product``, ``_product``) serves the parser, the quotient-map
+builders and the solved-coordinate substitution of ``degree.strip_solved``.
+Determinants of polynomial matrices are taken in the quotient algebra
 (``localg.poly_det``), on kernel values too.
+
+``Polynomial`` is the boundary record with field values: a ring, a field
+and a term map.  It is made where a polynomial is printed (``from_kernel``
+then ``format_poly``) and for the published Groebner generators and normal
+forms; ``_kernel_values`` reads one back into kernel values.
 """
 
 from __future__ import annotations
@@ -77,7 +76,8 @@ LEX = MonomialOrder("lex")
 
 
 class Polynomial:
-    """An exact multivariate polynomial over ``field`` in ``ring`` variables."""
+    """A polynomial over ``field`` in ``ring`` variables, with field values:
+    the record that is printed and published, with no arithmetic."""
 
     __slots__ = ("ring", "field", "terms")
 
@@ -93,93 +93,10 @@ class Polynomial:
                 clean[mono] = coeff
         self.terms = clean
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring: Sequence[str], field: Field = QQ) -> "Polynomial":
-        return cls(ring, field, {})
-
-    @classmethod
-    def constant(cls, value, ring: Sequence[str], field: Field = QQ) -> "Polynomial":
-        c = value if not isinstance(value, (int, Fraction)) else _coerce(field, value)
-        return cls(ring, field, {(0,) * len(ring): c})
-
-    @classmethod
-    def variable(cls, name: str, ring: Sequence[str], field: Field = QQ) -> "Polynomial":
-        ring = tuple(ring)
-        if name not in ring:
-            raise ValueError(f"unknown variable {name!r}")
-        mono = tuple(1 if v == name else 0 for v in ring)
-        return cls(ring, field, {mono: field.one})
-
-    # -- ring operations ----------------------------------------------------
-
-    def _check(self, other: "Polynomial") -> None:
-        if self.ring != other.ring or self.field != other.field:
-            raise ValueError("polynomials from different rings")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            if mono in terms:
-                s = terms[mono] + coeff
-                if s:
-                    terms[mono] = s
-                else:
-                    del terms[mono]
-            else:
-                terms[mono] = coeff
-        return _raw(self.ring, self.field, terms)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return _raw(self.ring, self.field, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        terms: dict[Monomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                if m in terms:
-                    s = terms[m] + c
-                    if s:
-                        terms[m] = s
-                    else:
-                        del terms[m]
-                else:
-                    terms[m] = c
-        return _raw(self.ring, self.field, terms)
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.constant(1, self.ring, self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def scale(self, value) -> "Polynomial":
-        c0 = _coerce(self.field, value)
-        if not c0:
-            return Polynomial.zero(self.ring, self.field)
-        return _raw(self.ring, self.field, {m: c * c0 for m, c in self.terms.items()})
-
     # -- inspection ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_term(self):
-        return self.terms.get((0,) * len(self.ring), self.field.zero)
 
     def leading_monomial(self, order: MonomialOrder = DEGREVLEX) -> Monomial:
         if not self.terms:
@@ -204,24 +121,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<poly {format_poly(self)}>"
-
-
-def _raw(ring, field, terms) -> Polynomial:
-    p = Polynomial.__new__(Polynomial)
-    p.ring = ring
-    p.field = field
-    p.terms = terms
-    return p
-
-
-def _coerce(field: Field, value):
-    if isinstance(value, int):
-        return field.from_int(value)
-    if isinstance(value, Fraction):
-        if field.characteristic == 0:
-            return value
-        return field.from_int(value.numerator) / field.from_int(value.denominator)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +259,12 @@ class _Parser:
             raise ParseError(f"expected {op!r}", position)
         return self.advance()
 
-    def parse(self) -> Polynomial:
+    def parse(self) -> dict:
         result = self.expr()
         kind, value, position = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", position)
-        return from_kernel(self.ring, self.field, result)
+        return result if self.p else _canonical(result)
 
     def expr(self) -> dict:
         result = self.term()
@@ -471,22 +370,29 @@ def _product(a: dict, b: dict, p: int) -> dict:
     return out
 
 
+def _canonical(values: dict) -> dict:
+    """Rational values of a dict as kernel values over Q: ints where
+    integral, Fractions otherwise."""
+    return {k: c.numerator if c.denominator == 1 else c for k, c in values.items()}
+
+
 def _kernel_values(values: dict, p: int) -> dict:
     """The field values of a dict as kernel values: residues over F_p, and
     over Q (``p == 0``) ints where integral and Fractions otherwise."""
     if p:
         return {k: c.residue for k, c in values.items()}
-    return {k: c.numerator if c.denominator == 1 else c for k, c in values.items()}
+    return _canonical(values)
 
 
 def from_kernel(ring: Sequence[str], field: Field, terms: dict) -> Polynomial:
     """The polynomial of a ``{monomial: kernel value}`` dict without zeros."""
     from_int = field.from_int
-    return _raw(tuple(ring), field, {m: from_int(c) for m, c in terms.items()})
+    return Polynomial(ring, field, {m: from_int(c) for m, c in terms.items()})
 
 
-def parse_poly(text: str, ring: Sequence[str], field: Field = QQ) -> Polynomial:
-    """Parse an expression over the given ring; raises ParseError with a position."""
+def parse_poly(text: str, ring: Sequence[str], field: Field = QQ) -> dict:
+    """Parse an expression over the given ring into a ``{monomial: kernel
+    value}`` dict; raises ParseError with a position."""
     return _Parser(text, ring, field).parse()
 
 

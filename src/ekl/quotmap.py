@@ -18,8 +18,8 @@ writes the target's basic invariants in the source's:
     coefficient, and last x_1 ... x_n = prod_i y_{i,k_i} q.
 
 The series are multiplied out on ``{monomial: kernel value}`` dicts (int
-residues over F_p, ints over Q, as in ``localg``), and each component
-becomes a Polynomial once, at the end.
+residues over F_p, ints over Q, as in ``localg``), and the components are
+the ``MapSpec``'s dicts as they come out.
 
 Component i is weighted-homogeneous of degree ``target_degrees[i]`` when the
 variables weigh ``source_degrees``, so the covering degree |W/W_P| is the
@@ -38,7 +38,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .degree import MapSpec
-from .poly import _add_product, _product, from_kernel
+from .poly import _add_product, _product
 from .scalar import QQ
 from .weyl import block_parabolic, build_root_system, compute_aP, parabolic_order_formula
 
@@ -141,7 +141,7 @@ def build_quotient(
     return QuotientSpec(
         family,
         blocks if parameters is None else tuple(parameters),
-        MapSpec(ring, tuple(from_kernel(ring, field, c) for c in components)),
+        MapSpec(ring, field, tuple(components)),
         tuple(j for b in blocks for j in range(1, b + 1)) + tuple(tail_degrees),
         tuple(target_degrees),
         type_label,

@@ -1,4 +1,12 @@
-"""Shared builders for randomized map tests, and the determinant oracle.
+"""Shared builders for randomized map tests, the determinant oracle and the
+Polynomial helpers.
+
+A ``MapSpec`` holds ``{monomial: kernel value}`` dicts, and ``parse_poly``
+returns one.  Tests that want a Polynomial go through ``polynomial``, which
+wraps such a dict in ``from_kernel`` as a ``poly_oracle.Poly``: ``poly``
+parses text, ``components`` reads a map and ``in_quotient`` reads the
+coordinates of a determinant.  ``kernel`` goes back, and
+``map_spec`` makes a MapSpec from Polynomials over one ring and one field.
 
 The degree pipeline only accepts maps whose whole zero set is the origin,
 so random instances are built from families where that is guaranteed:
@@ -18,19 +26,55 @@ from __future__ import annotations
 import random
 
 from ekl.degree import MapSpec
-from ekl.poly import DEGREVLEX, Polynomial, _kernel_values, from_kernel, mono_mul
+from ekl.poly import DEGREVLEX, Polynomial, _kernel_values, from_kernel, mono_mul, parse_poly
 from ekl.scalar import QQ
 from groebner_oracle import mono_div, mono_divides
-from poly_oracle import substitute
+from poly_oracle import Poly, substitute
+
+
+def polynomial(ring, field, terms: dict) -> Poly:
+    """The Polynomial of a ``{monomial: kernel value}`` dict."""
+    return Poly.of(from_kernel(ring, field, terms))
+
+
+def poly(text: str, ring, field=QQ) -> Poly:
+    """The Polynomial that ``text`` parses to."""
+    return polynomial(ring, field, parse_poly(text, ring, field))
+
+
+def components(f: MapSpec) -> list[Poly]:
+    """The components of a map as Polynomials."""
+    return [polynomial(f.ring, f.field, c) for c in f.components]
+
+
+def in_quotient(coordinates, qp) -> Poly:
+    """The Polynomial whose coefficients on the standard monomials of qp are
+    the kernel values ``coordinates``."""
+    return polynomial(qp.ring, qp.field, dict(zip(qp.standard_monomials, coordinates)))
+
+
+def kernel(f: Polynomial) -> dict:
+    """The ``{monomial: kernel value}`` dict of a Polynomial."""
+    return _kernel_values(f.terms, f.field.characteristic)
+
+
+def map_spec(polys) -> MapSpec:
+    """The MapSpec whose components are the given Polynomials, which must
+    share one ring and one field."""
+    ring, field = polys[0].ring, polys[0].field
+    if any(f.ring != ring for f in polys):
+        raise ValueError("components from different rings")
+    if any(f.field != field for f in polys):
+        raise ValueError("components over different fields")
+    return MapSpec(ring, field, tuple(map(kernel, polys)))
 
 
 def compose_maps(f: MapSpec, g: MapSpec) -> MapSpec:
     """The composite map f o g, expanded in g's coordinates."""
     if len(f.ring) != len(g.ring):
         raise ValueError("maps have different numbers of variables")
-    assignment = {name: g.components[i] for i, name in enumerate(f.ring)}
-    comps = tuple(substitute(c, assignment, ring=g.ring) for c in f.components)
-    return MapSpec(g.ring, comps)
+    assignment = dict(zip(f.ring, components(g)))
+    return map_spec([substitute(c, assignment, ring=g.ring) for c in components(f)])
 
 
 def kernel_matrix(matrix, qp):
@@ -40,13 +84,13 @@ def kernel_matrix(matrix, qp):
         for entry in row:
             if entry.ring != qp.ring or entry.field != qp.field:
                 raise ValueError("matrix entries do not match the quotient ring")
-    return [[_kernel_values(entry.terms, qp.field.characteristic) for entry in row] for row in matrix]
+    return [[kernel(entry) for entry in row] for row in matrix]
 
 
 def polynomial_matrix(rows, f: MapSpec):
     """Rows of ``{monomial: kernel value}`` dicts, as ``ekl.degree.linear_decompose``
     returns them for f, as Polynomials over f's ring and field."""
-    return [[from_kernel(f.ring, f.field, entry) for entry in row] for row in rows]
+    return [[polynomial(f.ring, f.field, entry) for entry in row] for row in rows]
 
 
 def linear_map(matrix, ring=("x", "y"), field=QQ) -> MapSpec:
@@ -60,8 +104,8 @@ def linear_map(matrix, ring=("x", "y"), field=QQ) -> MapSpec:
             if matrix[i][j]:
                 mono = tuple(1 if k == j else 0 for k in range(n))
                 terms[mono] = field.from_int(matrix[i][j])
-        comps.append(Polynomial(ring, field, terms))
-    return MapSpec(ring, tuple(comps))
+        comps.append(Poly(ring, field, terms))
+    return map_spec(comps)
 
 
 def random_unipotent(rng: random.Random, n: int = 2, span: int = 2):
@@ -84,8 +128,8 @@ def monomial_map(rng: random.Random, ring=("x", "y"), max_exp: int = 2, field=QQ
         e = rng.randint(1, max_exp)
         c = rng.choice([-3, -2, -1, 1, 2, 3])
         mono = tuple(e if k == i else 0 for k in range(n))
-        comps.append(Polynomial(ring, field, {mono: field.from_int(c)}))
-    return MapSpec(ring, tuple(comps))
+        comps.append(Poly(ring, field, {mono: field.from_int(c)}))
+    return map_spec(comps)
 
 
 def random_origin_map(rng: random.Random, ring=("x", "y"), max_exp: int = 2) -> MapSpec:
@@ -110,9 +154,9 @@ def reference_poly_det(matrix) -> Polynomial:
         for entry in row:
             if entry.ring != ring or entry.field != field:
                 raise ValueError("matrix entries from different rings")
-    m = [[entry for entry in row] for row in matrix]
+    m = [[Poly.of(entry) for entry in row] for row in matrix]
     sign = 1
-    prev = Polynomial.constant(1, ring, field)
+    prev = Poly.constant(1, ring, field)
     for k in range(n - 1):
         if m[k][k].is_zero():
             for r in range(k + 1, n):
@@ -121,12 +165,12 @@ def reference_poly_det(matrix) -> Polynomial:
                     sign = -sign
                     break
             else:
-                return Polynomial.zero(ring, field)
+                return Poly.zero(ring, field)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
                 m[i][j] = _exact_div(num, prev)
-            m[i][k] = Polynomial.zero(ring, field)
+            m[i][k] = Poly.zero(ring, field)
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
@@ -139,7 +183,7 @@ def _exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
         if not c:
             raise ZeroDivisionError("division by zero polynomial")
         inv = num.field.one / c
-        return Polynomial(num.ring, num.field, {m: coeff * inv for m, coeff in num.terms.items()})
+        return Poly(num.ring, num.field, {m: coeff * inv for m, coeff in num.terms.items()})
     order = DEGREVLEX
     lm = den.leading_monomial(order)
     lc = den.terms[lm]
@@ -160,4 +204,4 @@ def _exact_div(num: Polynomial, den: Polynomial) -> Polynomial:
                 rem[t] = new
             elif t in rem:
                 del rem[t]
-    return Polynomial(num.ring, num.field, out)
+    return Poly(num.ring, num.field, out)

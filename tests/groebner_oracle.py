@@ -96,15 +96,14 @@ class MonicReducer:
         return out
 
 
-def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal spanned by ``gens``, on tuples."""
-    gens = [g for g in gens if g is not None]
+def groebner(
+    gens: Sequence[dict], ring: Sequence[str], fld, order: MonomialOrder | None = None
+) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal spanned by the ``{monomial: kernel
+    value}`` dicts ``gens``, on tuples."""
     if not gens:
         raise ValueError("empty generator list")
-    ring, fld = gens[0].ring, gens[0].field
-    for g in gens:
-        if g.ring != ring or g.field != fld:
-            raise ValueError("generators from different rings")
+    ring = tuple(ring)
     if order is None:
         order = DEGREVLEX
     p = fld.characteristic
@@ -114,7 +113,7 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> 
     def remainder(d: dict, basis) -> dict:
         return arith.normalize(arith.reduce(d, basis))
 
-    seeds = [arith.normalize(_kernel_values(g.terms, p)) for g in gens if g.terms]
+    seeds = [arith.normalize(dict(g)) for g in gens if g]
     seeds.sort(key=lambda d: (key(max(d, key=key)), sorted(d.items())))
 
     entries: list[tuple[Monomial, dict]] = []

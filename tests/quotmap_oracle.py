@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from conftest import map_spec
 from ekl.degree import MapSpec
-from ekl.poly import Polynomial
 from ekl.quotmap import ExpectedShape
 from ekl.scalar import QQ
 from ekl.weyl import aP_formula_typeA
-from poly_oracle import elementary_symmetric, substitute
+from poly_oracle import Poly, elementary_symmetric, substitute
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,9 @@ class OracleSpec:
         return math.prod(self.target_degrees) // math.prod(self.source_degrees)
 
 
-def _ambient(n: int, field) -> tuple[tuple[str, ...], list[Polynomial]]:
+def _ambient(n: int, field) -> tuple[tuple[str, ...], list[Poly]]:
     ring = tuple(f"x{i}" for i in range(1, n + 1))
-    return ring, [Polynomial.variable(v, ring, field) for v in ring]
+    return ring, [Poly.variable(v, ring, field) for v in ring]
 
 
 def _block_names(blocks: Sequence[int]) -> list[list[str]]:
@@ -54,12 +54,12 @@ def typeA_partial(blocks: Sequence[int], field=QQ) -> OracleSpec:
     n = sum(blocks)
     names = _block_names(blocks)
     ring = tuple(name for group in names for name in group)
-    one = Polynomial.constant(1, ring, field)
-    zero = Polynomial.zero(ring, field)
+    one = Poly.constant(1, ring, field)
+    zero = Poly.zero(ring, field)
     coeffs = [one] + [zero] * n
     degree_so_far = 0
     for i, b in enumerate(blocks):
-        block_vars = [Polynomial.variable(v, ring, field) for v in names[i]]
+        block_vars = [Poly.variable(v, ring, field) for v in names[i]]
         new = [zero] * (degree_so_far + b + 1)
         for k in range(degree_so_far + 1):
             if coeffs[k].is_zero():
@@ -73,7 +73,7 @@ def typeA_partial(blocks: Sequence[int], field=QQ) -> OracleSpec:
     return OracleSpec(
         "A-partial",
         blocks,
-        MapSpec(ring, tuple(coeffs[k] for k in range(1, n + 1))),
+        map_spec(coeffs[1 : n + 1]),
         tuple(j for b in blocks for j in range(1, b + 1)),
         tuple(range(1, n + 1)),
     )
@@ -82,7 +82,7 @@ def typeA_partial(blocks: Sequence[int], field=QQ) -> OracleSpec:
 def Sn_full(n: int, field=QQ) -> OracleSpec:
     ring = tuple(f"x{i}" for i in range(1, n + 1))
     gens = tuple(elementary_symmetric(k, ring, ring, field) for k in range(1, n + 1))
-    return OracleSpec("Sn-full", (n,), MapSpec(ring, gens), (1,) * n, tuple(range(1, n + 1)))
+    return OracleSpec("Sn-full", (n,), map_spec(gens), (1,) * n, tuple(range(1, n + 1)))
 
 
 def _square_gens(n: int, count: int, field):
@@ -98,7 +98,7 @@ def _square_gens(n: int, count: int, field):
 def typeBC_full(n: int, field=QQ) -> OracleSpec:
     ring, _, gens = _square_gens(n, n, field)
     return OracleSpec(
-        "BC-full", (n,), MapSpec(ring, tuple(gens)), (1,) * n, tuple(range(2, 2 * n + 1, 2))
+        "BC-full", (n,), map_spec(gens), (1,) * n, tuple(range(2, 2 * n + 1, 2))
     )
 
 
@@ -110,7 +110,7 @@ def D_full(n: int, field=QQ) -> OracleSpec:
     return OracleSpec(
         "D-full",
         (n,),
-        MapSpec(ring, tuple(gens + [product])),
+        map_spec(gens + [product]),
         (1,) * n,
         tuple(range(2, 2 * n - 1, 2)) + (n,),
     )
@@ -120,7 +120,7 @@ def D_odd_partial(m: int, field=QQ) -> OracleSpec:
     """p_1 = u_1 + u0^2, p_k = u_k + u0^2 u_{k-1} (k < 2m),
     p_{2m} = u_{2m}^2 + u0^2 u_{2m-1}, p_{2m+1} = u0 u_{2m}."""
     ring = tuple(f"u{k}" for k in range(2 * m + 1))
-    u = [Polynomial.variable(v, ring, field) for v in ring]
+    u = [Poly.variable(v, ring, field) for v in ring]
     u0sq = u[0] * u[0]
     comps = [u[1] + u0sq]
     for k in range(2, 2 * m):
@@ -130,7 +130,7 @@ def D_odd_partial(m: int, field=QQ) -> OracleSpec:
     return OracleSpec(
         "D-odd-partial",
         (m,),
-        MapSpec(ring, tuple(comps)),
+        map_spec(comps),
         (1,) + tuple(range(2, 4 * m - 1, 2)) + (2 * m,),
         tuple(range(2, 4 * m + 1, 2)) + (2 * m + 1,),
     )

@@ -98,7 +98,7 @@ def test_criterion_3_partial_quotient_table():
 def test_criterion_4_b2_full_quotient():
     with Budget(10.0, "criterion 4: B2 quotient (x^2+y^2, x^2y^2) = 4(<1> + <-1>)"):
         spec = build_typeBC_full(2)
-        assert [str(c) for c in spec.map.components] == ["x1^2 + x2^2", "x1^2*x2^2"]
+        assert spec.map.component_texts() == ["x1^2 + x2^2", "x1^2*x2^2"]
         res = ekl_degree(spec.map)
         assert res.dimension == 8
         assert gw_equal(res.gw_class, units(4, 4))
@@ -187,7 +187,7 @@ def test_criterion_8a_jacobian_socle_relation():
             _, qp = prepare_quotient(spec.map)
             socle = socle_element(spec.map, qp)
             jac = jacobian_element(spec.map, qp)
-            assert socle.scaled(Fraction(qp.dimension)).coordinates == jac.coordinates
+            assert tuple(qp.dimension * c for c in socle) == jac
 
 
 def test_criterion_8b_composition_multiplicativity():
@@ -201,13 +201,11 @@ def test_criterion_8b_composition_multiplicativity():
                 ekl_degree(h).gw_class,
                 gw_mul(ekl_degree(f).gw_class, ekl_degree(g).gw_class),
             )
-        from ekl.poly import parse_poly
-
         for _ in range(40):
             a, b = rng.randint(1, 4), rng.randint(1, 4)
             c1, c2 = rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3, -1, -2])
-            f = MapSpec(("x",), (parse_poly(f"{c1}*x^{a}", ("x",)),))
-            g = MapSpec(("x",), (parse_poly(f"{c2}*x^{b}", ("x",)),))
+            f = MapSpec.from_strings(("x",), [f"{c1}*x^{a}"])
+            g = MapSpec.from_strings(("x",), [f"{c2}*x^{b}"])
             assert gw_equal(
                 ekl_degree(compose_maps(f, g)).gw_class,
                 gw_mul(ekl_degree(f).gw_class, ekl_degree(g).gw_class),

@@ -29,6 +29,7 @@ from ekl.degree import (
 )
 from ekl.gw import DegenerateFormError, classify, gw_equal
 from ekl.localg import coordinates, groebner, quotient_presentation
+from conftest import poly
 from ekl.poly import parse_poly
 from ekl.scalar import GF, QQ
 from test_strip import full_class, load_workloads, run, untimed
@@ -123,7 +124,7 @@ def planted_graded_map(rng: random.Random, field) -> MapSpec:
             for m in terms
         )
         components.append(parse_poly(text, ring, field))
-    return MapSpec(ring, tuple(components))
+    return MapSpec(ring, field, tuple(components))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(P)], ids=["q", f"fp{P}"])
@@ -212,8 +213,8 @@ def test_certificate_falls_back_to_the_exact_rank(monkeypatch):
 
 def presentation(ring, generators, socle):
     """Q = K[ring]/(generators) and the class of ``socle`` in it."""
-    qp = quotient_presentation(groebner([parse_poly(g, ring, QQ) for g in generators]))
-    return qp, coordinates(parse_poly(socle, ring, QQ), qp)
+    qp = quotient_presentation(groebner([parse_poly(g, ring, QQ) for g in generators], ring, QQ))
+    return qp, coordinates(poly(socle, ring), qp).coordinates
 
 
 def split_and_classify(qp, socle, weights):

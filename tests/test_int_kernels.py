@@ -7,16 +7,18 @@ through their sums and products.  Over Q they carry ints wherever the
 values are integral.  The polynomials that feed the determinants are
 ``{monomial: kernel value}`` dicts too: the quotient-map builders'
 products, ``strip_solved``'s substitution, the split rows of
-``linear_decompose`` and the Jacobian rows.  The oracles below are the same
-code on field elements throughout (``Fraction`` over Q, ``PrimeFieldElement``
-over F_p), as the library computed them before: the values must be equal
-(over F_p, the oracle's ``.residue`` values), and every value that leaves the
-kernels (``AlgebraElement`` coordinates, ``EKLResult.gram``, the stripped
-map, its unit and the builders' components) must still be a ``Fraction``
-over Q and a ``PrimeFieldElement`` over F_p.  The Gram block that
-``ekl.degree`` hands to ``classify`` stays on kernel values: every
-``GramForm`` entry and scale is an int or a Fraction over Q and a residue
-over F_p.
+``linear_decompose`` and the Jacobian rows, and so are the components of
+every ``MapSpec``: the builders' and the stripped map's.  ``poly_det``
+returns the coordinates of E and J as kernel values.  The oracles below are
+the same code on field elements throughout (``Fraction`` over Q,
+``PrimeFieldElement`` over F_p), as the library computed them before: the
+values must be equal (over F_p, the oracle's ``.residue`` values).  The
+values that leave the kernels for a report (the ``AlgebraElement``
+coordinates of ``EKLResult``, ``EKLResult.gram`` and the stripped map's
+unit) must still be a ``Fraction`` over Q and a ``PrimeFieldElement`` over
+F_p.  The Gram block that ``ekl.degree`` hands to ``classify`` stays on
+kernel values: every ``GramForm`` entry and scale is an int or a Fraction
+over Q and a residue over F_p.
 """
 
 from fractions import Fraction
@@ -25,8 +27,8 @@ from itertools import accumulate
 
 import pytest
 
-from conftest import kernel_matrix
-from poly_oracle import partial_derivative
+from conftest import components, kernel_matrix, map_spec
+from poly_oracle import Poly, partial_derivative
 
 import ekl.degree
 from ekl.degree import (
@@ -144,7 +146,7 @@ def field_linear_decompose(f):
     n = len(f.ring)
     fld = f.field
     rows = []
-    for comp in f.components:
+    for comp in components(f):
         cols = [dict() for _ in range(n)]
         for mono, coeff in comp.terms.items():
             j = next(k for k, e in enumerate(mono) if e > 0)
@@ -156,7 +158,7 @@ def field_linear_decompose(f):
 
 def field_jacobian(f):
     """The Jacobian rows d f_i / d x_j as Polynomials."""
-    return [[partial_derivative(c, v) for v in f.ring] for c in f.components]
+    return [[partial_derivative(c, v) for v in f.ring] for c in components(f)]
 
 
 def field_strip_solved(f):
@@ -165,10 +167,10 @@ def field_strip_solved(f):
     is left; f and 1 when a component would vanish."""
     g, u, zero = f, f.field.one, f.field.zero
     while len(g.ring) > 1:
-        n = len(g.ring)
+        n, g_components = len(g.ring), components(g)
         pairs = [
             (len(p.terms), i, k, p.terms[e])
-            for i, p in enumerate(g.components)
+            for i, p in enumerate(g_components)
             for k, e in enumerate(tuple(int(j == k) for j in range(n)) for k in range(n))
             if e in p.terms and sum(1 for m in p.terms if m[k]) == 1
         ]
@@ -176,10 +178,10 @@ def field_strip_solved(f):
             break
         _, i, k, c = min(pairs)
         ring = g.ring[:k] + g.ring[k + 1 :]
-        root = {m[:k] + m[k + 1 :]: -a / c for m, a in g.components[i].terms.items() if not m[k]}
-        powers = [None, Polynomial(ring, f.field, root)]  # powers[e] = (-h/c)^e
+        root = {m[:k] + m[k + 1 :]: -a / c for m, a in g_components[i].terms.items() if not m[k]}
+        powers = [None, Poly(ring, f.field, root)]  # powers[e] = (-h/c)^e
         comps = []
-        for p in g.components[:i] + g.components[i + 1 :]:
+        for p in g_components[:i] + g_components[i + 1 :]:
             terms: dict = {}
             for m, a in p.terms.items():
                 rest = m[:k] + m[k + 1 :]
@@ -195,13 +197,13 @@ def field_strip_solved(f):
         if any(p.is_zero() for p in comps):
             return f, f.field.one
         u *= c if (i + k) % 2 == 0 else -c
-        g = MapSpec(ring, tuple(comps))
+        g = map_spec(comps)
     return g, u
 
 
 def field_times(p, q):
     """The product of two polynomials in one variable, as lists of Polynomials."""
-    out = [Polynomial.zero(p[0].ring, p[0].field)] * (len(p) + len(q) - 1)
+    out = [Poly.zero(p[0].ring, p[0].field)] * (len(p) + len(q) - 1)
     for a, x in enumerate(p):
         for b, y in enumerate(q):
             out[a + b] = out[a + b] + x * y
@@ -212,8 +214,8 @@ def field_components(spec):
     """The components of ``quotmap.build_quotient`` for the spec's type,
     blocks and ring, multiplied out on Polynomials."""
     ring, field, blocks, label = spec.map.ring, spec.map.field, spec.blocks, spec.weyl_type
-    xs = [Polynomial.variable(v, ring, field) for v in ring]
-    one = Polynomial.constant(1, ring, field)
+    xs = [Poly.variable(v, ring, field) for v in ring]
+    one = Poly.constant(1, ring, field)
     cuts = [0, *accumulate(blocks)]
     series = [[one] + xs[i:j] for i, j in zip(cuts, cuts[1:])]
     if label == "A":
@@ -229,7 +231,7 @@ def field_components(spec):
         factors.append([one] + tail_coeffs)
     components = reduce(field_times, factors)[1 : len(ring) + 1]
     if label == "D":
-        components[-1] = reduce(Polynomial.__mul__, [a[-1] for a in series] + xs[cuts[-1] :][-1:])
+        components[-1] = reduce(Poly.__mul__, [a[-1] for a in series] + xs[cuts[-1] :][-1:])
     return components
 
 
@@ -244,8 +246,13 @@ def is_kernel_value(c, fld) -> bool:
     return type(c) in (int, Fraction) and c != 0
 
 
-def is_field_polynomial(f: Polynomial) -> bool:
-    return all(type(c) is type(f.field.one) for c in f.terms.values())
+def is_canonical_map(f: MapSpec) -> bool:
+    """Whether every coefficient of f is a kernel value, an int where
+    integral over Q."""
+    values = [c for comp in f.components for c in comp.values()]
+    if f.field.characteristic:
+        return all(is_kernel_value(c, f.field) for c in values)
+    return all(is_kernel_value(c, f.field) and type(c) is (int if c.denominator == 1 else Fraction) for c in values)
 
 
 def recorded_dets(monkeypatch):
@@ -270,18 +277,18 @@ def check_determinants(f: MapSpec, calls, matrices=None):
     for (rows, _, element), oracle in zip(calls, [field_linear_decompose(f), field_jacobian(f)]):
         assert rows == kernel_matrix(oracle, qp)
         assert all(is_kernel_value(c, f.field) for row in rows for entry in row for c in entry.values())
-        assert element.coordinates == field_poly_det(oracle, qp, matrices)
+        assert all(not c or is_kernel_value(c, f.field) for c in element)
+        assert tuple(map(f.field.from_int, element)) == field_poly_det(oracle, qp, matrices)
 
 
 def check_strip(f: MapSpec):
-    """``strip_solved`` against the oracle: the same ring, terms and unit,
-    in field values."""
+    """``strip_solved`` against the oracle: the same map, in canonical kernel
+    values, and the same unit, in field values."""
     g, u = strip_solved(f)
     g0, u0 = field_strip_solved(f)
     assert (g is f) == (g0 is f)
-    assert g.ring == g0.ring and [c.terms for c in g.components] == [c.terms for c in g0.components]
+    assert g == g0 and is_canonical_map(g)
     assert u == u0 and type(u) is type(u0)
-    assert all(is_field_polynomial(c) for c in g.components)
     return g, u
 
 
@@ -303,7 +310,10 @@ def check_kernels(f: MapSpec, calls) -> bool:
         field_type = PrimeFieldElement
 
     check_determinants(f, calls, matrices)
-    assert [element for _, _, element in calls] == [result.socle, result.jacobian]
+    assert [tuple(map(fld.from_int, e)) for _, _, e in calls] == [
+        result.socle.coordinates,
+        result.jacobian.coordinates,
+    ]
     values = [*result.socle.coordinates, *result.jacobian.coordinates]
     values += [c for row in result.gram for c in row]
     assert all(type(c) is field_type for c in values)
@@ -378,8 +388,8 @@ BLOCK_MEMBERS = [
 )
 def test_family_builders_and_strip_equal_the_field_oracles(args, field):
     spec = family_spec(args, field)
-    assert spec.map.components == tuple(field_components(spec))
-    assert all(is_field_polynomial(c) for c in spec.map.components)
+    assert spec.map == map_spec(field_components(spec))
+    assert is_canonical_map(spec.map) and all(type(c) is int for comp in spec.map.components for c in comp.values())
     check_strip(spec.map)
 
 
@@ -392,13 +402,13 @@ SCALES = (Fraction(2, 3), Fraction(-5, 4), Fraction(3, 2))
 @pytest.mark.parametrize("fld", [QQ, GF(P), GF(7)], ids=["q", f"fp{P}", "fp7"])
 def test_random_map_kernels_equal_the_field_oracles(monkeypatch, fld):
     maps = [MapSpec.from_json(m.to_json(), fld) for m in load_workloads().random_maps(1)]
-    maps += [MapSpec(f.ring, tuple(c.scale(a) for c, a in zip(f.components, SCALES))) for f in maps]
+    maps += [map_spec([c.scale(a) for c, a in zip(components(f), SCALES)]) for f in maps]
     calls = recorded_dets(monkeypatch)
     mixed = answered = units = fractional = 0
     for f in maps:
         g, u = check_strip(f)
         units += u not in (fld.one, -fld.one)
-        fractional += any(c.denominator != 1 for p in g.components for c in p.terms.values()) if fld == QQ else 0
+        fractional += any(c.denominator != 1 for p in g.components for c in p.values()) if fld == QQ else 0
         try:
             mixed += check_kernels(f, calls)
             if g is not f:
@@ -438,7 +448,7 @@ def graded_rows(args, field):
     for i, d in enumerate(degree):
         slices.setdefault(d, []).append(i)
     rows = _gram_rows(qp, index, degree, slices)
-    return qp, index, socle.coordinates[index], degree, slices, rows
+    return qp, index, qp.field.from_int(socle[index]), degree, slices, rows
 
 
 @pytest.mark.parametrize("args", LADDER + LARGE, ids=" ".join)

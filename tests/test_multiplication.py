@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from conftest import random_origin_map
+from conftest import poly, random_origin_map
 
 from ekl.cli import main
 from ekl.degree import MapSpec, ekl_degree, prepare_quotient
@@ -118,7 +118,7 @@ def test_gram_matches_pairwise_oracle_on_random_maps(field):
     for _ in range(4):
         f = random_origin_map(rng, XYZ, max_exp=2)
         if field != QQ:
-            f = MapSpec.from_strings(XYZ, [str(c) for c in f.components], field)
+            f = MapSpec.from_strings(XYZ, f.component_texts(), field)
         assert_gram_matches_oracle(f)
 
 
@@ -132,9 +132,10 @@ def test_border_tail_outside_the_standard_span_is_refused():
     # x^2 + y^2 is not reduced: its tail y^2 is the leading monomial of the
     # other generator, so the column of the border monomial x^2 would
     # leave the span of the standard monomials 1, x, y, x*y
-    gens = tuple(parse_poly(t, XY, QQ) for t in ("x^2 + y^2", "y^2"))
+    texts = ("x^2 + y^2", "y^2")
     pk = _packing(DEGREVLEX, 2, 2)
-    gb = GroebnerBasis(gens, DEGREVLEX, XY, QQ, (pk, {max(d): d for d in _packed_terms(gens, pk, 0)}))
+    packed = {max(d): d for d in _packed_terms([parse_poly(t, XY, QQ) for t in texts], pk)}
+    gb = GroebnerBasis(tuple(poly(t, XY) for t in texts), DEGREVLEX, XY, QQ, (pk, packed))
     with pytest.raises(ArithmeticError, match="left the standard-monomial span"):
         quotient_presentation(gb)
 
@@ -156,7 +157,7 @@ def test_matrices_commute():
 
 
 def presentation(*texts, ring=XY, field=QQ):
-    return quotient_presentation(groebner([parse_poly(t, ring, field) for t in texts]))
+    return quotient_presentation(groebner([parse_poly(t, ring, field) for t in texts], ring, field))
 
 
 def test_origin_rejects_other_zeros():

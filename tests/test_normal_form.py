@@ -99,7 +99,7 @@ def random_poly(rng: random.Random, ring, fld, terms: int = 6, max_exp: int = 6)
 def basis(name: str, fname: str, oname: str):
     ring, texts = IDEALS[name]
     fld = FIELDS[fname]
-    return groebner([parse_poly(t, ring, fld) for t in texts], ORDERS[oname])
+    return groebner([parse_poly(t, ring, fld) for t in texts], ring, fld, ORDERS[oname])
 
 
 @pytest.mark.parametrize("name,fname,oname", sorted(PINNED_BASES))
@@ -124,7 +124,8 @@ def test_normal_form_matches_reference(name, fname, oname):
 
 @pytest.mark.parametrize("fld", [QQ, F], ids=["q", "fp"])
 def test_normal_form_matches_reference_on_family(fld):
-    gb = groebner(build_typeA_partial([2, 2], fld).map.components)
+    f = build_typeA_partial([2, 2], fld).map
+    gb = groebner(f.components, f.ring, fld)
     rng = random.Random(7)
     for _ in range(10):
         p = random_poly(rng, gb.ring, fld, terms=8, max_exp=4)

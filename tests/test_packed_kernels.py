@@ -17,7 +17,7 @@ import pytest
 
 import ekl.localg as localg
 import groebner_oracle as oracle
-from conftest import random_origin_map
+from conftest import components, kernel, poly, random_origin_map
 from ekl.degree import strip_solved
 from ekl.localg import (
     InfiniteQuotientError,
@@ -34,14 +34,14 @@ FIELDS = {"q": QQ, "fp7": GF(7), "fp32003": GF(32003)}
 ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX}
 
 
-def assert_same_as_oracle(gens, order, presentation=True):
+def assert_same_as_oracle(gens, ring, fld, order, presentation=True):
     try:
-        expected = oracle.groebner(gens, order)
+        expected = oracle.groebner(gens, ring, fld, order)
     except UnitIdealError:
         with pytest.raises(UnitIdealError):
-            groebner(gens, order)
+            groebner(gens, ring, fld, order)
         return
-    gb = groebner(gens, order)
+    gb = groebner(gens, ring, fld, order)
     assert repr(gb) == repr(expected)
     assert gb == expected
     assert_packed_is_the_basis(gb)
@@ -84,7 +84,7 @@ def random_generators(rng: random.Random, ring, fld, max_exp: int):
             mono = tuple(rng.randint(0, max_exp) for _ in ring)
             c = fld.from_int(rng.choice([-1, 1]) * rng.randint(1, 9))
             terms[mono] = c / fld.from_int(rng.randint(1, 4))
-        gens.append(Polynomial(ring, fld, terms))
+        gens.append(kernel(Polynomial(ring, fld, terms)))
     return gens
 
 
@@ -95,23 +95,25 @@ def test_packed_kernels_match_the_oracle_on_seeded_ideals(fname, oname):
     rng = random.Random(f"packed-{fname}-{oname}")
     for ring, max_exp in ((("x", "y"), 4), (("x", "y", "z"), 1)):
         for _ in range(12):
-            assert_same_as_oracle(random_generators(rng, ring, fld, max_exp), order)
+            assert_same_as_oracle(random_generators(rng, ring, fld, max_exp), ring, fld, order)
         for _ in range(8):
             f = random_origin_map(rng, ring, max_exp=3)
-            assert_same_as_oracle([parse_poly(str(g), ring, fld) for g in f.components], order)
+            gens = [parse_poly(str(g), ring, fld) for g in components(f)]
+            assert_same_as_oracle(gens, ring, fld, order)
 
 
 @pytest.mark.parametrize("args", LADDER, ids=" ".join)
 def test_packed_kernels_match_the_oracle_on_ladder_members(args):
-    f = family_spec(args).map
-    assert_same_as_oracle(list(strip_solved(f)[0].components), DEGREVLEX)
+    g = strip_solved(family_spec(args).map)[0]
+    assert_same_as_oracle(g.components, g.ring, g.field, DEGREVLEX)
 
 
 @pytest.mark.parametrize("oname", sorted(ORDERS))
 @pytest.mark.parametrize("field", ["q", "fp:32003"])
 def test_the_packed_basis_is_the_basis_on_ladder_members(field, oname):
     for args in LADDER:
-        gb = groebner(list(family_spec(args, field).map.components), ORDERS[oname])
+        f = family_spec(args, field).map
+        gb = groebner(f.components, f.ring, f.field, ORDERS[oname])
         assert_packed_is_the_basis(gb)
         qp = quotient_presentation(gb)
         std = oracle.standard_monomials(gb)
@@ -144,34 +146,37 @@ def polys(ring, *texts, field=QQ):
 @pytest.mark.parametrize("oname", sorted(ORDERS))
 def test_exponents_past_the_first_width_give_the_oracle_basis(widths, oname):
     gens = polys(("x", "y"), "x^40000 - y", "y^2 - x")
-    assert_same_as_oracle(gens, ORDERS[oname], presentation=False)
+    assert_same_as_oracle(gens, ("x", "y"), QQ, ORDERS[oname], presentation=False)
     assert widths[0] == 32  # 40,000 needs more than 16-bit fields
 
 
 @pytest.mark.parametrize("fname", sorted(FIELDS))
 def test_lex_reductions_past_the_first_width_rerun_wider(widths, fname):
     # x^50 reduces to y^150 under x -> y^3: past 127, the 8-bit limit
-    gens = polys(("x", "y"), "x^50 - y", "x - y^3", field=FIELDS[fname])
-    assert_same_as_oracle(gens, LEX)
+    fld = FIELDS[fname]
+    gens = polys(("x", "y"), "x^50 - y", "x - y^3", field=fld)
+    assert_same_as_oracle(gens, ("x", "y"), fld, LEX)
     assert widths[:2] == [8, 16]
-    gb = groebner(gens, LEX)
+    gb = groebner(gens, ("x", "y"), fld, LEX)
     assert str(gb.generators[-1]).startswith("y^150 ")
     assert gb.packed[0].width == 16  # the presentation above ran on the widened packing
 
 
 def test_graded_remainders_past_the_first_width_rerun_wider(widths):
     # no input exponent passes 127, the 8-bit limit, but the basis leads with y^199*z^101
-    gens = polys(("x", "y", "z"), "x^100*y - z^101", "x*y^100 - z^101")
-    assert_same_as_oracle(gens, DEGREVLEX)
+    xyz = ("x", "y", "z")
+    gens = polys(xyz, "x^100*y - z^101", "x*y^100 - z^101")
+    assert_same_as_oracle(gens, xyz, QQ, DEGREVLEX)
     assert widths[:2] == [8, 16]
-    assert str(groebner(gens).generators[0]).startswith("y^199*z^101 ")
+    assert str(groebner(gens, xyz, QQ).generators[0]).startswith("y^199*z^101 ")
 
 
 @pytest.mark.parametrize("fname", ["q", "fp32003"])
 def test_the_presentation_reads_the_widened_packing(widths, fname):
     # every input exponent fits 8-bit fields, but Buchberger's run needs 16
-    gens = polys(("x", "y"), "x^100*y^2 - y^102", "x^101 - y^101", field=FIELDS[fname])
-    gb = groebner(gens)
+    fld = FIELDS[fname]
+    gens = polys(("x", "y"), "x^100*y^2 - y^102", "x^101 - y^101", field=fld)
+    gb = groebner(gens, ("x", "y"), fld)
     assert widths == [8, 16]
     assert gb.packed[0].width == 16
     assert_packed_is_the_basis(gb)
@@ -182,6 +187,6 @@ def test_the_presentation_reads_the_widened_packing(widths, fname):
 
 def test_normal_form_reruns_wider(widths):
     ring = ("x", "y")
-    gb = groebner(polys(ring, "x - y^3"), LEX)
-    assert normal_form(polys(ring, "x^100 + x")[0], gb) == polys(ring, "y^300 + y^3")[0]
+    gb = groebner(polys(ring, "x - y^3"), ring, QQ, LEX)
+    assert normal_form(poly("x^100 + x", ring), gb) == poly("y^300 + y^3", ring)
     assert widths[-2:] == [8, 16]

@@ -132,11 +132,11 @@ def test_strip_takes_the_fewest_terms_first():
     # 3*z + x*y (i + k = 2 + 2, two terms) beats x + y + z^2 (three terms)
     g, u = strip_solved(MapSpec.from_strings(xyz, ["x + y + z^2", "x^2 + y^3 + z^3", "3*z + x*y"]))
     assert g.ring == ("x", "y") and u == 3
-    assert [str(c) for c in g.components] == ["1/9*x^2*y^2 + x + y", "-1/27*x^3*y^3 + y^3 + x^2"]
+    assert g.component_texts() == ["1/9*x^2*y^2 + x + y", "-1/27*x^3*y^3 + y^3 + x^2"]
     # a tie within x + y + z^2 goes to x (i + k = 1 + 0)
     g, u = strip_solved(MapSpec.from_strings(xyz, ["y^2 + x*z", "x + y + z^2", "z^3 + x^2"]))
     assert g.ring == ("y", "z") and u == -1
-    assert [str(c) for c in g.components] == ["-1*z^3 + y^2 - y*z", "z^4 + 2*y*z^2 + z^3 + y^2"]
+    assert g.component_texts() == ["-1*z^3 + y^2 - y*z", "z^4 + 2*y*z^2 + z^3 + y^2"]
 
 
 def test_strip_keeps_a_map_whose_component_vanishes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Every name the benchmark tracer wraps is still bound in ``ekl``, and the
-class path still calls the determinant and builder names through them.
+class path still calls the parser, quotient, determinant, class and builder
+names through them.
 
 ``perfbench/tracer.py`` patches module attributes by name and reports a
 missing one as ``trace.missing_names`` rather than failing, so a refactor
@@ -60,6 +61,19 @@ def test_degree_class_calls_the_traced_determinant_names(monkeypatch):
     assert g.ring == ("y",)
     assert ekl.degree.degree_class(f)[0] == 3
     assert calls == {"poly_det": 2, "socle_element": 1, "jacobian_element": 1}  # E and J of g
+
+
+def test_map_file_and_degree_class_call_the_traced_front_end_names(monkeypatch):
+    # a bypass of these bindings would read as zero poly.parse, localg.groebner,
+    # localg.staircase and localg.origin_check time
+    calls: dict = {}
+    for attr in ("parse_poly", "groebner", "quotient_presentation", "origin_supported"):
+        counted(monkeypatch, ekl.degree, attr, calls)
+    f = ekl.degree.MapSpec.from_json('{"variables": ["x", "y"], "components": ["3*x + y^2", "y^3"]}')
+    assert calls == {"parse_poly": 2}
+    assert ekl.degree.degree_class(f)[0] == 3
+    # one quotient, of the stripped map g = y^3
+    assert calls == {"parse_poly": 2, "groebner": 1, "quotient_presentation": 1, "origin_supported": 1}
 
 
 def test_degree_class_calls_the_traced_class_names(monkeypatch):
