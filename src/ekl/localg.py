@@ -15,8 +15,9 @@ reduced wherever a sum is formed, and over Q ints where the values are
 integral and Fractions otherwise (exact, as the kernels never divide).
 ``groebner`` takes its generators as ``{monomial: kernel value}`` dicts,
 and ``poly_det`` returns the coordinates of a determinant as kernel values.
-Field values are made only for the published generators, for
-``normal_form`` and ``coordinates``, which take and give ``Polynomial``s,
+Field values are made only for the published generators, on first
+access to ``GroebnerBasis.generators``, for ``normal_form`` and
+``coordinates``, which take and give ``Polynomial``s,
 and by ``degree.ekl_degree`` for the elements it reports.
 
 Inside the kernels a monomial is one int (``_Packing``, the packed
@@ -45,6 +46,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -233,24 +235,46 @@ class _MonicReducer:
 # ---------------------------------------------------------------------------
 # Buchberger
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroebnerBasis:
     """A reduced, monic Groebner basis with its monomial order.
 
     The zero ideal has no generators.  The reduced monic basis of an ideal
     is unique for its order, so equal ideals give equal bases.  ``packed``
     is ``(packing, {leading monomial: monic dict})``, the basis as
-    Buchberger finished it, in kernel values; it takes no part in equality.
+    Buchberger finished it, in kernel values and by decreasing leading
+    monomial.  ``generators`` unpacks it to ``Polynomial``s on first
+    access; equality, hashing and ``repr`` read the generators, not the
+    packing.
     """
 
-    generators: tuple[Polynomial, ...]
     order: MonomialOrder
     ring: tuple[str, ...]
     field: object
-    packed: tuple | None = dataclass_field(compare=False, repr=False)
+    packed: tuple
+
+    @cached_property
+    def generators(self) -> tuple[Polynomial, ...]:
+        pk, lead = self.packed
+        fld = self.field
+        return tuple(
+            Polynomial(self.ring, fld, {pk.unpack(m): fld.from_int(c) for m, c in d.items()})
+            for d in lead.values()
+        )
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.generators)
+
+    def _key(self) -> tuple:
+        return self.generators, self.order, self.ring, self.field
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroebnerBasis):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
@@ -275,10 +299,7 @@ def groebner(
         order = DEGREVLEX
     p = field.characteristic
     final, pk = _widening(order, len(ring), _top_exponent(gens), lambda pk: _buchberger(gens, pk, p))
-    basis = tuple(
-        Polynomial(ring, field, {pk.unpack(m): field.from_int(c) for m, c in d.items()}) for d in final
-    )
-    return GroebnerBasis(basis, order, ring, field, (pk, {max(d): d for d in final}))
+    return GroebnerBasis(order, ring, field, (pk, {max(d): d for d in final}))
 
 
 def _buchberger(gens: Sequence[dict], pk: _Packing, p: int) -> list[dict]:

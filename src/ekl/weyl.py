@@ -22,6 +22,18 @@ the work (Humphreys, *Reflection Groups and Coxeter Groups*):
 * w^-1 w0 w lies in W_P iff w0 = -iota fixes mu = w.lambda_P, that is
   mu_k = -mu_iota(k) for every node k; ``compute_aP`` counts those weights.
 
+The walk packs a weight of the orbit into one int, after the packed
+exponent vectors of Bachmann and Schoenemann (ISSAC 1998): field j, W bits
+wide, holds mu_j + B for the bias B = 2^(W-1) - 1.  Since
+mu_j = <lambda_P, w^-1 alpha_j^vee> and lambda_P is a 0/1 sum of
+fundamental weights, |mu_j| is at most the height h - 1 of the highest
+coroot (h = 2N / rank, the Coxeter number, for N positive roots), and W is
+the least width with B >= h - 1.  So a field runs over 0 .. 2B: mu_j > 0
+iff its top bit is set, mu_j >= 0 iff adding one to it sets the top bit
+(with no carry), s_i.mu is the one multiply-add mu + mu_i * Delta_i for
+the packed column Delta_i of -C[j][i], and w0 fixes mu iff
+field_k + field_iota(k) = 2B for every node k.
+
 Node numbering follows the usual diagram conventions: D_n has its fork at
 nodes 1 and 2, both attached to node 3, with the chain running 3 .. n; the
 E types run 1-3-4-5-6(-7-8) with node 2 attached to node 4.
@@ -278,6 +290,80 @@ def _parabolic_weight(rs: RootSystem, p: ParabolicSpec) -> list[int]:
     return [0 if i in p.kept_nodes else 1 for i in rs.nodes]
 
 
+def _field_width(rs: RootSystem) -> int:
+    """Bits W per field of a packed weight: the least width whose bias
+    B = 2^(W-1) - 1 is at least h - 1, for h = 2N / rank the Coxeter number,
+    which bounds every |mu_j| of an orbit weight (see the module docstring)."""
+    return (2 * rs.npos // rs.rank - 1).bit_length() + 1
+
+
+def _coset_walk(
+    rs: RootSystem, p: ParabolicSpec, budget: int | None, length: int | None
+) -> tuple[int, list[int]]:
+    """The orbit walk of ``min_coset_reps`` on packed weights: the field
+    width W and the weights of every level in walk order, or of level
+    ``length`` only.  A weight is the int sum of (mu_j + B) << j W, so a
+    field runs over 0 .. 2B and adding one to it never carries."""
+    p.validate(rs)
+    order_p, npos_p = _parabolic_sizes(rs, p)
+    if length is not None and not 0 <= length <= rs.npos - npos_p:
+        raise ValueError(f"no coset of length {length}")
+    cap = enum_budget(budget)
+    if rs.order // order_p > cap:
+        raise EnumerationBudgetError(f"coset enumeration exceeded the budget of {cap} elements")
+    n, width, moves = rs.rank, _field_width(rs), _moves(rs.cartan)
+    mask = (1 << width) - 1
+    top = 1 << width - 1
+    bias = top - 1
+    # ones[k]: a 1 in each field below k; guards[k]: the top bit of each
+    ones = [((1 << k * width) - 1) // mask for k in range(n + 1)]
+    guards = [o << width - 1 for o in ones]
+    # s_i mu = mu + mu_i * deltas[i]: -2 at i and -C[j][i] at each neighbour j
+    deltas = [sum(a << j * width for j, a in moves[i]) - (2 << i * width) for i in range(n)]
+    # the top bit of field i -> (its shift, deltas[i], i), for the nodes below f
+    lower = {top << i * width: (i * width, d, i) for i, d in enumerate(deltas)}
+    # upper[f]: the neighbours i > f of f, with the ones and guards of fields f .. i - 1
+    upper = [
+        [
+            (i, i * width, deltas[i], ones[i] - ones[f], guards[i] - guards[f])
+            for i, _ in moves[f]
+            if i > f
+        ]
+        for f in range(n)
+    ] + [[]]
+    lam = sum((m + bias) << j * width for j, m in enumerate(_parabolic_weight(rs, p)))
+    level, firsts = [lam], [n]
+    reps: list[int] = []
+    depth = 0
+    while level:
+        if length is None:
+            reps.extend(level)
+        elif depth == length:
+            return width, level
+        children: list[int] = []
+        child_firsts: list[int] = []
+        add, add_first = children.append, child_firsts.append
+        for r, f in zip(level, firsts):
+            below = r & guards[f]
+            while below:
+                bit = below & -below
+                below ^= bit
+                shift, delta, i = lower[bit]
+                add(r + ((r >> shift & mask) - bias) * delta)
+                add_first(i)
+            for i, shift, delta, one, guard in upper[f]:
+                if r >> shift & top:
+                    nu = r + ((r >> shift & mask) - bias) * delta
+                    if (nu + one) & guard == guard:
+                        add(nu)
+                        add_first(i)
+        level, firsts = children, child_firsts
+        depth += 1
+    if length is not None:
+        raise ArithmeticError(f"the coset walk ended at length {depth - 1}, before {length}")
+    return width, reps
+
+
 def min_coset_reps(
     rs: RootSystem, p: ParabolicSpec, budget: int | None = None, length: int | None = None
 ) -> list[list[int]]:
@@ -300,61 +386,27 @@ def min_coset_reps(
     Each weight carries its first negative coordinate f: n for lambda_P,
     else the node its parent reflected at.  s_i raises only the neighbours
     of i, so every i < f with mu_i > 0 gives a child, and an i > f must lift
-    mu_f, so only the neighbours of f above it are tried.  Such an i is kept
-    iff every negative mu_j in mu[f:i] is at a neighbour j of i with
-    mu_j - mu_i C[j][i] >= 0.  Children are appended in increasing i, so the
-    order is that of trying every i and scanning the prefix of s_i.mu.
+    mu_f, so only the neighbours of f above it are tried.  Children are
+    appended in increasing i, so the order is that of trying every i and
+    scanning the prefix of s_i.mu.
+
+    The walk runs on packed weights: one int per weight, whose field j of
+    W bits holds mu_j + B for the bias B = 2^(W-1) - 1.  |mu_j| is at most
+    the height h - 1 of the highest coroot, h = 2N / n the Coxeter number,
+    and W is the least width with B >= h - 1, so a field runs over 0 .. 2B.
+    Then mu_i > 0 iff the top bit of field i is set, s_i.mu is one
+    multiply-add, mu + (field_i - B) * Delta_i for the packed column Delta_i
+    of -C[j][i], and an i > f is kept iff adding one to each field f .. i-1
+    of s_i.mu sets all their top bits (every one of them is >= 0).  The
+    weights are unpacked here, at the boundary; ``compute_aP`` tests its
+    level packed, w0 fixing mu iff field_k + field_iota(k) = 2B for every
+    node k.
     """
-    p.validate(rs)
-    order_p, npos_p = _parabolic_sizes(rs, p)
-    if length is not None and not 0 <= length <= rs.npos - npos_p:
-        raise ValueError(f"no coset of length {length}")
-    cap = enum_budget(budget)
-    if rs.order // order_p > cap:
-        raise EnumerationBudgetError(f"coset enumeration exceeded the budget of {cap} elements")
-    moves = _moves(rs.cartan)
-    n = rs.rank
-    # upper[f]: the neighbours i > f of node f (none past the last node);
-    # lower[i]: j -> a for the neighbours j < i, which s_i moves by a * mu_i
-    upper = [[i for i, _ in moves[f] if i > f] for f in range(n)] + [[]]
-    lower = [{j: a for j, a in moves[i] if j < i} for i in range(n)]
-    level = [(_parabolic_weight(rs, p), n)]
-    reps: list[list[int]] = []
-    depth = 0
-    while level:
-        if length is None:
-            reps.extend(mu for mu, _ in level)
-        elif depth == length:
-            return [mu for mu, _ in level]
-        children = []
-        for mu, f in level:
-            for i in range(f):
-                m = mu[i]
-                if m > 0:
-                    nu = mu.copy()
-                    nu[i] = -m
-                    for j, a in moves[i]:
-                        nu[j] += a * m
-                    children.append((nu, i))
-            for i in upper[f]:
-                m = mu[i]
-                if m > 0:
-                    low = lower[i]
-                    for j in range(f, i):
-                        x = mu[j]
-                        if x < 0 and x + low.get(j, 0) * m < 0:
-                            break
-                    else:
-                        nu = mu.copy()
-                        nu[i] = -m
-                        for j, a in moves[i]:
-                            nu[j] += a * m
-                        children.append((nu, i))
-        level = children
-        depth += 1
-    if length is not None:
-        raise ArithmeticError(f"the coset walk ended at length {depth - 1}, before {length}")
-    return reps
+    width, packed = _coset_walk(rs, p, budget, length)
+    mask = (1 << width) - 1
+    bias = mask >> 1
+    shifts = range(0, rs.rank * width, width)
+    return [[(r >> shift & mask) - bias for shift in shifts] for r in packed]
 
 
 def in_parabolic(rs: RootSystem, word: Sequence[int], p: ParabolicSpec) -> bool:
@@ -390,9 +442,11 @@ def compute_aP(
     w0 = -iota fixes its weight mu, i.e. mu_k = -mu_iota(k) for every node
     k.  w0 maps the minimal representative of length l to one of length
     N - N_P - l (Bjorner-Brenti, *Combinatorics of Coxeter Groups*,
-    section 2.5), so only the middle level (N - N_P) // 2 of
-    ``min_coset_reps`` is walked to and tested; when N - N_P is odd, no
-    weight there is fixed.
+    section 2.5), so only the middle level (N - N_P) // 2 of the
+    ``min_coset_reps`` walk is walked to and tested; when N - N_P is odd,
+    no weight there is fixed.  The level is tested packed, not unpacked:
+    mu_k = -mu_iota(k) iff field_k + field_iota(k) = 2B, for each pair
+    k <= iota(k).
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -401,10 +455,19 @@ def compute_aP(
         raise ValueError("the parabolic must be proper")
     if method == "auto" and is_central_longest(rs):
         return 0
-    theta = [j - 1 for j in rs.iota]
     middle = (rs.npos - _parabolic_sizes(rs, p)[1]) // 2
-    level = min_coset_reps(rs, p, budget, length=middle)
-    return sum(mu == [-mu[j] for j in theta] for mu in level)
+    width, level = _coset_walk(rs, p, budget, middle)
+    mask = (1 << width) - 1
+    twice_bias = mask - 1
+    pairs = [(k * width, (j - 1) * width) for k, j in enumerate(rs.iota) if k < j]
+    count = 0
+    for r in level:
+        for a, b in pairs:
+            if (r >> a & mask) + (r >> b & mask) != twice_bias:
+                break
+        else:
+            count += 1
+    return count
 
 
 def aP_formula_typeA(blocks: Sequence[int]) -> int:

@@ -16,8 +16,15 @@ import heapq
 from fractions import Fraction
 from typing import Sequence
 
-from ekl.localg import GroebnerBasis, InfiniteQuotientError, UnitIdealError, _add_multiple
-from ekl.poly import DEGREVLEX, Monomial, MonomialOrder, Polynomial, _kernel_values, mono_mul
+from ekl.localg import (
+    GroebnerBasis,
+    InfiniteQuotientError,
+    UnitIdealError,
+    _Packing,
+    _add_multiple,
+    _top_exponent,
+)
+from ekl.poly import DEGREVLEX, Monomial, MonomialOrder, _kernel_values, mono_mul
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
@@ -184,8 +191,11 @@ def groebner(
         if r:
             final.append(r)
     final.sort(key=lambda d: key(max(d, key=key)), reverse=True)
-    basis = tuple(Polynomial(ring, fld, {m: fld.from_int(c) for m, c in d.items()}) for d in final)
-    return GroebnerBasis(basis, order, ring, fld, None)
+    # the basis is handed over as the library holds it, packed, in fields
+    # just wide enough for its exponents; its generators unpack from there
+    pk = _Packing(order, len(ring), _top_exponent(final).bit_length() + 1)
+    packed = {pk.pack(max(d, key=key)): {pk.pack(m): c for m, c in d.items()} for d in final}
+    return GroebnerBasis(order, ring, fld, (pk, packed))
 
 
 def standard_monomials(gb: GroebnerBasis) -> tuple[Monomial, ...]:

@@ -15,6 +15,7 @@ import pytest
 import ekl.cli
 import ekl.degree
 import ekl.gw
+import ekl.localg
 from ekl.cli import build_parser
 from ekl.degree import (
     CERTIFICATE_PRIME,
@@ -71,6 +72,29 @@ def test_degree_class_equals_the_full_path_on_family_members(args, field):
     full_dimension, full = cached_full_class(f)
     assert dimension == full_dimension
     assert gw_equal(cls, full)
+
+
+@pytest.mark.parametrize("field", ["q", f"fp:{P}"])
+def test_degree_class_makes_no_groebner_generators(monkeypatch, field):
+    # the class path reads GroebnerBasis.packed only; the generators are
+    # made as Polynomials on first access
+    made = []
+
+    class Counting(ekl.localg.Polynomial):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(ekl.localg, "Polynomial", Counting)
+    f = family_spec(("--type", "A", "--blocks", "3,2"), field).map
+    degree_class(f)
+    assert made == []
+    gb = groebner(f.components, f.ring, f.field)
+    assert made == []
+    generators = gb.generators  # made here, one Polynomial each
+    assert len(made) == len(generators) > 0
 
 
 # test_strip compares the ladder and the D-odd members the same way

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from conftest import poly, random_origin_map
+from conftest import random_origin_map
 
 from ekl.cli import main
 from ekl.degree import MapSpec, ekl_degree, prepare_quotient
@@ -135,7 +135,7 @@ def test_border_tail_outside_the_standard_span_is_refused():
     texts = ("x^2 + y^2", "y^2")
     pk = _packing(DEGREVLEX, 2, 2)
     packed = {max(d): d for d in _packed_terms([parse_poly(t, XY, QQ) for t in texts], pk)}
-    gb = GroebnerBasis(tuple(poly(t, XY) for t in texts), DEGREVLEX, XY, QQ, (pk, packed))
+    gb = GroebnerBasis(DEGREVLEX, XY, QQ, (pk, packed))
     with pytest.raises(ArithmeticError, match="left the standard-monomial span"):
         quotient_presentation(gb)
 

@@ -320,6 +320,16 @@ def test_first_negative_walk_equals_the_tree_walk(label, rank):
                 assert compute_aP(rs, p, method="enumerate") == self_dual
 
 
+@pytest.mark.parametrize("label, rank", FIRST_NEGATIVE_TYPES)
+def test_orbit_coordinates_fit_the_packed_fields(label, rank):
+    # with no node kept, lambda_P = rho gives the largest coordinates: the
+    # height h - 1 of the highest coroot, for h = 2N / rank (G2: 5, B/C_n: 2n - 1)
+    rs = build_root_system(label, rank)
+    largest = max(abs(m) for mu in tree_walk_reps(rs, ParabolicSpec.keep([])) for m in mu)
+    assert largest == 2 * rs.npos // rank - 1
+    assert largest <= 2 ** (ekl.weyl._field_width(rs) - 1) - 1
+
+
 @pytest.mark.parametrize("label, rank, kept, aP", ORACLE_CASES)
 def test_coroot_pairings_give_the_orbit_weight(label, rank, kept, aP):
     # mu_k = <w.lambda, alpha_k^vee> = <lambda, (w^-1 alpha_k)^vee>, which in
