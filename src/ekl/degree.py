@@ -16,7 +16,9 @@ are taken inside Q (``localg.poly_det``): minors are coordinate vectors
 and polynomial entries act on them through the M_k.  The Gram row for a
 standard monomial b is the functional r_b = phi(b * -): r_1 = phi, and
 r_{x_k m} = r_m M_k, so every row is one vector-matrix product away from
-the row of a divisor of b.  The same matrices give the origin test (every
+the row of a divisor of b.  A row is a dict of its nonzero entries, and
+the product scatters each of them through the transpose of M_k, built
+once per split.  The same matrices give the origin test (every
 x_k is nilpotent).  These kernels compute on int residues over F_p and on
 ints where the values are integral over Q (see ``localg``), and so does
 everything that feeds or reads them: a ``MapSpec`` holds one ``{monomial:
@@ -38,13 +40,16 @@ component weighted homogeneous (``homogeneous_weights``), Q is graded, E
 and phi live in one degree D, and phi(b*b') != 0 only when
 deg b + deg b' = D.  Then the class is (sum_{k<D/2} dim Q_k) H plus the
 class of the middle block Q_{D/2} (Witt decomposition).  Only the rows
-r_b with deg b <= D/2 are built, each stored only on its partner columns,
-those of degree D - deg b.  The theorem checks stay: J = dim(Q) * E,
-every pairing Q_k x Q_{D-k} with k < D/2 is perfect, certified by its
-rank modulo a large prime and by an exact rank only when that one comes
-out short, and the middle block is nondegenerate.  A map without weights
-is split under the zero weight: one degree, one dense slice, and the
-whole Gram matrix is the middle block, as in ``ekl_degree``.
+r_b with deg b <= D/2 are built, and their nonzeros lie on their partner
+columns, those of degree D - deg b.  The theorem checks stay: J = dim(Q)
+* E, every pairing Q_k x Q_{D-k} with k < D/2 is perfect, certified by
+the rank of its sparse rows modulo a large prime (by sparse elimination,
+ints taken as residues as they are) and by an exact rank only when that
+one comes out short, and the middle block is nondegenerate.  The middle
+block is classified once, and the h hyperbolic planes and <u> are folded
+into its diagonal in one pass (``gw.fold_class``).  A map without weights
+is split under the zero weight: one degree, no pairings, and the whole
+Gram matrix is the middle block, as in ``ekl_degree``.
 """
 
 from __future__ import annotations
@@ -55,16 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gw import (
-    DegenerateFormError,
-    GramForm,
-    GWClass,
-    classify,
-    gw_add,
-    gw_mul,
-    unit_class,
-    units_class,
-)
+from .gw import DegenerateFormError, GramForm, GWClass, classify, fold_class
 from .localg import (
     AlgebraElement,
     GroebnerBasis,
@@ -330,31 +326,33 @@ def degree_class(f: MapSpec) -> tuple[int, GWClass]:
     ``strip_solved(f)``.
 
     g is split by degree (``_split_form``) under ``homogeneous_weights(g)``,
-    or under the zero weight when it has none.  f itself gives the answer when
-    nothing is stripped or g raises one of ``MAP_FAILURES``, so that the
-    message names f's variables.
+    or under the zero weight when it has none, into h hyperbolic planes and
+    a middle block.  The middle block is classified, and h H and <u> are
+    folded into its diagonal in one pass (``gw.fold_class``).  f itself
+    gives the answer when nothing is stripped or g raises one of
+    ``MAP_FAILURES``, so that the message names f's variables.
     """
     g, u = strip_solved(f)
     if g is not f:
         try:
-            dimension, cls = _split_class(g)
-            return dimension, gw_mul(unit_class(u, g.field), cls)
+            dimension, hyperbolic, middle = _split_class(g)
+            return dimension, fold_class(middle, hyperbolic, u)
         except MAP_FAILURES:
             pass
-    return _split_class(f)
+    dimension, hyperbolic, middle = _split_class(f)
+    return dimension, fold_class(middle, hyperbolic, f.field.one)
 
 
-def _split_class(f: MapSpec) -> tuple[int, GWClass]:
+def _split_class(f: MapSpec) -> tuple[int, int, GWClass]:
+    """dim Q, the number h of hyperbolic planes and the class of the middle
+    block of f's form, split by degree."""
     weights = homogeneous_weights(f)
     qp, socle, _ = _checked_socle(f)
     std = qp.standard_monomials  # no weights: the zero weight, one degree
     degree = [sum(w * e for w, e in zip(weights, b)) for b in std] if weights else [0] * len(std)
     index = _top_socle_index(socle)
     hyperbolic, block = _split_form(qp, socle, index, degree)
-    cls = classify(block, qp.field)
-    if hyperbolic:
-        cls = gw_add(units_class(hyperbolic, hyperbolic, (), qp.field), cls)
-    return qp.dimension, cls
+    return qp.dimension, hyperbolic, classify(block, qp.field)
 
 
 def homogeneous_weights(f: MapSpec) -> tuple[int, ...] | None:
@@ -437,39 +435,50 @@ def _assert_jacobian_relation(qp: QuotientPresentation, socle: tuple, jac: tuple
         raise ArithmeticError("Jacobian element differs from dimension * socle element")
 
 
-def _gram_rows(qp: QuotientPresentation, index: int, degree, slices: dict) -> list:
+def _gram_rows(qp: QuotientPresentation, index: int, degree) -> list:
     """Rows r_b(b') = psi(b * b') for psi the coordinate ``index`` (pivot
-    * phi), on Q graded by ``degree``, with the positions of each degree in
-    ``slices``.  psi lives in degree D, so r_b is built only for 2 deg b <= D
-    (None elsewhere) and only on its partner columns ``slices[D - deg b]``,
-    in their order.  The entries are kernel values, residues over F_p.
+    * phi), on Q graded by ``degree``, as ``{position: kernel value}`` dicts
+    of their nonzero entries (residues over F_p).  psi lives in degree D,
+    so r_b is built only for 2 deg b <= D (None elsewhere), and its entries
+    lie on its partner columns, those of degree D - deg b.
 
     r_1 = psi and r_b = r_m M_k, where x_k is the first variable dividing
     b and m = b / x_k.  Standard monomials are closed under division and a
     divisor precedes its multiple in every monomial order, so r_m is
-    already built when b comes up in the ascending basis, and M_k maps the
-    partner columns of b onto those of m, where ``place`` finds r_m's entries.
+    already built when b comes up in the ascending basis.  r_b(b') =
+    r_m(x_k b') is the sum over the nonzeros r_m(t) of r_m(t) M_k[b'][t],
+    so r_b is made by scattering each r_m(t) through row t of the transpose
+    of M_k, built once per k and dropped on return.
     """
     p = qp.field.characteristic
     position = qp.monomial_index()
-    place = [0] * qp.dimension  # each position's index in its slice
-    for part in slices.values():
-        for at, i in enumerate(part):
-            place[i] = at
     top = degree[index]
+    transposes: dict[int, list] = {}
     rows: list = [None] * qp.dimension
-    rows[0] = [0] * len(slices[top])  # the standard monomial 1 comes first
-    rows[0][place[index]] = 1
+    rows[0] = {index: 1}  # the standard monomial 1 comes first
     for i, b in enumerate(qp.standard_monomials[1:], 1):
         if 2 * degree[i] <= top:
             k = next(k for k, e in enumerate(b) if e)
-            r = rows[position[b[:k] + (b[k] - 1,) + b[k + 1 :]]]
-            matrix = qp.matrices[k]
-            row = [
-                sum(r[place[t]] * c for t, c in matrix[j].items() if r[place[t]])
-                for j in slices[top - degree[i]]
-            ]
-            rows[i] = [a % p for a in row] if p else row
+            if k not in transposes:
+                transposes[k] = _transpose(qp.matrices[k], qp.dimension)
+            transpose = transposes[k]
+            row: dict = {}
+            for t, a in rows[position[b[:k] + (b[k] - 1,) + b[k + 1 :]]].items():
+                for j, c in transpose[t]:
+                    row[j] = row.get(j, 0) + a * c
+            if p:
+                row = {j: a % p for j, a in row.items()}
+            rows[i] = {j: a for j, a in row.items() if a}
+    return rows
+
+
+def _transpose(matrix: list[dict], dimension: int) -> list[list[tuple]]:
+    """Row t of a sparse matrix given by its columns j (``matrix[j][t]``), as
+    a list of (j, entry) pairs, for every t."""
+    rows: list[list[tuple]] = [[] for _ in range(dimension)]
+    for j, column in enumerate(matrix):
+        for t, c in column.items():
+            rows[t].append((j, c))
     return rows
 
 
@@ -479,12 +488,13 @@ def _split_form(qp: QuotientPresentation, socle: tuple, index: int, degree) -> t
     socle element's kernel coordinates ``socle``.
 
     E and phi live in one degree D, so b pairs only with degree D - deg b,
-    and ``_gram_rows`` builds r_b only there and only for deg b <= D/2.
-    Each pairing Q_k x Q_{D-k} with k < D/2 must be perfect (``_full_rank``)
-    and adds dim Q_k hyperbolic planes to h.  The middle block Q_{D/2}, the
-    whole Gram matrix under the zero degree, is a ``GramForm`` of kernel
-    values: the rows of pivot * phi, scaled by 1/pivot.  It is left to
-    ``classify``, which refuses it if it is degenerate.
+    and ``_gram_rows`` builds r_b only for deg b <= D/2, as a dict of its
+    nonzeros.  Each pairing Q_k x Q_{D-k} with k < D/2 must be perfect
+    (``_full_rank`` of its sparse rows) and adds dim Q_k hyperbolic planes
+    to h.  The middle block Q_{D/2}, the whole Gram matrix under the zero
+    degree, is read off its rows as a ``GramForm`` of kernel values: the
+    rows of pivot * phi, scaled by 1/pivot.  It is left to ``classify``,
+    which refuses it if it is degenerate.
     """
     fld = qp.field
     top = degree[index]
@@ -496,7 +506,7 @@ def _split_form(qp: QuotientPresentation, socle: tuple, index: int, degree) -> t
     for d, part in slices.items():
         if len(slices.get(top - d, ())) != len(part):
             raise DegenerateFormError(f"degrees {d} and {top - d} differ in dimension")
-    rows = _gram_rows(qp, index, degree, slices)
+    rows = _gram_rows(qp, index, degree)
 
     hyperbolic = 0
     for d, part in slices.items():
@@ -505,50 +515,76 @@ def _split_form(qp: QuotientPresentation, socle: tuple, index: int, degree) -> t
                 raise DegenerateFormError(f"the pairing of degrees {d} and {top - d} is singular")
             hyperbolic += len(part)
     middle = slices.get(top // 2, []) if top % 2 == 0 else []
+    place = {j: at for at, j in enumerate(middle)}
+    block = []
+    for i in middle:
+        dense = [0] * len(middle)
+        for j, a in rows[i].items():
+            dense[place[j]] = a
+        block.append(dense)
     p, pivot = fld.characteristic, socle[index]
     inverse = pow(pivot, -1, p) if p else Fraction(1, pivot)
-    return hyperbolic, GramForm([rows[i] for i in middle], fld, inverse)
+    return hyperbolic, GramForm(block, fld, inverse)
 
 
 #: Full rank modulo this prime certifies full rank over Q.
 CERTIFICATE_PRIME = 2**61 - 1
 
 
-def _full_rank(block: list[list], fld) -> bool:
-    """Whether a square matrix of kernel values over fld is invertible.
+def _full_rank(rows: list[dict], fld) -> bool:
+    """Whether a square matrix over fld, given by its rows as ``{column:
+    kernel value}`` dicts, is invertible.
 
     Over F_p this is the rank of its residues.  Over Q the rank modulo
     CERTIFICATE_PRIME, where no denominator vanishes, is at most the rank
     over Q, so a full one certifies it; else the exact rank, on Fractions.
+    An int is its own residue, and only a Fraction pays for the inverse of
+    its denominator.
     """
-    n = len(block)
+    n = len(rows)
     if fld.characteristic:
-        return _rank(block, fld.characteristic) == n
+        return _rank(rows, fld.characteristic) == n
     p = CERTIFICATE_PRIME
-    if all(a.denominator % p for row in block for a in row):
-        residues = [[a.numerator * pow(a.denominator, -1, p) % p for a in row] for row in block]
+    if all(type(a) is int or a.denominator % p for row in rows for a in row.values()):
+        residues = [
+            {j: a if type(a) is int else a.numerator * pow(a.denominator, -1, p) for j, a in row.items()}
+            for row in rows
+        ]
         if _rank(residues, p) == n:
             return True
-    return _rank([[Fraction(a) for a in row] for row in block]) == n
+    return _rank([{j: Fraction(a) for j, a in row.items()} for row in rows]) == n
 
 
-def _rank(matrix: list[list], p: int = 0) -> int:
-    """Rank by Gaussian elimination: of integers modulo p, or exactly over
-    Q when p is 0."""
-    rows = [list(row) for row in matrix]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        inverse = pow(top[c], -1, p) if p else 1 / top[c]
-        for row in rows[rank + 1 :]:
-            if row[c]:
-                t = row[c] * inverse
-                row[c:] = [a - t * b for a, b in zip(row[c:], top[c:])]
-                if p:
-                    row[c:] = [a % p for a in row[c:]]
-        rank += 1
-    return rank
+def _rank(rows: list[dict], p: int = 0) -> int:
+    """Rank of the rows, ``{column: value}`` dicts, by sparse Gaussian
+    elimination: of integers modulo p, or exactly over Q when p is 0.
+
+    Each row is reduced in turn by the pivot rows kept so far, at its
+    smallest column that holds a pivot, until it is zero or its smallest
+    column holds none; then it becomes the pivot row of that column,
+    scaled to 1 there.  Only nonzero entries are stored, so the work
+    follows the nonzeros and their fill-in.
+    """
+    pivots: dict = {}  # column -> pivot row, 1 at that column and 0 left of it
+    for row in rows:
+        if p:
+            row = {j: a % p for j, a in row.items()}
+        row = {j: a for j, a in row.items() if a}
+        while row:
+            c = min(row)
+            top = pivots.get(c)
+            if top is None:
+                inverse = pow(row[c], -1, p) if p else 1 / row[c]
+                pivots[c] = {j: a * inverse % p if p else a * inverse for j, a in row.items()}
+                break
+            t = row.pop(c)
+            for j, a in top.items():
+                if j != c:
+                    v = row.get(j, 0) - t * a
+                    if p:
+                        v %= p
+                    if v:
+                        row[j] = v
+                    else:
+                        row.pop(j, None)
+    return len(pivots)

@@ -293,19 +293,22 @@ class GWClass:
 
 
 def classify_diagonal(entries: Iterable, field) -> GWClass:
-    """GW class of the diagonal form <entries>."""
+    """GW class of the diagonal form <entries>.  Over F_p an int entry is
+    read as its residue; other entries are field elements or rationals
+    (read by ``from_str``)."""
     if isinstance(field, PrimeField):
-        residues = [_element(e, field).residue for e in entries]
+        p = field.p
+        residues = [e % p if type(e) is int else _element(e, field).residue for e in entries]
         if 0 in residues:
             raise DegenerateFormError("zero diagonal entry over a prime field")
         disc = 1
         for r in residues:
-            disc = disc * r % field.p
+            disc = disc * r % p
         return GWClass(
             field=field,
             diagonal=tuple(sorted(residues)),
             rank=len(residues),
-            disc_legendre=legendre(disc, field.p),
+            disc_legendre=legendre(disc, p),
         )
     classes = []
     for e in entries:
@@ -426,6 +429,33 @@ def units_class(ones: int, minus_ones: int, residual: Sequence[SquareClass], fie
     classes = [SquareClass(1)] * ones + [SquareClass(-1)] * minus_ones + list(residual)
     if isinstance(field, PrimeField):
         return classify_diagonal([sq.rep for sq in classes], field)
+    return _rational_class(classes, field)
+
+
+def fold_class(c: GWClass, hyperbolic: int, unit) -> GWClass:
+    """The class <unit> * (hyperbolic * H + c), from c's diagonal in one
+    pass; unit is a nonzero field value.
+
+    Equal in every field, the diagonal included, to ``gw_mul(unit_class(unit),
+    gw_add(units_class(hyperbolic, hyperbolic, ()), c))``: H adds <1> and
+    <-1>, and the diagonal is multiplied by unit only when unit is not a
+    square, as ``gw_mul`` does.  c itself when there is nothing to fold.
+    """
+    field = c.field
+    if isinstance(field, PrimeField):
+        p = field.p
+        u = _element(unit, field).residue
+        square = legendre(u, p) == 1
+        if square and not hyperbolic:
+            return c
+        diagonal = [1] * hyperbolic + [p - 1] * hyperbolic + list(c.diagonal)
+        return classify_diagonal(diagonal if square else [u * d % p for d in diagonal], field)
+    u = 1 if unit == 1 else squarefree_part(unit)
+    if u == 1 and not hyperbolic:
+        return c
+    classes = [SquareClass(1)] * hyperbolic + [SquareClass(-1)] * hyperbolic + list(c.diagonal)
+    if u != 1:
+        classes = [SquareClass(squarefree_product(u, d.rep)) for d in classes]
     return _rational_class(classes, field)
 
 

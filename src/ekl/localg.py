@@ -168,12 +168,15 @@ class _MonicReducer:
         self.p = p
 
     def normalize(self, d: dict) -> dict:
-        """The monic multiple of d."""
+        """The monic multiple of d; over Q on ints when lc is an int that
+        divides every coefficient."""
         if not d:
             return d
         lc = d[max(d)]
         p = self.p
         if not p:
+            if type(lc) is int and all(type(c) is int and not c % lc for c in d.values()):
+                return {m: c // lc for m, c in d.items()}
             if lc != 1:
                 inv = 1 / Fraction(lc)
                 d = {m: c * inv for m, c in d.items()}

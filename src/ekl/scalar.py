@@ -8,6 +8,7 @@ integers, which makes them hashable and totally ordered.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,8 +31,11 @@ class FactorBoundError(ArithmeticError):
 PRIMALITY_LIMIT = 3317044064679887385961981
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def is_odd_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; False at and above PRIMALITY_LIMIT."""
+    """Deterministic Miller-Rabin; False at and above PRIMALITY_LIMIT.  The
+    answers for the last 256 arguments are cached, so a field's modulus,
+    asked for by every ``GF`` and ``legendre``, is tested once."""
     if n < 3 or n % 2 == 0 or n >= PRIMALITY_LIMIT:
         return False
     d, s = n - 1, 0

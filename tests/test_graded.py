@@ -208,31 +208,37 @@ def test_weights_of_monomial_and_quasi_homogeneous_maps():
 # the perfect-pairing certificate
 
 
+def sparse(matrix):
+    """The rows of a matrix as the ``{column: value}`` dicts ``_full_rank``
+    reads, zeros kept."""
+    return [dict(enumerate(row)) for row in matrix]
+
+
 def test_certificate_falls_back_to_the_exact_rank(monkeypatch):
     calls = []
     real_rank = ekl.degree._rank
 
-    def spy(matrix, p=0):
+    def spy(rows, p=0):
         calls.append(p)
-        return real_rank(matrix, p)
+        return real_rank(rows, p)
 
     monkeypatch.setattr(ekl.degree, "_rank", spy)
     # the rank modulo the prime is short, the exact rank is full
-    assert _full_rank([[Fraction(CERTIFICATE_PRIME), Fraction(0)], [Fraction(0), Fraction(1)]], QQ)
+    assert _full_rank(sparse([[Fraction(CERTIFICATE_PRIME), Fraction(0)], [Fraction(0), Fraction(1)]]), QQ)
     assert calls == [CERTIFICATE_PRIME, 0]
     # a denominator divisible by the prime has no residue: exact rank only
     calls.clear()
-    assert _full_rank([[Fraction(1, CERTIFICATE_PRIME)]], QQ)
+    assert _full_rank(sparse([[Fraction(1, CERTIFICATE_PRIME)]]), QQ)
     assert calls == [0]
     # a full rank modulo the prime needs no exact rank
     calls.clear()
-    assert _full_rank([[Fraction(1, 3), Fraction(2)], [Fraction(1), Fraction(5)]], QQ)
+    assert _full_rank(sparse([[Fraction(1, 3), Fraction(2)], [Fraction(1), Fraction(5)]]), QQ)
     assert calls == [CERTIFICATE_PRIME]
     # singular over Q, and over F_p exactly by the rank modulo p
-    assert not _full_rank([[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]], QQ)
+    assert not _full_rank(sparse([[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]]), QQ)
     fp = GF(7)
-    assert not _full_rank([[1, 3], [2, 6]], fp)  # the kernels' residues over F_p
-    assert _full_rank([[1, 3], [2, 5]], fp)
+    assert not _full_rank(sparse([[1, 3], [2, 6]]), fp)  # the kernels' residues over F_p
+    assert _full_rank(sparse([[1, 3], [2, 5]]), fp)
 
 
 def presentation(ring, generators, socle):

@@ -360,6 +360,15 @@ def test_classify_diagonal_reads_rationals_over_fp():
     assert classify_diagonal([Fraction(1, 2)], f7).diagonal == (4,)
 
 
+def test_classify_diagonal_reads_ints_as_residues_over_fp(monkeypatch):
+    f7 = GF(7)
+    entries = [3, -1, 10, 6, 7 * 5 + 2, -15]
+    expected = classify_diagonal([str(e) for e in entries], f7)  # each read by from_str
+    monkeypatch.setattr(f7, "from_str", lambda text: pytest.fail(f"{text!r} read by from_str"))
+    c = classify_diagonal(entries, f7)
+    assert c == expected and c.diagonal == (2, 3, 3, 6, 6, 6)
+
+
 @pytest.mark.parametrize(
     "read",
     [lambda e, f: classify_diagonal([e], f), lambda e, f: GramForm.from_rows([[e]], f)],

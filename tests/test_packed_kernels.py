@@ -102,6 +102,17 @@ def test_packed_kernels_match_the_oracle_on_seeded_ideals(fname, oname):
             assert_same_as_oracle(gens, ring, fld, order)
 
 
+def test_normalize_divides_ints_by_an_int_leading_coefficient():
+    reducer = localg._MonicReducer(localg._Packing(DEGREVLEX, 2, 8), 0)
+    for d in ({5: -1, 3: 4, 1: -6}, {5: 3, 3: 6, 1: -9}, {5: -2, 3: 4, 1: 3}, {5: 2, 3: Fraction(1, 3)}):
+        monic = reducer.normalize(d)
+        lc = Fraction(d[5])
+        expected = {m: c / lc for m, c in d.items()}
+        assert monic == expected
+        # ints where integral, Fractions otherwise, as the basis stores them
+        assert [type(c) for c in monic.values()] == [int if c.denominator == 1 else Fraction for c in expected.values()]
+
+
 @pytest.mark.parametrize("args", LADDER, ids=" ".join)
 def test_packed_kernels_match_the_oracle_on_ladder_members(args):
     g = strip_solved(family_spec(args).map)[0]

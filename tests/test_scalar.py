@@ -188,6 +188,24 @@ def test_is_odd_prime():
         assert not is_odd_prime(n)
 
 
+def test_each_prime_is_tested_once(monkeypatch):
+    # Miller-Rabin squares through pow(a, d, n); count its calls per modulus
+    tested = []
+    real_pow = pow
+
+    def counting(*args):
+        if len(args) == 3 and args[2] == 1000003:
+            tested.append(args[0])
+        return real_pow(*args)
+
+    is_odd_prime.cache_clear()
+    monkeypatch.setattr(ekl.scalar, "pow", counting, raising=False)
+    for _ in range(3):
+        assert GF(1000003).p == 1000003
+    assert len(tested) == 13  # one pow per base, in the first GF only
+    assert is_odd_prime.cache_info().hits == 2
+
+
 # 1287836182261 * 2575672364521, a strong pseudoprime to the bases 2..41
 PSEUDOPRIME = 3317044064679887385961981
 MERSENNE_89 = 2**89 - 1  # prime, but above the certified range

@@ -17,8 +17,8 @@ import pytest
 
 import ekl.cli
 from ekl.cli import main
-from ekl.degree import MapSpec, ekl_degree, strip_solved
-from ekl.gw import gw_equal, gw_mul, recognize_units, render_units, unit_class
+from ekl.degree import MAP_FAILURES, MapSpec, _split_class, degree_class, ekl_degree, strip_solved
+from ekl.gw import gw_add, gw_equal, gw_mul, recognize_units, render_units, unit_class, units_class
 from ekl.quotmap import QuotientSpec, build_D_odd_partial, build_Sn_full, build_typeBC_full
 from ekl.scalar import GF, QQ, SquareClass, legendre
 
@@ -162,6 +162,64 @@ def test_failure_on_the_stripped_map_reports_the_full_map(tmp_path, capsys):
     named = run(capsys, "degree", str(path))
     assert named[0] == 3 and "'x'" in named[2]
     assert run(capsys, "degree", str(path), "--format", "invariants") == named
+
+
+# ---------------------------------------------------------------------------
+# the one-pass fold of h H and <u> against the composed class
+
+
+def composed_class(f):
+    """``degree_class`` composed from the class operations:
+    gw_mul(unit_class(u), gw_add(units_class(h, h), middle class)), with
+    u = 1 when nothing is stripped or the stripped map fails."""
+
+    def compose(g, u):
+        dimension, h, middle = _split_class(g)
+        return dimension, gw_mul(unit_class(u, g.field), gw_add(units_class(h, h, (), g.field), middle))
+
+    g, u = strip_solved(f)
+    if g is not f:
+        try:
+            return compose(g, u)
+        except MAP_FAILURES:
+            pass
+    return compose(f, f.field.one)
+
+
+def assert_fold_is_composed(maps):
+    """``degree_class`` equals ``composed_class`` in every ``GWClass`` field,
+    or both raise the same failure; returns how many stripped maps had a
+    unit that is not a square."""
+    folded = 0
+    for f in maps:
+        try:
+            expected = composed_class(f)
+        except MAP_FAILURES as e:
+            with pytest.raises(type(e)):
+                degree_class(f)
+            continue
+        assert degree_class(f) == expected, f.components
+        g, u = strip_solved(f)
+        folded += g is not f and unit_class(u, f.field) != unit_class(f.field.one, f.field)
+    return folded
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(7), GF(P)], ids=["q", "fp7", f"fp{P}"])
+@pytest.mark.parametrize("seed", [1, 5])
+def test_the_fold_is_the_composed_class_on_random_maps(seed, fld):
+    maps = [MapSpec.from_json(m.to_json(), fld) for m in load_workloads().random_maps(seed)]
+    assert assert_fold_is_composed(maps) > 0
+
+
+@pytest.mark.parametrize("field", ["q", f"fp:{P}"])
+def test_the_fold_is_the_composed_class_on_ladder_members(field):
+    parser = ekl.cli.build_parser()
+    maps = [
+        ekl.cli._build_quotient_spec(parser.parse_args(["quotient", *args, "--field", field])).map
+        for _, args, _ in load_workloads().QUOTIENT_LADDER
+    ]
+    assert len(maps) == 17
+    assert_fold_is_composed(maps)
 
 
 # ---------------------------------------------------------------------------
