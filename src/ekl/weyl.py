@@ -18,7 +18,10 @@ the work (Humphreys, *Reflection Groups and Coxeter Groups*):
   of mu iff mu_i > 0 and i is the first negative coordinate of s_i.mu.
   So a weight's first negative coordinate is the node its parent reflected
   at, and only the nodes before it and its upper neighbours can give a
-  child (the first-negative rule).
+  child (the first-negative rule).  A level of the walk is kept as n + 1
+  buckets by that node, and the children at node i are gathered by one
+  list comprehension over the buckets of the lower neighbours of i (with
+  a prefix check) and one over every bucket above i (with none).
 * w^-1 w0 w lies in W_P iff w0 = -iota fixes mu = w.lambda_P, that is
   mu_k = -mu_iota(k) for every node k; ``compute_aP`` counts those weights.
 
@@ -297,67 +300,89 @@ def _field_width(rs: RootSystem) -> int:
     return (2 * rs.npos // rs.rank - 1).bit_length() + 1
 
 
+@lru_cache(maxsize=None)
+def _walk_tables(type_label: str, rank: int) -> tuple[int, tuple]:
+    """The field width W of the packed walk and, for each node i, its step:
+    the top bit and the shift of field i, the packed column Delta_i (s_i mu
+    = mu + mu_i * Delta_i: -2 at i and -C[j][i] at each neighbour j), and
+    the neighbours f < i with the ones and the top bits of fields f .. i - 1.
+    They depend on the root system only, so they are built once for it."""
+    rs = build_root_system(type_label, rank)
+    width, moves = _field_width(rs), _moves(rs.cartan)
+    mask = (1 << width) - 1
+    top = 1 << width - 1
+    # ones[k]: a 1 in each field below k; guards[k]: the top bit of each
+    ones = [((1 << k * width) - 1) // mask for k in range(rank + 1)]
+    guards = [o << width - 1 for o in ones]
+    steps = tuple(
+        (
+            top << i * width,
+            i * width,
+            sum(a << j * width for j, a in moves[i]) - (2 << i * width),
+            tuple((f, ones[i] - ones[f], guards[i] - guards[f]) for f, _ in moves[i] if f < i),
+        )
+        for i in range(rank)
+    )
+    return width, steps
+
+
 def _coset_walk(
-    rs: RootSystem, p: ParabolicSpec, budget: int | None, length: int | None
+    rs: RootSystem,
+    p: ParabolicSpec,
+    sizes: tuple[int, int],
+    budget: int | None,
+    length: int | None,
 ) -> tuple[int, list[int]]:
-    """The orbit walk of ``min_coset_reps`` on packed weights: the field
-    width W and the weights of every level in walk order, or of level
-    ``length`` only.  A weight is the int sum of (mu_j + B) << j W, so a
-    field runs over 0 .. 2B and adding one to it never carries."""
-    p.validate(rs)
-    order_p, npos_p = _parabolic_sizes(rs, p)
+    """The orbit walk of ``min_coset_reps`` on packed weights, for a
+    validated ``p`` with ``sizes`` = (|W_P|, N_P): the field width W and
+    the weights of every level in walk order, or of level ``length`` only.
+    A weight is the int sum of (mu_j + B) << j W, so a field runs over
+    0 .. 2B and adding one to it never carries.  A level is n + 1 buckets,
+    bucket f holding the weights whose first negative coordinate is f
+    (bucket n holds lambda_P alone)."""
+    order_p, npos_p = sizes
     if length is not None and not 0 <= length <= rs.npos - npos_p:
         raise ValueError(f"no coset of length {length}")
     cap = enum_budget(budget)
     if rs.order // order_p > cap:
         raise EnumerationBudgetError(f"coset enumeration exceeded the budget of {cap} elements")
-    n, width, moves = rs.rank, _field_width(rs), _moves(rs.cartan)
+    n = rs.rank
+    width, steps = _walk_tables(rs.type_label, n)
     mask = (1 << width) - 1
-    top = 1 << width - 1
-    bias = top - 1
-    # ones[k]: a 1 in each field below k; guards[k]: the top bit of each
-    ones = [((1 << k * width) - 1) // mask for k in range(n + 1)]
-    guards = [o << width - 1 for o in ones]
-    # s_i mu = mu + mu_i * deltas[i]: -2 at i and -C[j][i] at each neighbour j
-    deltas = [sum(a << j * width for j, a in moves[i]) - (2 << i * width) for i in range(n)]
-    # the top bit of field i -> (its shift, deltas[i], i), for the nodes below f
-    lower = {top << i * width: (i * width, d, i) for i, d in enumerate(deltas)}
-    # upper[f]: the neighbours i > f of f, with the ones and guards of fields f .. i - 1
-    upper = [
-        [
-            (i, i * width, deltas[i], ones[i] - ones[f], guards[i] - guards[f])
-            for i, _ in moves[f]
-            if i > f
-        ]
-        for f in range(n)
-    ] + [[]]
+    bias = mask >> 1
     lam = sum((m + bias) << j * width for j, m in enumerate(_parabolic_weight(rs, p)))
-    level, firsts = [lam], [n]
+    level: list[list[int]] = [[] for _ in range(n)] + [[lam]]
     reps: list[int] = []
-    depth = 0
-    while level:
+    depth, last = 0, n  # last: the highest non-empty bucket of the level
+    while last >= 0:
         if length is None:
-            reps.extend(level)
+            reps += [r for bucket in level for r in bucket]
         elif depth == length:
-            return width, level
-        children: list[int] = []
-        child_firsts: list[int] = []
-        add, add_first = children.append, child_firsts.append
-        for r, f in zip(level, firsts):
-            below = r & guards[f]
-            while below:
-                bit = below & -below
-                below ^= bit
-                shift, delta, i = lower[bit]
-                add(r + ((r >> shift & mask) - bias) * delta)
-                add_first(i)
-            for i, shift, delta, one, guard in upper[f]:
-                if r >> shift & top:
-                    nu = r + ((r >> shift & mask) - bias) * delta
-                    if (nu + one) & guard == guard:
-                        add(nu)
-                        add_first(i)
-        level, firsts = children, child_firsts
+            return width, [r for bucket in level for r in bucket]
+        children: list[list[int]] = []
+        next_last = -1
+        for i, (bit, shift, delta, uppers) in enumerate(steps):
+            # the upper step from each neighbour f < i: s_i.mu keeps fields
+            # f .. i - 1 non-negative
+            bucket = [
+                nu
+                for f, one, guard in uppers
+                for r in level[f]
+                if r & bit
+                and (nu := r + ((r >> shift & mask) - bias) * delta) + one & guard == guard
+            ]
+            # the lower step from every f > i: s_i only raises fields below i
+            if i < last:
+                bucket += [
+                    r + ((r >> shift & mask) - bias) * delta
+                    for b in level[i + 1 : last + 1]
+                    for r in b
+                    if r & bit
+                ]
+            if bucket:
+                next_last = i
+            children.append(bucket)
+        level, last = children, next_last
         depth += 1
     if length is not None:
         raise ArithmeticError(f"the coset walk ended at length {depth - 1}, before {length}")
@@ -383,12 +408,21 @@ def min_coset_reps(
     the length of its minimal representative.  The budget caps the coset
     count |W| / |W_P|, checked up front.
 
-    Each weight carries its first negative coordinate f: n for lambda_P,
-    else the node its parent reflected at.  s_i raises only the neighbours
-    of i, so every i < f with mu_i > 0 gives a child, and an i > f must lift
-    mu_f, so only the neighbours of f above it are tried.  Children are
-    appended in increasing i, so the order is that of trying every i and
-    scanning the prefix of s_i.mu.
+    A level is n + 1 buckets, bucket f holding the weights whose first
+    negative coordinate is f: bucket n holds lambda_P, and a child sits in
+    the bucket of the node its parent reflected at.  s_i raises only the
+    neighbours of i, so every weight of a bucket f > i with mu_i > 0 gives
+    a child at i (the lower step, with no check), and a weight of a bucket
+    f < i gives one only if f is a neighbour of i, whose reflection lifts
+    mu_f (the upper step, with a check of the prefix f .. i - 1).  So
+    bucket i of the next level is one comprehension over the buckets of
+    the lower neighbours of i and one over the buckets above i.
+
+    Within a level the weights run by the node reflected at, bucket by
+    bucket, and within a bucket by parent, in the order of the level
+    above: this is the order of trying every i at every weight and
+    scanning the prefix of s_i.mu, with each level's children sorted
+    stably by i.
 
     The walk runs on packed weights: one int per weight, whose field j of
     W bits holds mu_j + B for the bias B = 2^(W-1) - 1.  |mu_j| is at most
@@ -398,11 +432,12 @@ def min_coset_reps(
     multiply-add, mu + (field_i - B) * Delta_i for the packed column Delta_i
     of -C[j][i], and an i > f is kept iff adding one to each field f .. i-1
     of s_i.mu sets all their top bits (every one of them is >= 0).  The
-    weights are unpacked here, at the boundary; ``compute_aP`` tests its
+    weights are unpacked here, at the boundary; ``compute_aP`` filters its
     level packed, w0 fixing mu iff field_k + field_iota(k) = 2B for every
     node k.
     """
-    width, packed = _coset_walk(rs, p, budget, length)
+    p.validate(rs)
+    width, packed = _coset_walk(rs, p, _parabolic_sizes(rs, p), budget, length)
     mask = (1 << width) - 1
     bias = mask >> 1
     shifts = range(0, rs.rank * width, width)
@@ -445,8 +480,10 @@ def compute_aP(
     section 2.5), so only the middle level (N - N_P) // 2 of the
     ``min_coset_reps`` walk is walked to and tested; when N - N_P is odd,
     no weight there is fixed.  The level is tested packed, not unpacked:
-    mu_k = -mu_iota(k) iff field_k + field_iota(k) = 2B, for each pair
-    k <= iota(k).
+    mu_k = -mu_iota(k) iff field_k + field_iota(k) = 2B, so the level is
+    filtered by one comprehension per pair k <= iota(k), and a_P is the
+    number of weights left.  The parabolic is classified once, for N_P
+    and for the budget check of the walk.
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -455,19 +492,15 @@ def compute_aP(
         raise ValueError("the parabolic must be proper")
     if method == "auto" and is_central_longest(rs):
         return 0
-    middle = (rs.npos - _parabolic_sizes(rs, p)[1]) // 2
-    width, level = _coset_walk(rs, p, budget, middle)
+    sizes = _parabolic_sizes(rs, p)
+    width, level = _coset_walk(rs, p, sizes, budget, (rs.npos - sizes[1]) // 2)
     mask = (1 << width) - 1
     twice_bias = mask - 1
-    pairs = [(k * width, (j - 1) * width) for k, j in enumerate(rs.iota) if k < j]
-    count = 0
-    for r in level:
-        for a, b in pairs:
-            if (r >> a & mask) + (r >> b & mask) != twice_bias:
-                break
-        else:
-            count += 1
-    return count
+    for k, j in enumerate(rs.iota):
+        if k < j:
+            a, b = k * width, (j - 1) * width
+            level = [r for r in level if (r >> a & mask) + (r >> b & mask) == twice_bias]
+    return len(level)
 
 
 def aP_formula_typeA(blocks: Sequence[int]) -> int:

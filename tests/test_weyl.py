@@ -330,6 +330,100 @@ def test_orbit_coordinates_fit_the_packed_fields(label, rank):
     assert largest <= 2 ** (ekl.weyl._field_width(rs) - 1) - 1
 
 
+# the degrees of the basic invariants of each irreducible Weyl group
+# (Humphreys, *Reflection Groups and Coxeter Groups*, section 3.7)
+DEGREES = {
+    "A": lambda n: list(range(2, n + 2)),
+    "B": lambda n: list(range(2, 2 * n + 1, 2)),
+    "C": lambda n: list(range(2, 2 * n + 1, 2)),
+    "D": lambda n: list(range(2, 2 * n - 1, 2)) + [n],
+    "E": lambda n: {
+        6: [2, 5, 6, 8, 9, 12],
+        7: [2, 6, 8, 10, 12, 14, 18],
+        8: [2, 8, 12, 14, 18, 20, 24, 30],
+    }[n],
+    "F": lambda n: [2, 6, 8, 12],
+    "G": lambda n: [2, 6],
+}
+
+
+def coset_level_sizes(rs, p):
+    """The coefficients of W(q) / W_P(q) = prod [d_i]_q / prod [d_j^P]_q,
+    [d]_q = 1 + q + ... + q^(d-1), over the degrees of W and of the
+    components of W_P: entry k counts the cosets whose minimal
+    representative has length k.  No orbit is walked."""
+    sizes = [1]
+    for d in DEGREES[rs.type_label](rs.rank):
+        sizes = [sum(sizes[max(k - d + 1, 0) : k + 1]) for k in range(len(sizes) + d - 1)]
+    for label, rank in classify_subdiagram(rs, p.kept_nodes):
+        for d in DEGREES[label](rank):
+            quotient: list[int] = []
+            for k in range(len(sizes) - d + 1):
+                quotient.append(sizes[k] - sum(quotient[max(k - d + 1, 0) : k]))
+            product = [sum(quotient[max(k - d + 1, 0) : k + 1]) for k in range(len(sizes))]
+            assert product == sizes, f"[{d}]_q does not divide the series"
+            sizes = quotient
+    return sizes
+
+
+@pytest.mark.parametrize("label, rank", FIRST_NEGATIVE_TYPES)
+def test_level_sizes_are_the_coefficients_of_the_coset_poincare_polynomial(label, rank):
+    rs = build_root_system(label, rank)
+    for size in range(rank + 1):
+        for kept in itertools.combinations(rs.nodes, size):
+            p = ParabolicSpec.keep(kept)
+            expected = coset_level_sizes(rs, p)
+            assert sum(expected) == rs.order // parabolic_order_formula(rs, p)
+            walked = [len(min_coset_reps(rs, p, length=k)) for k in range(len(expected))]
+            assert walked == expected, kept
+
+
+# the weyl-cosets benchmark members: (type, rank, flag, nodes, cosets)
+WEYL_COSET_MEMBERS = [
+    ("A", 5, "keep", (1,), 360),
+    ("A", 6, "keep", (1,), 2520),
+    ("A", 6, "keep", (1, 3, 5), 630),
+    ("A", 7, "keep", (1, 3, 5, 7), 2520),
+    ("A", 7, "keep", (1, 4, 7), 5040),
+    ("A", 8, "keep", (1, 3, 5, 7), 22680),
+    ("B", 5, "keep", (1,), 1920),
+    ("B", 6, "keep", (1,), 23040),
+    ("D", 6, "keep", (1,), 11520),
+    ("D", 6, "keep", (1, 3), 3840),
+    ("E", 6, "keep", (1, 3), 8640),
+    ("E", 6, "remove", (1,), 27),
+    ("E", 6, "remove", (1, 6), 270),
+]
+
+
+@pytest.mark.parametrize("label, rank, flag, nodes, cosets", WEYL_COSET_MEMBERS)
+def test_middle_level_size_of_the_benchmark_members(label, rank, flag, nodes, cosets):
+    rs = build_root_system(label, rank)
+    p = ParabolicSpec.keep(nodes) if flag == "keep" else ParabolicSpec.remove(rs, nodes)
+    expected = coset_level_sizes(rs, p)
+    assert sum(expected) == cosets
+    middle = (len(expected) - 1) // 2
+    assert len(min_coset_reps(rs, p, length=middle)) == expected[middle]
+    if (label, rank, nodes) == ("A", 8, (1, 3, 5, 7)):
+        assert (middle, expected[middle]) == (16, 1864)
+    if (label, rank, nodes) == ("B", 6, (1,)):
+        assert (middle, expected[middle]) == (17, 1605)
+
+
+def test_compute_aP_classifies_the_parabolic_once(monkeypatch):
+    calls = []
+    real = ekl.weyl.classify_subdiagram
+
+    def counting(rs, kept):
+        calls.append(kept)
+        return real(rs, kept)
+
+    monkeypatch.setattr(ekl.weyl, "classify_subdiagram", counting)
+    e6 = build_root_system("E", 6)
+    assert compute_aP(e6, ParabolicSpec.remove(e6, [1, 6]), method="enumerate") == 6
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("label, rank, kept, aP", ORACLE_CASES)
 def test_coroot_pairings_give_the_orbit_weight(label, rank, kept, aP):
     # mu_k = <w.lambda, alpha_k^vee> = <lambda, (w^-1 alpha_k)^vee>, which in

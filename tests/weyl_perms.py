@@ -12,8 +12,9 @@ indexes at most 256 roots, so the oracle stops at A15, B/C11 and D11.
 breadth-first search over the weak order, and ``reference_aP`` counts the
 self-dual cosets with the descent test of ``in_parabolic``; neither uses
 weights.  ``tree_walk_reps`` is the weight walk that tries every positive
-coordinate and scans the prefix of each candidate, against which
-``ekl.weyl.min_coset_reps`` is checked list for list.
+coordinate and scans the prefix of each candidate, sorting each level by
+the node reflected at, against which ``ekl.weyl.min_coset_reps`` is
+checked list for list.
 """
 
 from __future__ import annotations
@@ -300,7 +301,8 @@ def tree_walk_reps(rs: RootSystem, p: ParabolicSpec) -> list[list[int]]:
     """The orbit W.lambda_P walked level by level as a tree, trying every
     positive coordinate: s_i.mu is a child of mu iff mu_i > 0 and i is the
     first negative coordinate of s_i.mu, found by copying mu, reflecting
-    and scanning the prefix."""
+    and scanning the prefix.  Each level's children are sorted stably by
+    the node i reflected at, so they run by i and then by parent."""
     moves = _moves(rs.cartan)
     level = [_parabolic_weight(rs, p)]
     reps: list[list[int]] = []
@@ -315,8 +317,9 @@ def tree_walk_reps(rs: RootSystem, p: ParabolicSpec) -> list[list[int]]:
                     for j, a in moves[i]:
                         nu[j] += a * m
                     if min(nu[:i], default=0) >= 0:
-                        children.append(nu)
-        level = children
+                        children.append((i, nu))
+        children.sort(key=lambda child: child[0])
+        level = [nu for _, nu in children]
     return reps
 
 
