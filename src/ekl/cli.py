@@ -60,6 +60,7 @@ from .weyl import (
     EnumerationBudgetError,
     ParabolicSpec,
     build_root_system,
+    classify_subdiagram,
     compute_aP,
     enum_budget,
     is_central_longest,
@@ -348,14 +349,14 @@ def cmd_weyl_ap(args) -> int:
         raise _InputError(f"error: {exc}") from exc
 
     order = rs.order
-    sub_order = parabolic_order_formula(rs, spec)
+    components = classify_subdiagram(rs, spec.kept_nodes)  # once for the three below
+    sub_order = parabolic_order_formula(rs, spec, components=components)
+    name = parabolic_type_name(rs, spec, components=components)
     print(f"group: {rs.type_label}{rs.rank}, order {order}")
-    print(
-        f"parabolic: keep {sorted(spec.kept_nodes)} ({parabolic_type_name(rs, spec)}), "
-        f"order {sub_order}"
-    )
+    print(f"parabolic: keep {sorted(spec.kept_nodes)} ({name}), order {sub_order}")
     print(f"cosets: {order // sub_order}")
-    print(f"a_P: {compute_aP(rs, spec, method=args.method, budget=budget)}")
+    a_p = compute_aP(rs, spec, method=args.method, budget=budget, components=components)
+    print(f"a_P: {a_p}")
     shortcut = args.method == "auto" and is_central_longest(rs)
     print(f"shortcut: {'central longest word, no enumeration' if shortcut else 'not used'}")
     return EXIT_OK

@@ -23,14 +23,16 @@ and by ``degree.ekl_degree`` for the elements it reports.
 Inside the kernels a monomial is one int (``_Packing``, the packed
 exponent vectors of Bachmann and Schoenemann): a field of W bits per
 variable whose top bit is a guard, packed so that plain int comparison is
-the monomial order.  Under DEGREVLEX the degree sits above the fields and
-each field holds the complemented exponent; under LEX x_0 takes the top
-field.  A product is one addition, a quotient one subtraction, and a
-divisor test one subtraction masked by the guard bits; an lcm unpacks the
-fields.  ``max``, ``sort`` and the S-pair heap need no key function.
-Exponent tuples appear only at the boundaries: the published generators,
-the standard monomials and the matrices, whose columns are indexed by
-position.  Buchberger hands its packed basis to the presentation through
+the monomial order.  Under degrevlex the degree, weighted by the order's
+weights (all ones for DEGREVLEX), sits in an unbounded field above the
+exponent fields, each of which holds the complemented exponent; so the
+weights change no exponent field, carry or divisor test.  Under LEX x_0
+takes the top field.  A product is one addition, a quotient one
+subtraction, and a divisor test one subtraction masked by the guard bits;
+an lcm unpacks the fields.  ``max``, ``sort`` and the S-pair heap need
+no key function.  Exponent tuples appear only at the boundaries: the
+published generators, the standard monomials and the matrices, whose
+columns are indexed by position.  Buchberger hands its packed basis to the presentation through
 ``GroebnerBasis.packed``; the staircase and the matrices read it, so no
 basis term is packed twice.  Carry rule: a field holds exponents up to
 2^(W-1) - 1.  The first width is the narrowest that holds every input
@@ -79,11 +81,14 @@ class _Packing:
     """Exponent tuples of one order on n variables as ints that compare like it.
 
     Every variable has a field of ``width`` bits whose top bit is a guard,
-    so exponents run up to ``limit = 2^(width-1) - 1``.  Under DEGREVLEX a
-    monomial m packs as deg(m) << (n*width) plus (limit - m_i) in field i,
-    x_{n-1} in the top field; under LEX m_i sits in field n-1-i, x_0 in the
-    top field, with no degree field.  ``one`` packs the monomial 1 and
-    ``units[i]`` is R(x_i) - R(1), so that
+    so exponents run up to ``limit = 2^(width-1) - 1``.  Under degrevlex
+    with weights w (all ones for DEGREVLEX) a monomial m packs as its
+    weighted degree sum_i w_i m_i << (n*width) plus (limit - m_i) in field
+    i, x_{n-1} in the top exponent field; the degree field is unbounded
+    above them, so the weights change no field, carry or divisor test.
+    Under LEX m_i sits in field n-1-i, x_0 in the top field, with no degree
+    field.  ``one`` packs the monomial 1 and ``units[i]`` is R(x_i) - R(1),
+    which is (w_i << n*width) - (1 << i*width) under degrevlex, so that
 
         R(a*b) = R(a) + R(b) - one,  R(b/a) = R(b) - R(a) + one,
 
@@ -97,8 +102,11 @@ class _Packing:
         self.limit = limit = (1 << width - 1) - 1
         graded = order.kind == "degrevlex"
         if graded:
+            weights = order.weights or (1,) * n
+            if len(weights) != n:
+                raise ValueError("the order's weights do not match the ring")
             self.shifts = [i * width for i in range(n)]
-            self.units = [(1 << n * width) - (1 << s) for s in self.shifts]
+            self.units = [(w << n * width) - (1 << s) for w, s in zip(weights, self.shifts)]
         else:
             self.shifts = [(n - 1 - i) * width for i in range(n)]
             self.units = [1 << s for s in self.shifts]

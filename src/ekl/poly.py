@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .scalar import QQ, PrimeField, RationalField
@@ -42,18 +42,33 @@ class MonomialOrder:
     """A total monomial order compatible with multiplication.
 
     ``kind`` is "degrevlex" or "lex", both on the ring's declared variable
-    order.
+    order.  A degrevlex order may carry ``weights`` w, one positive int per
+    variable: monomials compare by the weighted degree sum_i w_i m_i first
+    and then by the reversed, negated exponents, as degrevlex, which is
+    w = 1, breaks its ties.  All-ones weights are dropped, so that order is
+    ``DEGREVLEX`` itself (equal, with one hash and repr).  ``LEX`` takes no
+    weights.
     """
 
-    def __init__(self, kind: str = "degrevlex"):
+    def __init__(self, kind: str = "degrevlex", weights: Sequence[int] | None = None):
         if kind not in ("degrevlex", "lex"):
             raise ValueError(f"unknown monomial order kind {kind!r}")
+        if weights is not None:
+            weights = tuple(weights)
+            if kind != "degrevlex":
+                raise ValueError(f"a {kind} order takes no weights")
+            if not weights or any(type(w) is not int or w < 1 for w in weights):
+                raise ValueError(f"weights must be positive ints, got {weights!r}")
+            if all(w == 1 for w in weights):
+                weights = None
         self.kind = kind
+        self.weights = weights
 
     def key(self, m: Monomial):
         if self.kind == "lex":
             return m
-        return (sum(m), tuple(-e for e in reversed(m)))
+        degree = sum(m) if self.weights is None else sum(map(mul, self.weights, m))
+        return (degree, tuple(-e for e in reversed(m)))
 
     def max(self, monomials: Iterable[Monomial]) -> Monomial:
         return max(monomials, key=self.key)
@@ -62,13 +77,19 @@ class MonomialOrder:
         return sorted(monomials, key=self.key, reverse=reverse)
 
     def __repr__(self) -> str:
-        return f"MonomialOrder({self.kind!r})"
+        if self.weights is None:
+            return f"MonomialOrder({self.kind!r})"
+        return f"MonomialOrder({self.kind!r}, {self.weights!r})"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
+        return (
+            isinstance(other, MonomialOrder)
+            and self.kind == other.kind
+            and self.weights == other.weights
+        )
 
     def __hash__(self) -> int:
-        return hash(self.kind)
+        return hash((self.kind, self.weights))
 
 
 DEGREVLEX = MonomialOrder("degrevlex")

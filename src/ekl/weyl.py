@@ -467,6 +467,8 @@ def compute_aP(
     p: ParabolicSpec,
     method: str = "auto",
     budget: int | None = None,
+    *,
+    components: Components | None = None,
 ) -> int:
     """Number of cosets w W_P with w^{-1} w0 w in W_P.
 
@@ -482,8 +484,9 @@ def compute_aP(
     no weight there is fixed.  The level is tested packed, not unpacked:
     mu_k = -mu_iota(k) iff field_k + field_iota(k) = 2B, so the level is
     filtered by one comprehension per pair k <= iota(k), and a_P is the
-    number of weights left.  The parabolic is classified once, for N_P
-    and for the budget check of the walk.
+    number of weights left.  The parabolic is classified at most once,
+    for N_P and for the budget check of the walk, and not at all when the
+    caller passes its ``components``.
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -492,7 +495,7 @@ def compute_aP(
         raise ValueError("the parabolic must be proper")
     if method == "auto" and is_central_longest(rs):
         return 0
-    sizes = _parabolic_sizes(rs, p)
+    sizes = _parabolic_sizes(rs, p, components)
     width, level = _coset_walk(rs, p, sizes, budget, (rs.npos - sizes[1]) // 2)
     mask = (1 << width) - 1
     twice_bias = mask - 1
@@ -541,7 +544,11 @@ def block_parabolic(type_label: str, rank: int, blocks: Sequence[int]) -> Parabo
 # ---------------------------------------------------------------------------
 # induced sub-diagram classification (for naming and closed-form orders)
 
-def classify_subdiagram(rs: RootSystem, kept: Iterable[int]) -> list[tuple[str, int]]:
+#: The induced diagram's connected components as (type, rank) pairs.
+Components = list[tuple[str, int]]
+
+
+def classify_subdiagram(rs: RootSystem, kept: Iterable[int]) -> Components:
     """Connected components of the induced diagram as (type, rank) pairs."""
     kept = sorted(set(kept))
     if not kept:
@@ -619,23 +626,35 @@ def _arm_lengths(center: int, adj, comp: list[int]) -> list[int]:
     return lengths
 
 
-def parabolic_order_formula(rs: RootSystem, p: ParabolicSpec) -> int:
+# The functions below, and compute_aP, take the induced diagram's
+# ``components`` (``classify_subdiagram`` of p's kept nodes) from a caller
+# that needs them more than once, and classify it themselves when None.
+def parabolic_order_formula(
+    rs: RootSystem, p: ParabolicSpec, *, components: Components | None = None
+) -> int:
     """|W_P| as the product of the component orders of the induced diagram."""
-    return _parabolic_sizes(rs, p)[0]
+    return _parabolic_sizes(rs, p, components)[0]
 
 
-def _parabolic_sizes(rs: RootSystem, p: ParabolicSpec) -> tuple[int, int]:
+def _parabolic_sizes(
+    rs: RootSystem, p: ParabolicSpec, components: Components | None = None
+) -> tuple[int, int]:
     """|W_P| and N_P, the positive-root count of W_P, from one
     classification of the induced diagram."""
+    if components is None:
+        components = classify_subdiagram(rs, p.kept_nodes)
     order, npos = 1, 0
-    for label, rank in classify_subdiagram(rs, p.kept_nodes):
+    for label, rank in components:
         order *= weyl_order(label, rank)
         npos += _POSITIVE_ROOT_COUNT[label](rank)
     return order, npos
 
 
-def parabolic_type_name(rs: RootSystem, p: ParabolicSpec) -> str:
-    comps = classify_subdiagram(rs, p.kept_nodes)
+def parabolic_type_name(
+    rs: RootSystem, p: ParabolicSpec, *, components: Components | None = None
+) -> str:
+    """The induced diagram's components joined by " x ", or "trivial"."""
+    comps = classify_subdiagram(rs, p.kept_nodes) if components is None else components
     if not comps:
         return "trivial"
     return " x ".join(f"{label}{rank}" for label, rank in comps)

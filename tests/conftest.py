@@ -26,10 +26,23 @@ from __future__ import annotations
 import random
 
 from ekl.degree import MapSpec
-from ekl.poly import DEGREVLEX, Polynomial, _kernel_values, from_kernel, mono_mul, parse_poly
+from ekl.poly import DEGREVLEX, MonomialOrder, Polynomial, _kernel_values, from_kernel, mono_mul, parse_poly
 from ekl.scalar import QQ
 from groebner_oracle import mono_div, mono_divides
 from poly_oracle import Poly, substitute
+
+
+#: The weighted degrevlex order that the kernel tests run beside DEGREVLEX
+#: and LEX; ``in_ring`` fits it to a ring.
+WEIGHTED = MonomialOrder("degrevlex", (1, 2, 3))
+
+
+def in_ring(order: MonomialOrder, ring) -> MonomialOrder:
+    """``order`` on ``ring``: a weighted order keeps its first len(ring)
+    weights, so WEIGHTED is (1, 2) on two variables."""
+    if order.weights is None:
+        return order
+    return MonomialOrder(order.kind, order.weights[: len(ring)])
 
 
 def polynomial(ring, field, terms: dict) -> Poly:

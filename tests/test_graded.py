@@ -5,9 +5,11 @@ a ``gw_equal`` class), and the CLI with ``degree_class`` replaced by it
 (the same stdout, stderr and exit code, minus ``timing_seconds``).
 """
 
+import dataclasses
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,10 +30,10 @@ from ekl.degree import (
     homogeneous_weights,
     strip_solved,
 )
-from ekl.gw import DegenerateFormError, classify, gw_equal
+from ekl.gw import DegenerateFormError, classify, gw_equal, recognize_units, render_units
 from ekl.localg import coordinates, groebner, quotient_presentation
 from conftest import poly
-from ekl.poly import parse_poly
+from ekl.poly import DEGREVLEX, MonomialOrder, parse_poly
 from ekl.scalar import GF, QQ
 from test_strip import full_class, load_workloads, run, untimed
 
@@ -282,3 +284,98 @@ def test_sn5_diagonalizes_only_its_middle_block(capsys, monkeypatch):
     code, out, _ = run(capsys, "quotient", "--type", "Sn", "--n", "5")
     assert code == 0 and "computed: 60<1> + 60<-1>" in out
     assert sizes == [22]
+
+
+# ---------------------------------------------------------------------------
+# Groebner in the map's weights, and the Hilbert-series certificate
+
+WEIGHTED_LARGE = [
+    ("--type", "A", "--blocks", "3,3,2"),
+    ("--type", "A", "--blocks", "4,4,1"),
+    ("--type", "D", "--rank", "7", "--blocks", "5"),
+]
+
+
+def degrevlex_class(monkeypatch, f):
+    """``degree_class`` with every Groebner basis in DEGREVLEX, whatever the weights."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ekl.degree, "MonomialOrder", lambda kind, weights: DEGREVLEX)
+        return degree_class(f)
+
+
+def printed(dimension, cls):
+    """What the CLI prints of a ``degree_class`` result: dim Q, the
+    invariants, and over Q the named form when it is printed from this
+    class (rank 1, or unit content; see ``cli._named_class``)."""
+    shape = recognize_units(cls)
+    named = cls.rank == 1 or bool(shape and (shape.ones or shape.minus_ones))
+    return dimension, ekl.cli._class_invariants(cls), render_units(cls, shape) if named else None
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [(a, f) for a in LADDER + WEIGHTED_LARGE for f in ("q", f"fp:{P}")],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_the_weighted_order_prints_the_degrevlex_class_on_family_members(monkeypatch, args, field):
+    f = family_spec(args, field).map
+    assert printed(*degree_class(f)) == printed(*degrevlex_class(monkeypatch, f))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["q", f"fp{P}"])
+def test_the_weighted_order_prints_the_degrevlex_class_on_planted_weights(monkeypatch, field):
+    rng = random.Random(20261022)
+    weighted = 0
+    for _ in range(60):
+        f = planted_graded_map(rng, field)
+        try:
+            expected = printed(*degrevlex_class(monkeypatch, f))
+        except MAP_FAILURES as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                degree_class(f)
+            continue
+        assert printed(*degree_class(f)) == expected, f.components
+        weighted += set(homogeneous_weights(strip_solved(f)[0])) != {1}
+    assert weighted >= 15
+
+
+def test_the_class_path_runs_groebner_in_the_maps_weights(monkeypatch):
+    orders = []
+    real = ekl.degree.groebner
+
+    def recording(gens, ring, field, order):
+        orders.append(order)
+        return real(gens, ring, field, order)
+
+    monkeypatch.setattr(ekl.degree, "groebner", recording)
+    f = family_spec(("--type", "A", "--blocks", "2,2,1")).map
+    degree_class(f)
+    assert orders == [MonomialOrder("degrevlex", homogeneous_weights(strip_solved(f)[0]))]
+    assert orders[0].weights == (1, 2, 1)  # z1 z2 w1, after y1 and y2 are stripped
+    # a failure in the weights reruns under DEGREVLEX, whose message it
+    # raises; the stripped map (y^2, y*z) has unit weights and fails first
+    orders.clear()
+    g = MapSpec.from_strings(("x", "y", "z"), ["x + z^2", "y^2", "y*z"])
+    with pytest.raises(ekl.localg.InfiniteQuotientError, match="'x'"):
+        degree_class(g)
+    assert [o.weights for o in orders] == [None, (2, 1, 1), None]
+
+
+def test_a_presentation_off_the_hilbert_series_fails_the_certificate(capsys, monkeypatch):
+    # one standard monomial of A(2,2) moved up a degree: J = dim E still
+    # holds, but dim Q_k no longer matches the series
+    real = ekl.degree.quotient_presentation
+
+    def corrupted(gb):
+        qp = real(gb)
+        std = list(qp.standard_monomials)
+        std[1] = (std[1][0] + 1,) + std[1][1:]
+        return dataclasses.replace(qp, standard_monomials=tuple(std))
+
+    monkeypatch.setattr(ekl.degree, "quotient_presentation", corrupted)
+    f = family_spec(("--type", "A", "--blocks", "2,2")).map
+    with pytest.raises(ArithmeticError, match="Hilbert series"):
+        degree_class(f)
+    code, out, err = run(capsys, "quotient", "--type", "A", "--blocks", "2,2")
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: the Hilbert series")

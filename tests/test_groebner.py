@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from conftest import components, kernel, poly, random_origin_map
+from conftest import WEIGHTED, components, in_ring, kernel, poly, random_origin_map
 
 from ekl.localg import groebner, normal_form
 from ekl.poly import DEGREVLEX, LEX, Polynomial, mono_mul, parse_poly
@@ -22,7 +22,7 @@ from groebner_oracle import mono_div, mono_lcm
 from poly_oracle import Poly
 
 FIELDS = {"q": QQ, "fp32003": GF(32003), "fp7": GF(7)}
-ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX}
+ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX, "weighted": WEIGHTED}
 # ring -> largest exponent in a generator, small enough that LEX stays quick
 RINGS = {("x", "y"): 2, ("x", "y", "z"): 1}
 
@@ -64,7 +64,7 @@ def random_ideals(rng: random.Random, ring, fld):
 @pytest.mark.parametrize("fname", sorted(FIELDS))
 @pytest.mark.parametrize("ring", sorted(RINGS), ids="".join)
 def test_buchberger_criterion_on_random_ideals(ring, fname, oname):
-    fld, order = FIELDS[fname], ORDERS[oname]
+    fld, order = FIELDS[fname], in_ring(ORDERS[oname], ring)
     rng = random.Random(f"{''.join(ring)}-{fname}-{oname}")
     for gens in random_ideals(rng, ring, fld):
         gb = groebner(list(map(kernel, gens)), ring, fld, order)

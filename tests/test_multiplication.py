@@ -13,10 +13,10 @@ import random
 
 import pytest
 
-from conftest import random_origin_map
+from conftest import WEIGHTED, in_ring, random_origin_map
 
 from ekl.cli import main
-from ekl.degree import MapSpec, ekl_degree, prepare_quotient
+from ekl.degree import MapSpec, ekl_degree, homogeneous_weights, prepare_quotient
 from ekl.localg import (
     GroebnerBasis,
     _packed_terms,
@@ -28,7 +28,7 @@ from ekl.localg import (
     origin_supported,
     quotient_presentation,
 )
-from ekl.poly import DEGREVLEX, LEX, Polynomial, mono_mul, parse_poly
+from ekl.poly import DEGREVLEX, LEX, MonomialOrder, Polynomial, mono_mul, parse_poly
 from ekl.quotmap import (
     build_D_full,
     build_D_odd_partial,
@@ -41,6 +41,7 @@ from ekl.scalar import GF, QQ
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
 F = GF(32003)
+ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX, "weighted": WEIGHTED}
 
 
 def normal_form_matrices(qp):
@@ -120,6 +121,24 @@ def test_gram_matches_pairwise_oracle_on_random_maps(field):
         if field != QQ:
             f = MapSpec.from_strings(XYZ, f.component_texts(), field)
         assert_gram_matches_oracle(f)
+
+
+@pytest.mark.parametrize("oname", sorted(ORDERS))
+@pytest.mark.parametrize("field", [QQ, F], ids=["q", "fp32003"])
+def test_matrices_match_normal_forms_in_every_order(field, oname):
+    rng = random.Random(f"matrices-{oname}")
+    for _ in range(4):
+        f = MapSpec.from_strings(XYZ, random_origin_map(rng, XYZ, max_exp=2).component_texts(), field)
+        _, qp = prepare_quotient(f, in_ring(ORDERS[oname], XYZ))
+        assert_matrices_match_oracle(qp)
+
+
+@pytest.mark.parametrize("field", [QQ, F], ids=["q", "fp32003"])
+def test_matrices_match_normal_forms_in_a_quotient_maps_weights(field):
+    f = build_typeA_partial([2, 2], field).map
+    _, qp = prepare_quotient(f, MonomialOrder("degrevlex", homogeneous_weights(f)))
+    assert qp.basis.order.weights == (1, 2, 1, 2)
+    assert_matrices_match_oracle(qp)
 
 
 def test_columns_are_coordinates_of_products():

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import WEIGHTED, in_ring
 from ekl.localg import groebner, normal_form
 from ekl.poly import DEGREVLEX, LEX, Polynomial, mono_mul, parse_poly
 from ekl.quotmap import build_typeA_partial
@@ -55,7 +56,7 @@ PINNED_BASES = {
 }
 
 FIELDS = {"q": QQ, "fp": F}
-ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX}
+ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX, "weighted": WEIGHTED}
 
 
 def reference_normal_form(p: Polynomial, gb) -> Polynomial:
@@ -99,7 +100,8 @@ def random_poly(rng: random.Random, ring, fld, terms: int = 6, max_exp: int = 6)
 def basis(name: str, fname: str, oname: str):
     ring, texts = IDEALS[name]
     fld = FIELDS[fname]
-    return groebner([parse_poly(t, ring, fld) for t in texts], ring, fld, ORDERS[oname])
+    order = in_ring(ORDERS[oname], ring)
+    return groebner([parse_poly(t, ring, fld) for t in texts], ring, fld, order)
 
 
 @pytest.mark.parametrize("name,fname,oname", sorted(PINNED_BASES))

@@ -17,8 +17,8 @@ import pytest
 
 import ekl.localg as localg
 import groebner_oracle as oracle
-from conftest import components, kernel, poly, random_origin_map
-from ekl.degree import strip_solved
+from conftest import WEIGHTED, components, in_ring, kernel, poly, random_origin_map
+from ekl.degree import homogeneous_weights, strip_solved
 from ekl.localg import (
     InfiniteQuotientError,
     UnitIdealError,
@@ -26,12 +26,19 @@ from ekl.localg import (
     normal_form,
     quotient_presentation,
 )
-from ekl.poly import DEGREVLEX, LEX, Polynomial, parse_poly
+from ekl.poly import DEGREVLEX, LEX, MonomialOrder, Polynomial, parse_poly
 from ekl.scalar import GF, QQ
 from test_graded import LADDER, family_spec
 
 FIELDS = {"q": QQ, "fp7": GF(7), "fp32003": GF(32003)}
-ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX}
+ORDERS = {"degrevlex": DEGREVLEX, "lex": LEX, "weighted": WEIGHTED}
+
+
+def member_order(oname: str, f):
+    """ORDERS[oname] for a ladder member f; "weighted" is f's own weights."""
+    if oname == "weighted":
+        return MonomialOrder("degrevlex", homogeneous_weights(f))
+    return ORDERS[oname]
 
 
 def assert_same_as_oracle(gens, ring, fld, order, presentation=True):
@@ -94,12 +101,13 @@ def test_packed_kernels_match_the_oracle_on_seeded_ideals(fname, oname):
     fld, order = FIELDS[fname], ORDERS[oname]
     rng = random.Random(f"packed-{fname}-{oname}")
     for ring, max_exp in ((("x", "y"), 4), (("x", "y", "z"), 1)):
+        ordering = in_ring(order, ring)
         for _ in range(12):
-            assert_same_as_oracle(random_generators(rng, ring, fld, max_exp), ring, fld, order)
+            assert_same_as_oracle(random_generators(rng, ring, fld, max_exp), ring, fld, ordering)
         for _ in range(8):
             f = random_origin_map(rng, ring, max_exp=3)
             gens = [parse_poly(str(g), ring, fld) for g in components(f)]
-            assert_same_as_oracle(gens, ring, fld, order)
+            assert_same_as_oracle(gens, ring, fld, ordering)
 
 
 def test_normalize_divides_ints_by_an_int_leading_coefficient():
@@ -113,10 +121,11 @@ def test_normalize_divides_ints_by_an_int_leading_coefficient():
         assert [type(c) for c in monic.values()] == [int if c.denominator == 1 else Fraction for c in expected.values()]
 
 
+@pytest.mark.parametrize("oname", ["degrevlex", "weighted"])
 @pytest.mark.parametrize("args", LADDER, ids=" ".join)
-def test_packed_kernels_match_the_oracle_on_ladder_members(args):
+def test_packed_kernels_match_the_oracle_on_ladder_members(args, oname):
     g = strip_solved(family_spec(args).map)[0]
-    assert_same_as_oracle(g.components, g.ring, g.field, DEGREVLEX)
+    assert_same_as_oracle(g.components, g.ring, g.field, member_order(oname, g))
 
 
 @pytest.mark.parametrize("oname", sorted(ORDERS))
@@ -124,7 +133,7 @@ def test_packed_kernels_match_the_oracle_on_ladder_members(args):
 def test_the_packed_basis_is_the_basis_on_ladder_members(field, oname):
     for args in LADDER:
         f = family_spec(args, field).map
-        gb = groebner(f.components, f.ring, f.field, ORDERS[oname])
+        gb = groebner(f.components, f.ring, f.field, member_order(oname, f))
         assert_packed_is_the_basis(gb)
         qp = quotient_presentation(gb)
         std = oracle.standard_monomials(gb)
@@ -157,7 +166,8 @@ def polys(ring, *texts, field=QQ):
 @pytest.mark.parametrize("oname", sorted(ORDERS))
 def test_exponents_past_the_first_width_give_the_oracle_basis(widths, oname):
     gens = polys(("x", "y"), "x^40000 - y", "y^2 - x")
-    assert_same_as_oracle(gens, ("x", "y"), QQ, ORDERS[oname], presentation=False)
+    order = in_ring(ORDERS[oname], ("x", "y"))
+    assert_same_as_oracle(gens, ("x", "y"), QQ, order, presentation=False)
     assert widths[0] == 32  # 40,000 needs more than 16-bit fields
 
 

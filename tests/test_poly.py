@@ -6,9 +6,11 @@ import pytest
 
 from conftest import poly, reference_poly_det
 
+from ekl.localg import _Packing
 from ekl.poly import (
     DEGREVLEX,
     LEX,
+    MonomialOrder,
     ParseError,
     format_monomial,
     format_poly,
@@ -272,13 +274,52 @@ def test_degrevlex_vs_lex():
 def test_order_compatible_with_multiplication():
     rng = random.Random(23)
     monos = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(40)]
-    for order in (DEGREVLEX, LEX):
+    for order in (DEGREVLEX, LEX, MonomialOrder("degrevlex", (1, 2, 3))):
         for a, b in itertools.combinations(monos, 2):
             if order.key(a) < order.key(b):
                 shift = (1, 2, 0)
                 am = tuple(u + v for u, v in zip(a, shift))
                 bm = tuple(u + v for u, v in zip(b, shift))
                 assert order.key(am) < order.key(bm)
+
+
+def test_weighted_degrevlex():
+    # y and x^2 tie on the weight 2, x*y and x^3 on 3; revlex puts the
+    # power of x above each time, as degrevlex puts x^2 above y^2
+    order = MonomialOrder("degrevlex", (1, 2))
+    assert order.sorted([(0, 2), (3, 0), (1, 1), (2, 0), (0, 1)]) == [(0, 1), (2, 0), (1, 1), (3, 0), (0, 2)]
+    assert order.max([(3, 0), (0, 2)]) == (0, 2)
+    assert DEGREVLEX.max([(3, 0), (0, 2)]) == (3, 0)
+
+
+def test_all_ones_weights_are_degrevlex():
+    ones = MonomialOrder("degrevlex", (1, 1, 1))
+    assert ones == DEGREVLEX and DEGREVLEX == ones
+    assert hash(ones) == hash(DEGREVLEX)
+    assert repr(ones) == repr(DEGREVLEX) == "MonomialOrder('degrevlex')"
+    weighted = MonomialOrder("degrevlex", [1, 2, 3])
+    assert weighted != DEGREVLEX and weighted == MonomialOrder("degrevlex", (1, 2, 3))
+    assert repr(weighted) == "MonomialOrder('degrevlex', (1, 2, 3))"
+    assert len({weighted, MonomialOrder("degrevlex", (1, 2, 3)), ones, DEGREVLEX}) == 2
+
+
+def test_bad_weights_are_refused():
+    with pytest.raises(ValueError, match="takes no weights"):
+        MonomialOrder("lex", (1, 2))
+    for weights in ((), (1, 0), (2, -1), (1, 1.5)):
+        with pytest.raises(ValueError, match="positive ints"):
+            MonomialOrder("degrevlex", weights)
+    with pytest.raises(ValueError, match="do not match the ring"):
+        _Packing(MonomialOrder("degrevlex", (1, 2)), 3, 8)
+
+
+def test_packed_monomials_compare_as_the_weighted_key():
+    # the weighted degree sits in the top field: int order is the key's order
+    order = MonomialOrder("degrevlex", (3, 1, 2))
+    pk = _Packing(order, 3, 8)
+    monos = list(itertools.product(range(4), repeat=3))
+    assert sorted(monos, key=pk.pack) == order.sorted(monos)
+    assert all(pk.unpack(pk.pack(m)) == m for m in monos)
 
 
 # ---------------------------------------------------------------------------

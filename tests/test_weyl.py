@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+import ekl.cli
+import ekl.quotmap
 import ekl.weyl
 from weyl_perms import (
     WeylElement,
@@ -421,6 +423,30 @@ def test_compute_aP_classifies_the_parabolic_once(monkeypatch):
     monkeypatch.setattr(ekl.weyl, "classify_subdiagram", counting)
     e6 = build_root_system("E", 6)
     assert compute_aP(e6, ParabolicSpec.remove(e6, [1, 6]), method="enumerate") == 6
+    assert len(calls) == 1
+
+
+def test_an_op_classifies_the_parabolic_once(monkeypatch, capsys):
+    calls = []
+    real = ekl.weyl.classify_subdiagram
+
+    def counting(rs, kept):
+        calls.append(kept)
+        return real(rs, kept)
+
+    for module in (ekl.weyl, ekl.cli, ekl.quotmap):
+        monkeypatch.setattr(module, "classify_subdiagram", counting)
+    argv = ["weyl", "ap", "--type", "E6", "--remove", "1,6", "--method", "enumerate"]
+    assert ekl.cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1:4] == [
+        "parabolic: keep [2, 3, 4, 5] (D4), order 192",
+        "cosets: 270",
+        "a_P: 6",
+    ]
+    assert len(calls) == 1
+    calls.clear()
+    shape = ekl.quotmap.expected_gw(ekl.quotmap.build_typeA_partial([2, 2, 1]))
+    assert (shape.ones, shape.minus_ones) == (16, 14)
     assert len(calls) == 1
 
 
