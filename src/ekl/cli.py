@@ -34,7 +34,6 @@ from .gw import (
     DegenerateFormError,
     GramForm,
     GWClass,
-    UnitsShape,
     classify,
     gw_equal,
     recognize_units,
@@ -60,7 +59,6 @@ from .weyl import (
     EnumerationBudgetError,
     ParabolicSpec,
     build_root_system,
-    classify_subdiagram,
     compute_aP,
     enum_budget,
     is_central_longest,
@@ -120,20 +118,6 @@ def _read_input(path: str, parse):
         raise _InputError(f"parse error: {exc}") from exc
 
 
-def _named_class(spec: MapSpec) -> tuple[int, GWClass, UnitsShape | None]:
-    """dim Q, the class and its ``recognize_units`` shape, for ``render_units``:
-    from ``degree_class`` over Q when a named form prints (rank 1, or unit
-    content), else from ``ekl_degree``, whose diagonal is printed (always over F_p).
-    """
-    if not isinstance(spec.field, PrimeField):
-        dimension, cls = degree_class(spec)
-        shape = recognize_units(cls)
-        if cls.rank == 1 or (shape and (shape.ones or shape.minus_ones)):
-            return dimension, cls, shape
-    result = ekl_degree(spec)
-    return result.dimension, result.gw_class, recognize_units(result.gw_class)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -190,8 +174,12 @@ def _degree_report(spec: MapSpec, result: EKLResult, elapsed: float) -> dict:
 def cmd_degree(args) -> int:
     field = _parse_field(args.field)
     spec = _read_input(args.mapfile, lambda text: MapSpec.from_json(text, field))
-    if args.format == "invariants":
-        # only the class is printed, so the map may lose its solved coordinates
+    # named and invariants print only the class, so the map may lose its
+    # solved coordinates
+    if args.format == "named":
+        cls = degree_class(spec)[1]
+        print(render_units(cls, recognize_units(cls)))
+    elif args.format == "invariants":
         inv = _class_invariants(degree_class(spec)[1])
         print(f"rank {inv['rank']}")
         if "signature" in inv:
@@ -200,8 +188,6 @@ def cmd_degree(args) -> int:
             print(f"hasse {_hasse_line(inv['hasse'])}")
         else:
             print(f"discriminant square: {inv['discriminant_is_square']}")
-    elif args.format == "named":
-        print(render_units(*_named_class(spec)[1:]))
     else:
         started = time.perf_counter()
         result = ekl_degree(spec)
@@ -270,7 +256,8 @@ def cmd_quotient(args) -> int:
             raise _InputError(f"error: {exc}") from exc
         print(f"wrote {args.emit_map}", file=sys.stderr)
     started = time.perf_counter()
-    dimension, computed, units = _named_class(spec.map)
+    dimension, computed = degree_class(spec.map)
+    units = recognize_units(computed)
     elapsed = time.perf_counter() - started
 
     print(f"family: {spec.describe()}")
@@ -349,13 +336,12 @@ def cmd_weyl_ap(args) -> int:
         raise _InputError(f"error: {exc}") from exc
 
     order = rs.order
-    components = classify_subdiagram(rs, spec.kept_nodes)  # once for the three below
-    sub_order = parabolic_order_formula(rs, spec, components=components)
-    name = parabolic_type_name(rs, spec, components=components)
+    sub_order = parabolic_order_formula(rs, spec)
+    name = parabolic_type_name(rs, spec)
     print(f"group: {rs.type_label}{rs.rank}, order {order}")
     print(f"parabolic: keep {sorted(spec.kept_nodes)} ({name}), order {sub_order}")
     print(f"cosets: {order // sub_order}")
-    a_p = compute_aP(rs, spec, method=args.method, budget=budget, components=components)
+    a_p = compute_aP(rs, spec, method=args.method, budget=budget)
     print(f"a_P: {a_p}")
     shortcut = args.method == "auto" and is_central_longest(rs)
     print(f"shortcut: {'central longest word, no enumeration' if shortcut else 'not used'}")
@@ -375,7 +361,7 @@ def cmd_weyl_info(args) -> int:
 def cmd_gw_classify(args) -> int:
     field = _parse_field(args.field)
     gram = _read_input(args.gramfile, lambda text: GramForm.from_rows(json.loads(text), field))
-    cls = classify(gram, field)
+    cls = classify(gram)
     print(f"diagonal: {render_diagonal(cls)}")
     for key, value in _class_invariants(cls).items():
         print(f"{key}: {_hasse_line(value) if key == 'hasse' else value}")

@@ -32,20 +32,22 @@ of phi as its scale).  Field values are made only where a map is printed
 exact -a/c of ``strip_solved``, 1/pivot over Q and the pivots
 D_{k+1}/(D_k L) of ``gw.diagonalize`` over Q.
 
-Callers that need only the class and dim Q use ``degree_class``.  It
+Every output that shows only the class and dim Q comes from one
+``degree_class`` run per map; ``ekl_degree`` serves the outputs that show
+Q's coordinates, E, J and the full map's own diagonal.  ``degree_class``
 first strips solved components c*x_k + h (``strip_solved``): the change
 y_k = c*x_k + h, of Jacobian c, leaves the map on y_k = 0 up to the unit
 <(-1)^(i+k) c>.  If positive integer weights w make every remaining
 component weighted homogeneous (``homogeneous_weights``), Q is graded, E
 and phi live in one degree D, and phi(b*b') != 0 only when
-deg b + deg b' = D.  Groebner then runs in the w-weighted degrevlex
-order, the grading's own, whose basis is far smaller on the quotient
-maps (474 elements under DEGREVLEX, 51 weighted, for A(3,3,3)); the
-outputs of ``ekl_degree`` depend on the basis and keep DEGREVLEX.  The
-class is (sum_{k<D/2} dim Q_k) H plus the class of the middle block
-Q_{D/2} (Witt decomposition).  Only the rows r_b with deg b <= D/2 are
-built, and their nonzeros lie on their partner columns, those of degree
-D - deg b.  The theorem checks stay: J = dim(Q) * E; Q has the Hilbert
+deg b + deg b' = D.  Groebner then runs once, in the w-weighted
+degrevlex order, the grading's own, whose basis is far smaller on the
+quotient maps (474 elements under DEGREVLEX, 51 weighted, for A(3,3,3)),
+and a failure raises from that run; the outputs of ``ekl_degree`` depend
+on the basis and keep DEGREVLEX.  The class is (sum_{k<D/2} dim Q_k) H
+plus the class of the middle block Q_{D/2} (Witt decomposition).  Only
+the rows r_b with deg b <= D/2 are built, and their nonzeros lie on
+their partner columns, those of degree D - deg b.  The theorem checks stay: J = dim(Q) * E; Q has the Hilbert
 series of a regular sequence, prod (1 - t^d_i) / prod (1 - t^w_j) for
 the weighted degrees d_i of the components, read slice by slice off the
 standard monomials; every pairing Q_k x Q_{D-k} with k < D/2 is perfect,
@@ -72,9 +74,7 @@ from .gw import DegenerateFormError, GramForm, GWClass, classify, fold_class
 from .localg import (
     AlgebraElement,
     GroebnerBasis,
-    InfiniteQuotientError,
     QuotientPresentation,
-    UnitIdealError,
     groebner,
     normal_form,  # noqa: F401  perfbench/tracer.py counts calls through this name
     origin_supported,
@@ -93,7 +93,7 @@ from .poly import (
     is_identifier,
     parse_poly,
 )
-from .scalar import QQ, FactorBoundError
+from .scalar import QQ
 
 
 class NotSupportedAtOriginError(ValueError):
@@ -102,17 +102,6 @@ class NotSupportedAtOriginError(ValueError):
 
 class ZeroSocleError(ArithmeticError):
     """det(a_ij) vanished in the quotient; the zero is not isolated."""
-
-
-#: The library failures a map can raise, as opposed to failed theorem checks.
-MAP_FAILURES = (
-    NotSupportedAtOriginError,
-    InfiniteQuotientError,
-    UnitIdealError,
-    ZeroSocleError,
-    DegenerateFormError,
-    FactorBoundError,
-)
 
 
 @dataclass(frozen=True)
@@ -324,65 +313,41 @@ def ekl_degree(
     if not socle[index]:
         raise ValueError("the functional monomial does not appear in the socle element")
     form = _split_form(qp, socle, index, [0] * qp.dimension)[1]
-    gw_class = classify(form, qp.field)
+    gw_class = classify(form)
     socle, jac = (AlgebraElement(tuple(map(qp.field.from_int, e)), qp) for e in (socle, jac))
     return EKLResult(qp, form.field_entries(), gw_class, socle, jac, functional_monomial)
 
 
 def degree_class(f: MapSpec) -> tuple[int, GWClass]:
     """dim Q and the class of f, as deg f = <u> * deg g for (g, u) =
-    ``strip_solved(f)``.
-
-    g is split by degree (``_split_form``) under ``homogeneous_weights(g)``,
-    or under the zero weight when it has none, into h hyperbolic planes and
-    a middle block, its Groebner basis built in the weighted order of
-    those weights (``_split_class``).  The middle block is classified, and
-    h H and <u> are folded into its diagonal in one pass
-    (``gw.fold_class``).  f itself gives the answer when nothing is
-    stripped or g raises one of ``MAP_FAILURES``, so that the message
-    names f's variables.
-    """
+    ``strip_solved(f)``: g's class by ``_graded_class``, with h H and <u>
+    folded into the diagonal of its middle block in one pass
+    (``gw.fold_class``).  A failure is g's, raised from its one Groebner
+    basis, so its message names g's variables."""
     g, u = strip_solved(f)
-    if g is not f:
-        try:
-            dimension, hyperbolic, middle = _split_class(g)
-            return dimension, fold_class(middle, hyperbolic, u)
-        except MAP_FAILURES:
-            pass
-    dimension, hyperbolic, middle = _split_class(f)
-    return dimension, fold_class(middle, hyperbolic, f.field.one)
+    dimension, hyperbolic, middle = _graded_class(g)
+    return dimension, fold_class(middle, hyperbolic, u)
 
 
-def _split_class(f: MapSpec) -> tuple[int, int, GWClass]:
+def _graded_class(f: MapSpec) -> tuple[int, int, GWClass]:
     """dim Q, the number h of hyperbolic planes and the class of the middle
-    block of f's form, split by degree.
+    block of f's form, split by degree (``_split_form``) under
+    ``homogeneous_weights(f)``, or under the zero weight (one degree) when
+    it has none.
 
-    With weights w, Groebner runs in the w-weighted degrevlex order.  A
-    failure there reruns under DEGREVLEX, so that it raises as on a map
-    without weights: the variable an ``InfiniteQuotientError`` names
-    depends on the order.
+    The Groebner basis is built once, in the w-weighted degrevlex order of
+    the weights w, or in DEGREVLEX without them.  With weights the Hilbert
+    series of Q is asserted beside J = dim * E.
     """
     weights = homogeneous_weights(f)
-    if weights is not None and weights != (1,) * len(weights):
-        try:
-            return _graded_class(f, weights, MonomialOrder("degrevlex", weights))
-        except MAP_FAILURES:
-            pass
-    return _graded_class(f, weights, DEGREVLEX)
-
-
-def _graded_class(f: MapSpec, weights, order: MonomialOrder) -> tuple[int, int, GWClass]:
-    """``_split_class`` in one order, graded by ``weights`` or, when they
-    are None, by the zero weight (one degree); with weights the Hilbert
-    series of Q is asserted beside J = dim * E."""
-    qp, socle, _ = _checked_socle(f, order)
+    qp, socle, _ = _checked_socle(f, MonomialOrder("degrevlex", weights) if weights else DEGREVLEX)
     std = qp.standard_monomials
     degree = [sum(map(mul, weights, b)) for b in std] if weights else [0] * len(std)
     index = _top_socle_index(socle)
     if weights:
         _assert_hilbert_series(f, weights, degree, degree[index])
     hyperbolic, block = _split_form(qp, socle, index, degree)
-    return qp.dimension, hyperbolic, classify(block, qp.field)
+    return qp.dimension, hyperbolic, classify(block)
 
 
 def _assert_hilbert_series(f: MapSpec, weights, degree: list[int], top: int) -> None:
@@ -422,7 +387,7 @@ def homogeneous_weights(f: MapSpec) -> tuple[int, ...] | None:
     echelon basis and gives up as soon as its rank reaches the number of
     variables.  The free coordinates of the nullspace are set to 1, which
     can miss a positive w when the nullspace has dimension 2 or more; such
-    a map only takes the slower full path.
+    a map is split under the zero weight, with no pairings to skip.
     """
     n = len(f.ring)
     rows: dict[int, list[int]] = {}  # pivot column -> row, 0 in the other pivots

@@ -374,10 +374,9 @@ def _hasse_and_discriminant(counts: dict, places) -> tuple[tuple, int]:
     return tuple(hasse), disc
 
 
-def classify(g: GramForm, field=None) -> GWClass:
-    """Diagonalize a Gram matrix and compute its GW invariants."""
-    field = field if field is not None else g.field
-    return classify_diagonal(diagonalize(g), field)
+def classify(g: GramForm) -> GWClass:
+    """Diagonalize a Gram matrix and compute its GW invariants over its field."""
+    return classify_diagonal(diagonalize(g), g.field)
 
 
 def gw_equal(c1: GWClass, c2: GWClass) -> bool:

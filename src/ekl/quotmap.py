@@ -43,7 +43,6 @@ from .scalar import QQ
 from .weyl import (
     block_parabolic,
     build_root_system,
-    classify_subdiagram,
     compute_aP,
     parabolic_order_formula,
 )
@@ -220,10 +219,9 @@ def expected_gw(spec: QuotientSpec) -> ExpectedShape:
     else:
         rs = build_root_system(spec.weyl_type, spec.rank)
         p = block_parabolic(spec.weyl_type, spec.rank, spec.blocks)
-        components = classify_subdiagram(rs, p.kept_nodes)
-        if rs.order // parabolic_order_formula(rs, p, components=components) != deg:
+        if rs.order // parabolic_order_formula(rs, p) != deg:
             raise AssertionError(f"|W/W_P| differs from the covering degree {deg}")
-        a = compute_aP(rs, p, budget=deg, components=components)
+        a = compute_aP(rs, p, budget=deg)
     if spec.weyl_type == "A":
         return ExpectedShape((deg + a) // 2, (deg - a) // 2, 0, deg)
     return ExpectedShape((deg - a) // 2, (deg - a) // 2, a, deg)

@@ -329,18 +329,17 @@ def _walk_tables(type_label: str, rank: int) -> tuple[int, tuple]:
 def _coset_walk(
     rs: RootSystem,
     p: ParabolicSpec,
-    sizes: tuple[int, int],
     budget: int | None,
     length: int | None,
 ) -> tuple[int, list[int]]:
     """The orbit walk of ``min_coset_reps`` on packed weights, for a
-    validated ``p`` with ``sizes`` = (|W_P|, N_P): the field width W and
+    validated ``p``: the field width W and
     the weights of every level in walk order, or of level ``length`` only.
     A weight is the int sum of (mu_j + B) << j W, so a field runs over
     0 .. 2B and adding one to it never carries.  A level is n + 1 buckets,
     bucket f holding the weights whose first negative coordinate is f
     (bucket n holds lambda_P alone)."""
-    order_p, npos_p = sizes
+    order_p, npos_p = _parabolic(rs.type_label, rs.rank, p.kept_nodes)[1:]
     if length is not None and not 0 <= length <= rs.npos - npos_p:
         raise ValueError(f"no coset of length {length}")
     cap = enum_budget(budget)
@@ -437,7 +436,7 @@ def min_coset_reps(
     node k.
     """
     p.validate(rs)
-    width, packed = _coset_walk(rs, p, _parabolic_sizes(rs, p), budget, length)
+    width, packed = _coset_walk(rs, p, budget, length)
     mask = (1 << width) - 1
     bias = mask >> 1
     shifts = range(0, rs.rank * width, width)
@@ -467,8 +466,6 @@ def compute_aP(
     p: ParabolicSpec,
     method: str = "auto",
     budget: int | None = None,
-    *,
-    components: Components | None = None,
 ) -> int:
     """Number of cosets w W_P with w^{-1} w0 w in W_P.
 
@@ -484,9 +481,7 @@ def compute_aP(
     no weight there is fixed.  The level is tested packed, not unpacked:
     mu_k = -mu_iota(k) iff field_k + field_iota(k) = 2B, so the level is
     filtered by one comprehension per pair k <= iota(k), and a_P is the
-    number of weights left.  The parabolic is classified at most once,
-    for N_P and for the budget check of the walk, and not at all when the
-    caller passes its ``components``.
+    number of weights left.
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"unknown method {method!r}")
@@ -495,8 +490,8 @@ def compute_aP(
         raise ValueError("the parabolic must be proper")
     if method == "auto" and is_central_longest(rs):
         return 0
-    sizes = _parabolic_sizes(rs, p, components)
-    width, level = _coset_walk(rs, p, sizes, budget, (rs.npos - sizes[1]) // 2)
+    npos_p = _parabolic(rs.type_label, rs.rank, p.kept_nodes)[2]
+    width, level = _coset_walk(rs, p, budget, (rs.npos - npos_p) // 2)
     mask = (1 << width) - 1
     twice_bias = mask - 1
     for k, j in enumerate(rs.iota):
@@ -626,35 +621,27 @@ def _arm_lengths(center: int, adj, comp: list[int]) -> list[int]:
     return lengths
 
 
-# The functions below, and compute_aP, take the induced diagram's
-# ``components`` (``classify_subdiagram`` of p's kept nodes) from a caller
-# that needs them more than once, and classify it themselves when None.
-def parabolic_order_formula(
-    rs: RootSystem, p: ParabolicSpec, *, components: Components | None = None
-) -> int:
+def parabolic_order_formula(rs: RootSystem, p: ParabolicSpec) -> int:
     """|W_P| as the product of the component orders of the induced diagram."""
-    return _parabolic_sizes(rs, p, components)[0]
+    return _parabolic(rs.type_label, rs.rank, p.kept_nodes)[1]
 
 
-def _parabolic_sizes(
-    rs: RootSystem, p: ParabolicSpec, components: Components | None = None
-) -> tuple[int, int]:
-    """|W_P| and N_P, the positive-root count of W_P, from one
-    classification of the induced diagram."""
-    if components is None:
-        components = classify_subdiagram(rs, p.kept_nodes)
+@lru_cache(maxsize=None)
+def _parabolic(type_label: str, rank: int, kept: frozenset[int]) -> tuple[tuple, int, int]:
+    """The induced diagram's components, |W_P| and N_P.  They depend on the
+    root system and the kept nodes only, so each parabolic is classified
+    once, however many functions ask for it."""
+    components = tuple(classify_subdiagram(build_root_system(type_label, rank), kept))
     order, npos = 1, 0
-    for label, rank in components:
-        order *= weyl_order(label, rank)
-        npos += _POSITIVE_ROOT_COUNT[label](rank)
-    return order, npos
+    for label, r in components:
+        order *= weyl_order(label, r)
+        npos += _POSITIVE_ROOT_COUNT[label](r)
+    return components, order, npos
 
 
-def parabolic_type_name(
-    rs: RootSystem, p: ParabolicSpec, *, components: Components | None = None
-) -> str:
+def parabolic_type_name(rs: RootSystem, p: ParabolicSpec) -> str:
     """The induced diagram's components joined by " x ", or "trivial"."""
-    comps = classify_subdiagram(rs, p.kept_nodes) if components is None else components
+    comps = _parabolic(rs.type_label, rs.rank, p.kept_nodes)[0]
     if not comps:
         return "trivial"
     return " x ".join(f"{label}{rank}" for label, rank in comps)

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import random
 
+from ekl.cli import FAILURES
 from ekl.degree import MapSpec
 from ekl.poly import DEGREVLEX, MonomialOrder, Polynomial, _kernel_values, from_kernel, mono_mul, parse_poly
 from ekl.scalar import QQ
 from groebner_oracle import mono_div, mono_divides
 from poly_oracle import Poly, substitute
 
+#: The library failures a map can raise, as opposed to failed theorem checks.
+MAP_FAILURES = tuple(cls for cls, _, _ in FAILURES)
 
 #: The weighted degrevlex order that the kernel tests run beside DEGREVLEX
 #: and LEX; ``in_ring`` fits it to a ring.

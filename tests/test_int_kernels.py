@@ -28,13 +28,12 @@ from itertools import accumulate
 
 import pytest
 
-from conftest import components, kernel_matrix, map_spec
+from conftest import MAP_FAILURES, components, kernel_matrix, map_spec
 from poly_oracle import Poly, partial_derivative
 
 import ekl.degree
 from ekl.degree import (
     CERTIFICATE_PRIME,
-    MAP_FAILURES,
     MapSpec,
     _checked_socle,
     _full_rank,
@@ -347,9 +346,9 @@ def recorded_forms(monkeypatch):
     forms = []
     real = ekl.degree.classify
 
-    def recording(form, fld):
+    def recording(form):
         forms.append(form)
-        return real(form, fld)
+        return real(form)
 
     monkeypatch.setattr(ekl.degree, "classify", recording)
     return forms

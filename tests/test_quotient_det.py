@@ -55,10 +55,15 @@ def presentation(name, fld, order):
 
 
 def random_entry(rng, qp):
-    """Zero one time in five, else up to three terms with exponents <= 2."""
+    """Zero one time in five, else up to three terms with exponents <= 2
+    and, three times in four, a constant term: in a local quotient every
+    other monomial is nilpotent, and without units most determinants
+    vanish."""
     if rng.random() < 0.2:
         return Poly.zero(qp.ring, qp.field)
     terms = {}
+    if rng.random() < 0.75:
+        terms[(0,) * len(qp.ring)] = qp.field.from_int(rng.choice([-3, -2, -1, 1, 2, 5]))
     for _ in range(rng.randint(1, 3)):
         mono = tuple(rng.randint(0, 2) for _ in qp.ring)
         terms[mono] = qp.field.from_int(rng.choice([-3, -2, -1, 1, 2, 5]))

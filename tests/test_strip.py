@@ -3,7 +3,8 @@ that print only the class and the dimension (``degree.degree_class``).
 
 The oracle is always the full pipeline on the unreduced map: the reduction
 deg f = <u> * deg g must give an equal class and dimension, and every
-command that uses it must print what the full path prints.
+command that uses it must print that class: a named form as the full path
+prints it, and otherwise a diagonal isometric to the full map's.
 """
 
 import importlib.util
@@ -17,8 +18,18 @@ import pytest
 
 import ekl.cli
 from ekl.cli import main
-from ekl.degree import MAP_FAILURES, MapSpec, _split_class, degree_class, ekl_degree, strip_solved
-from ekl.gw import gw_add, gw_equal, gw_mul, recognize_units, render_units, unit_class, units_class
+from conftest import MAP_FAILURES
+from ekl.degree import MapSpec, _graded_class, degree_class, ekl_degree, strip_solved
+from ekl.gw import (
+    classify_diagonal,
+    gw_add,
+    gw_equal,
+    gw_mul,
+    recognize_units,
+    render_units,
+    unit_class,
+    units_class,
+)
 from ekl.quotmap import QuotientSpec, build_D_odd_partial, build_Sn_full, build_typeBC_full
 from ekl.scalar import GF, QQ, SquareClass, legendre
 
@@ -154,14 +165,16 @@ def test_strip_keeps_a_map_whose_component_vanishes(tmp_path, capsys):
     )
 
 
-def test_failure_on_the_stripped_map_reports_the_full_map(tmp_path, capsys):
-    # the stripped map (y^2, y*z) lacks a pure power of z; the full map of x
+def test_failure_on_the_stripped_map_reports_the_stripped_map(tmp_path, capsys):
+    # the stripped map (y^2, y*z) lacks a pure power of z
     path = tmp_path / "m.json"
     components = ["x + z^2", "y^2", "y*z"]
     path.write_text(json.dumps({"variables": ["x", "y", "z"], "components": components}))
     named = run(capsys, "degree", str(path))
-    assert named[0] == 3 and "'x'" in named[2]
+    assert named[0] == 3 and "'z'" in named[2]
     assert run(capsys, "degree", str(path), "--format", "invariants") == named
+    # the full path of --format diag builds the full map's quotient
+    assert "'x'" in run(capsys, "degree", str(path), "--format", "diag")[2]
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +184,10 @@ def test_failure_on_the_stripped_map_reports_the_full_map(tmp_path, capsys):
 def composed_class(f):
     """``degree_class`` composed from the class operations:
     gw_mul(unit_class(u), gw_add(units_class(h, h), middle class)), with
-    u = 1 when nothing is stripped or the stripped map fails."""
-
-    def compose(g, u):
-        dimension, h, middle = _split_class(g)
-        return dimension, gw_mul(unit_class(u, g.field), gw_add(units_class(h, h, (), g.field), middle))
-
+    u = 1 when nothing is stripped."""
     g, u = strip_solved(f)
-    if g is not f:
-        try:
-            return compose(g, u)
-        except MAP_FAILURES:
-            pass
-    return compose(f, f.field.one)
+    dimension, h, middle = _graded_class(g)
+    return dimension, gw_mul(unit_class(u, g.field), gw_add(units_class(h, h, (), g.field), middle))
 
 
 def assert_fold_is_composed(maps):
@@ -243,29 +247,49 @@ def test_quotient_prints_what_the_full_map_prints(capsys, monkeypatch):
         assert code == 0
 
 
-def test_quotient_prints_the_full_diagonal_when_no_units_show(capsys, monkeypatch):
-    # <3> * deg(14/3*y^3) has the diagonal <-7,7,14>, the full map <-21,14,21>
+def test_quotient_prints_the_class_paths_diagonal_when_no_units_show(capsys, monkeypatch):
+    # <3> * deg(14/3*y^3) has the diagonal <-3,3,14>, the full map <-21,14,21>
     f = MapSpec.from_strings(("x", "y"), ["3*x + y^2", "5*y^3 + x*y"])
     # degree 3, with the Weyl data of S3 over S2 x S1, which has 3 cosets
     spec = QuotientSpec("Sn-full", (3,), f, (1, 1), (1, 3), "A", 2, (2, 1))
     monkeypatch.setattr(ekl.cli, "build_Sn_full", lambda n, field: spec)
     monkeypatch.setattr(ekl.cli, "recognize_units", lambda c: None)
-    stripped = run(capsys, "quotient", "--type", "Sn", "--n", "3")
-    assert "computed: ⟨-21,14,21⟩\n" in stripped[1]
-    monkeypatch.setattr(ekl.cli, "degree_class", full_class)
-    full = run(capsys, "quotient", "--type", "Sn", "--n", "3")
-    assert (stripped[0], untimed(stripped[1]), stripped[2]) == (full[0], untimed(full[1]), full[2])
+    code, out, err = run(capsys, "quotient", "--type", "Sn", "--n", "3")
+    # f is no S3 quotient map, so its class is not the predicted one
+    assert (code, err) == (1, "") and "computed: ⟨-3,3,14⟩\n" in out
+    assert gw_equal(degree_class(f)[1], full_class(f)[1])
 
 
-@pytest.mark.parametrize("extra", [("--field", f"fp:{P}")], ids=["fp"])
-def test_quotient_keeps_the_full_map(tmp_path, capsys, monkeypatch, extra):
-    def refuse(f):
-        raise AssertionError("degree_class called")
+def recorded_pipelines(monkeypatch) -> list:
+    """The names called, in order, through ``ekl.cli.degree_class`` and
+    ``ekl.cli.ekl_degree``."""
+    calls: list = []
+    for name in ("degree_class", "ekl_degree"):
+        real = getattr(ekl.cli, name)
+        monkeypatch.setattr(ekl.cli, name, lambda f, name=name, real=real: calls.append(name) or real(f))
+    return calls
 
-    monkeypatch.setattr(ekl.cli, "degree_class", refuse)
-    for blocks in ("2,2", "3,2,1"):
-        code, out, _ = run(capsys, "quotient", "--type", "A", "--blocks", blocks, *extra)
+
+def test_class_only_outputs_over_fp_run_the_class_path_once(tmp_path, capsys, monkeypatch):
+    calls = recorded_pipelines(monkeypatch)
+    path = tmp_path / "a22.json"
+    for argv in (
+        ("--type", "B", "--rank", "4"),
+        ("--type", "A", "--blocks", "3,2,1"),
+        ("--type", "A", "--blocks", "2,2", "--emit-map", str(path)),
+    ):
+        calls.clear()
+        code, out, _ = run(capsys, "quotient", *argv, "--field", f"fp:{P}")
         assert code == 0 and "verdict: MATCH" in out
+        assert calls == ["degree_class"]
+    calls.clear()
+    code, out, _ = run(capsys, "degree", str(path), "--format", "named", "--field", f"fp:{P}")
+    assert code == 0 and calls == ["degree_class"]
+    shown = classify_diagonal([int(d) for d in out.strip("⟨⟩\n").split(",")], GF(P))
+    assert gw_equal(shown, ekl_degree(MapSpec.from_json(path.read_text(), GF(P))).gw_class)
+    calls.clear()
+    assert run(capsys, "degree", str(path), "--format", "diag", "--field", f"fp:{P}")[0] == 0
+    assert calls == ["ekl_degree"]  # the full map's diagonal
 
 
 def test_quotient_emit_map_prints_what_the_call_without_it_prints(tmp_path, capsys, monkeypatch):
@@ -295,23 +319,19 @@ def test_degree_invariants_match_the_closed_form(tmp_path, capsys, field):
 
 
 @pytest.mark.parametrize("field, fld", [("q", QQ), (f"fp:{P}", GF(P))], ids=["q", f"fp{P}"])
-def test_degree_named_prints_the_full_class(tmp_path, capsys, monkeypatch, field, fld):
-    calls = []
-    for name in ("degree_class", "ekl_degree"):
-        real = getattr(ekl.cli, name)
-        monkeypatch.setattr(ekl.cli, name, lambda f, name=name, real=real: calls.append(name) or real(f))
+def test_degree_named_prints_the_class_paths_class(tmp_path, capsys, monkeypatch, field, fld):
+    calls = recorded_pipelines(monkeypatch)
     named = 0
     for op in load_workloads().random_ops(1, field, str(tmp_path)):
         path = op.argv[1]
         full = ekl_degree(MapSpec.from_json(Path(path).read_text(), fld)).gw_class
-        shape = recognize_units(full)
         calls.clear()
-        assert run(capsys, "degree", path, "--field", field) == (0, render_units(full, shape) + "\n", "")
-        if field != "q":
-            assert calls == ["ekl_degree"]
-        elif full.rank == 1 or (shape and (shape.ones or shape.minus_ones)):
-            assert calls == ["degree_class"]  # a named form prints, the class path gives it
+        code, out, err = run(capsys, "degree", path, "--field", field)
+        assert (code, err, calls) == (0, "", ["degree_class"])
+        cls = degree_class(MapSpec.from_json(Path(path).read_text(), fld))[1]
+        assert gw_equal(cls, full) and out == render_units(cls, recognize_units(cls)) + "\n"
+        shape = recognize_units(full)
+        if shape and (shape.ones or shape.minus_ones):
+            assert out == render_units(full, shape) + "\n"  # a named form is the class's
             named += 1
-        else:
-            assert calls == ["degree_class", "ekl_degree"]
     assert named > 0 or field != "q"

@@ -293,7 +293,7 @@ def test_w0_reverses_the_coset_levels(label, rank, kept, aP):
 
 def test_a_walk_that_ends_before_its_level_is_an_arithmetic_error(monkeypatch):
     # with N_P read as 0, A3 keep {1, 3} asks for level 6 of a walk of 0 .. 4
-    monkeypatch.setattr(ekl.weyl, "_parabolic_sizes", lambda rs, p: (4, 0))
+    monkeypatch.setattr(ekl.weyl, "_parabolic", lambda *key: ((), 4, 0))
     with pytest.raises(ArithmeticError, match="ended at length 4, before 6"):
         min_coset_reps(build_root_system("A", 3), ParabolicSpec.keep([1, 3]), length=6)
 
@@ -412,8 +412,10 @@ def test_middle_level_size_of_the_benchmark_members(label, rank, flag, nodes, co
         assert (middle, expected[middle]) == (17, 1605)
 
 
-def test_compute_aP_classifies_the_parabolic_once(monkeypatch):
-    calls = []
+def counted_classifications(monkeypatch) -> list:
+    """The kept-node sets ``ekl.weyl.classify_subdiagram`` is called on from
+    now, with the cache of classified parabolics emptied first."""
+    calls: list = []
     real = ekl.weyl.classify_subdiagram
 
     def counting(rs, kept):
@@ -421,21 +423,21 @@ def test_compute_aP_classifies_the_parabolic_once(monkeypatch):
         return real(rs, kept)
 
     monkeypatch.setattr(ekl.weyl, "classify_subdiagram", counting)
+    ekl.weyl._parabolic.cache_clear()
+    return calls
+
+
+def test_compute_aP_classifies_the_parabolic_once(monkeypatch):
+    calls = counted_classifications(monkeypatch)
     e6 = build_root_system("E", 6)
-    assert compute_aP(e6, ParabolicSpec.remove(e6, [1, 6]), method="enumerate") == 6
+    p = ParabolicSpec.remove(e6, [1, 6])
+    assert compute_aP(e6, p, method="enumerate") == 6
+    assert parabolic_order_formula(e6, p) == 192 and parabolic_type_name(e6, p) == "D4"
     assert len(calls) == 1
 
 
 def test_an_op_classifies_the_parabolic_once(monkeypatch, capsys):
-    calls = []
-    real = ekl.weyl.classify_subdiagram
-
-    def counting(rs, kept):
-        calls.append(kept)
-        return real(rs, kept)
-
-    for module in (ekl.weyl, ekl.cli, ekl.quotmap):
-        monkeypatch.setattr(module, "classify_subdiagram", counting)
+    calls = counted_classifications(monkeypatch)
     argv = ["weyl", "ap", "--type", "E6", "--remove", "1,6", "--method", "enumerate"]
     assert ekl.cli.main(argv) == 0
     assert capsys.readouterr().out.splitlines()[1:4] == [
